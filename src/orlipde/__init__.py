@@ -22,7 +22,6 @@ from .errors import (
     RangeError,
     ResolutionError,
     UnstableEstimateError,
-    WindowOverflowError,
 )
 from .grid import (
     GridDomain,

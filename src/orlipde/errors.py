@@ -9,18 +9,6 @@ class InvalidYoungFunctionError(OrlipdeError):
     """A candidate Young function violates a structural requirement."""
 
 
-class WindowOverflowError(OrlipdeError):
-    """The conjugate maximizer landed on the edge of the search window."""
-
-    def __init__(self, v, window):
-        self.v = v
-        self.window = window
-        super().__init__(
-            f"conjugate supremum not attained inside the search window "
-            f"u in ({window[0]:g}, {window[1]:g}) at v={v:g}"
-        )
-
-
 class RangeError(OrlipdeError):
     """A requested value lies outside the numerically trusted range."""
 

@@ -3,15 +3,14 @@
 An N-function is an even, continuous, convex function M with
 M(u)/u -> 0 as u -> 0 and M(u)/u -> oo as u -> oo.  This module provides
 the closed-form families used throughout the library, tabulated densities,
-numerical convex conjugation, doubling (Delta-2) classification, inversion,
-and Boyd index estimation.
+complementary functions as exact Legendre pairs, doubling (Delta-2)
+classification, inversion, and Boyd index estimation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,25 +19,26 @@ from .errors import (
     InvalidYoungFunctionError,
     RangeError,
     UnstableEstimateError,
-    WindowOverflowError,
 )
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class YoungFunction:
-    """An N-function with evaluator, density and trusted evaluation range.
+    """An N-function with evaluator, density, inverse density and trusted range.
 
-    ``kind`` is one of ``power``, ``power-log``, ``exp`` or
-    ``density-sampled``.  ``density`` is the right-continuous nondecreasing
-    derivative p with M(u) = int_0^|u| p(t) dt.  ``domain_cap`` is the
-    largest |u| at which evaluation is numerically trusted.
+    ``kind`` is one of ``power``, ``power-log``, ``exp``, ``density-sampled``
+    or ``conjugate``.  ``density`` is the right-continuous nondecreasing
+    derivative p with M(u) = int_0^|u| p(t) dt.  ``inverse_density`` is its
+    right-continuous inverse q(s) = sup{ t : p(t) <= s }, which is the
+    density of the complementary function.  ``domain_cap`` is the largest
+    |u| at which evaluation is numerically trusted.
     """
 
-    def __init__(self, kind, evaluate, density, domain_cap, params=None, name=None):
+    def __init__(self, kind, evaluate, density, inverse_density, domain_cap,
+                 params=None, name=None):
         self.kind = kind
         self._evaluate = evaluate
         self._density = density
+        self._inverse_density = inverse_density
         self.domain_cap = float(domain_cap)
         self.params = dict(params or {})
         self.name = name or kind
@@ -56,12 +56,11 @@ class YoungFunction:
 
     def density(self, t):
         """Right-continuous density p(t) on t >= 0."""
-        x = np.asarray(t, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._density(x)
-        if np.isscalar(t) or np.ndim(t) == 0:
-            return float(out)
-        return out
+        return _apply(self._density, t)
+
+    def inverse_density(self, s):
+        """Right-continuous inverse density q(s) = sup{ t : p(t) <= s } on s >= 0."""
+        return _apply(self._inverse_density, s)
 
     def __repr__(self):
         return f"YoungFunction({self.name})"
@@ -71,11 +70,16 @@ class YoungFunction:
     def inverse(self, y, rtol=1e-10, max_iter=200):
         """Inverse of M on the positive half line, by bracketing + bisection.
 
-        Vectorized over y.  Raises RangeError when y exceeds M(domain_cap).
+        Vectorized over y; scalar results are memoized per (y, rtol,
+        max_iter), since gauges ask for M^{-1}(1/mes) again and again.
+        Raises RangeError when y exceeds M(domain_cap).
         """
-        ya = np.asarray(y, dtype=float)
         scalar = np.ndim(y) == 0
-        ya = np.atleast_1d(ya)
+        if scalar:
+            key = (float(y), rtol, max_iter)
+            if key in self._inverse_memo:
+                return self._inverse_memo[key]
+        ya = np.atleast_1d(np.asarray(y, dtype=float))
         if np.any(ya < 0):
             raise RangeError("inverse requested at a negative value")
         cap_val = self(self.domain_cap)
@@ -105,14 +109,25 @@ class YoungFunction:
                     break
             out[pos] = 0.5 * (lo + hi)
         if scalar:
-            return float(out[0])
+            self._inverse_memo[key] = float(out[0])
+            return self._inverse_memo[key]
         return out
 
-    def complementary(self, v_grid=None):
+    def complementary(self):
         """Conjugate N-function, cached; see :func:`complementary`."""
         if self._conjugate is None:
-            self._conjugate = complementary(self, v_grid=v_grid)
+            self._conjugate = complementary(self)
         return self._conjugate
+
+
+def _apply(fn, x):
+    # evaluate a density-like function on scalars or arrays
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        out = fn(x)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
 
 
 # -- closed-form families ---------------------------------------------------
@@ -127,6 +142,7 @@ def power(p, coeff=1.0):
         kind="power",
         evaluate=lambda u: coeff * u**p,
         density=lambda t: coeff * p * t ** (p - 1.0),
+        inverse_density=lambda s: (s / (coeff * p)) ** (1.0 / (p - 1.0)),
         domain_cap=cap,
         params={"p": p, "coeff": coeff},
         name=f"power(p={p:g}" + (f",c={coeff:g})" if coeff != 1.0 else ")"),
@@ -145,10 +161,25 @@ def power_log(p):
     def density(t):
         return p * t ** (p - 1.0) * np.log(e + t) + t**p / (e + t)
 
+    def inverse_density(s):
+        # p t^(p-1) <= density(t) < t^(p-1) (p log(e+t) + 1) brackets the
+        # root; bisect on log t through geometric midpoints
+        hi = (s / p) ** (1.0 / (p - 1.0))
+        lo = hi * ((p * np.log(e + hi) + 1.0) / p) ** (-1.0 / (p - 1.0))
+        for _ in range(200):
+            if np.all(hi - lo <= 4.5e-16 * hi):
+                break
+            mid = np.sqrt(lo) * np.sqrt(hi)
+            below = density(mid) <= s
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+        return lo
+
     return YoungFunction(
         kind="power-log",
         evaluate=evaluate,
         density=density,
+        inverse_density=inverse_density,
         domain_cap=10.0 ** (250.0 / p),
         params={"p": p},
         name=f"power-log(p={p:g})",
@@ -161,6 +192,7 @@ def exp_young():
         kind="exp",
         evaluate=lambda u: np.expm1(u) - u,
         density=lambda t: np.expm1(t),
+        inverse_density=lambda s: np.log1p(s),
         domain_cap=700.0,
         params={},
         name="exp",
@@ -172,7 +204,11 @@ def from_density(ts, ps, name="table"):
 
     The density is interpolated linearly (and extrapolated with the last
     slope), so M is piecewise quadratic; the trusted range ends at the last
-    sample.
+    sample.  The inverse density swaps the table axes: a flat piece of p
+    becomes a jump of q, where q takes the right limit.  Beyond the last
+    sample the linear extrapolation is inverted; when its slope is 0, q is
+    +inf past ps[-1] and ts[-1] at ps[-1], so the conjugate stays finite at
+    the end of its range.
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
@@ -190,12 +226,25 @@ def from_density(ts, ps, name="table"):
     # cumulative trapezoid: exact integral of the linear interpolant
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (ps[1:] + ps[:-1]) * np.diff(ts))])
     last_slope = (ps[-1] - ps[-2]) / (ts[-1] - ts[-2]) if ps[-1] > ps[-2] else 0.0
+    # the tolerated round-off decreases are removed before inversion
+    mono = np.maximum.accumulate(ps)
 
     def density(t):
         t = np.asarray(t, dtype=float)
         inside = np.interp(t, ts, ps)
         out = np.where(t > ts[-1], ps[-1] + last_slope * (t - ts[-1]), inside)
         return out
+
+    def inverse_density(s):
+        # last sample with p <= s; the next one has p > s unless i is the last
+        i = np.clip(np.searchsorted(mono, s, side="right") - 1, 0, ts.size - 1)
+        j = np.minimum(i, ts.size - 2)
+        inside = ts[j] + (s - mono[j]) * (ts[j + 1] - ts[j]) / (mono[j + 1] - mono[j])
+        if last_slope > 0.0:
+            tail = ts[-1] + (s - mono[-1]) / last_slope
+        else:
+            tail = np.where(s > mono[-1], np.inf, ts[-1])
+        return np.where(i == ts.size - 1, tail, inside)
 
     def evaluate(u):
         u = np.asarray(u, dtype=float)
@@ -213,111 +262,41 @@ def from_density(ts, ps, name="table"):
         kind="density-sampled",
         evaluate=evaluate,
         density=density,
+        inverse_density=inverse_density,
         domain_cap=float(ts[-1]),
         params={"samples": ts.size},
         name=name,
     )
 
 
-# -- convex conjugation ------------------------------------------------------
-
-_DEFAULT_U_WINDOW = (1e-14, 1e14)
-_COARSE_PER_DECADE = 16
+# -- complementary functions ---------------------------------------------------
 
 
-def _conjugate_core(M, u_window, refine_iters=60):
-    """Build vectorized (value, argmax) evaluators for sup_u { u v - M(u) }."""
-    lo, hi = u_window
-    decades = math.log10(hi) - math.log10(lo)
-    grid = np.logspace(math.log10(lo), math.log10(hi), int(decades * _COARSE_PER_DECADE))
-    with np.errstate(over="ignore", invalid="ignore"):
-        Mgrid = np.where(np.isfinite(M(grid)), M(grid), np.inf)
-    log_grid = np.log(grid)
+def complementary(M):
+    """Complementary N-function N(v) = sup_{u >= 0} ( u |v| - M(u) ).
 
-    def solve(v):
-        av = np.abs(np.asarray(v, dtype=float))
-        flat = np.atleast_1d(av).ravel()
-        values = np.zeros_like(flat)
-        argmax = np.zeros_like(flat)
-        pos = flat > 0
-        if pos.any():
-            V = flat[pos]
-            scores = grid[:, None] * V[None, :] - Mgrid[:, None]
-            j = np.argmax(scores, axis=0)
-            edge = j >= grid.size - 1
-            if edge.any():
-                raise WindowOverflowError(float(V[edge][0]), u_window)
-            a = log_grid[np.maximum(j - 1, 0)]
-            b = log_grid[j + 1]
-            # trisection on log u; the objective is concave in u, hence
-            # unimodal in log u
-            for _ in range(refine_iters):
-                m1 = a + (b - a) / 3.0
-                m2 = b - (b - a) / 3.0
-                u1 = np.exp(m1)
-                u2 = np.exp(m2)
-                f1 = u1 * V - M(u1)
-                f2 = u2 * V - M(u2)
-                take_right = f2 >= f1
-                a = np.where(take_right, m1, a)
-                b = np.where(take_right, b, m2)
-            ustar = np.exp(0.5 * (a + b))
-            vals = ustar * V - M(ustar)
-            coarse = scores[j, np.arange(V.size)]
-            better = coarse > vals
-            vals = np.where(better, coarse, vals)
-            ustar = np.where(better, grid[j], ustar)
-            values[pos] = np.maximum(vals, 0.0)
-            argmax[pos] = ustar
-        shape = np.shape(av)
-        return values.reshape(shape), argmax.reshape(shape)
-
-    return solve
-
-
-def complementary(M, v_grid=None, u_window=_DEFAULT_U_WINDOW):
-    """Conjugate N-function N(v) = sup_{u >= 0} ( u |v| - M(u) ).
-
-    The supremum is located on a log-spaced window and refined by local
-    maximization; the density of N is the maximizer itself (envelope
-    identity), which equals sup{ t : p(t) <= s }.  Raises
-    WindowOverflowError when a maximizer lands on the window edge.
+    M and N form a Legendre pair: the supremum is attained at u = q(|v|),
+    the inverse density of M, so Young's equality gives
+    N(v) = |v| q(|v|) - M(q(|v|)) (clamped at 0 against round-off).  N has
+    density q and inverse density p, so conjugating twice evaluates M again.
+    N is +inf where q is, i.e. beyond the bound of a bounded density.  The
+    trusted range of N ends at p(M.domain_cap), where N is finite.
     """
-    solve = _conjugate_core(M, u_window)
-    if v_grid is None:
-        v_grid = np.logspace(-6, 6, 121)
-    v_grid = np.asarray(v_grid, dtype=float)
-    if v_grid.ndim != 1 or np.any(np.diff(v_grid) <= 0) or np.any(v_grid <= 0):
-        raise InvalidYoungFunctionError("v_grid must be strictly increasing and positive")
-    sample_values, sample_arg = solve(v_grid)  # also validates the window
 
     def evaluate(v):
-        return solve(v)[0]
+        t = M.inverse_density(v)
+        out = np.maximum(v * t - M(t), 0.0)
+        return np.where(np.isinf(t), np.inf, out)
 
-    def density(s):
-        return solve(s)[1]
-
-    # the conjugate is trusted while its maximizer p_M^{-1}(v) stays inside
-    # the u window; probe the density at a safe interior point
-    u_probe = u_window[1] * 0.1
-    cap = math.inf
-    for _ in range(40):
-        cap = float(M.density(u_probe))
-        if math.isfinite(cap):
-            break
-        u_probe /= 10.0
-    cap = min(cap, 1e300)
-
-    N = YoungFunction(
-        kind="density-sampled",
+    return YoungFunction(
+        kind="conjugate",
         evaluate=evaluate,
-        density=density,
-        domain_cap=max(cap, float(v_grid[-1])),
+        density=M.inverse_density,
+        inverse_density=M.density,
+        domain_cap=M.density(M.domain_cap),
         params={"conjugate_of": M.name},
         name=f"conjugate[{M.name}]",
     )
-    N.samples = np.column_stack([v_grid, sample_values])
-    return N
 
 
 # -- Delta-2 classification ----------------------------------------------------
@@ -383,9 +362,6 @@ class BoydIndices:
     beta: float
     h_samples: np.ndarray  # columns (t, h_hat(t))
     fit_residual: float
-
-    def as_tuple(self):
-        return (self.alpha, self.beta)
 
 
 def boyd_indices(M, x_window=(1e3, 1e9), x_samples=25, monotone_tol=0.05):

@@ -3,14 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from orlipde import space
 from orlipde import (
+    BracketError,
     GridDomain,
     GridFunction,
     ShiftVector,
     characteristic_norm_value,
+    complementary,
     convolve,
     dual_norm_lower_bound,
     exp_young,
+    from_density,
     inequality_suite,
     l1_norm,
     luxemburg_norm,
@@ -18,9 +22,44 @@ from orlipde import (
     mollify,
     orlicz_norm,
     power,
+    power_log,
     shift,
     shift_modulus,
 )
+
+
+def bisection_gauge(u, M, rtol=1e-15):
+    """Independent oracle: log-bisection of modular(u / lam) <= 1."""
+    hi = 1.0
+    while modular(u * (1.0 / hi), M) > 1.0:
+        hi *= 2.0
+    lo = hi
+    while modular(u * (1.0 / lo), M) <= 1.0:
+        lo *= 0.5
+    while hi - lo > rtol * hi:
+        mid = math.sqrt(lo * hi)
+        if mid in (lo, hi):
+            break
+        if modular(u * (1.0 / mid), M) <= 1.0:
+            hi = mid
+        else:
+            lo = mid
+    return math.sqrt(lo * hi)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Modular values of every pass, recorded by a wrapper around space.modular."""
+    seen = []
+    real = space.modular
+
+    def recording(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append(out[0] if isinstance(out, tuple) else out)
+        return out
+
+    monkeypatch.setattr(space, "modular", recording)
+    return seen
 
 
 def interval_indicator(domain, a, b):
@@ -93,6 +132,49 @@ class TestLuxemburg:
             assert luxemburg_norm(u + v, M) <= (
                 luxemburg_norm(u, M) + luxemburg_norm(v, M) + 1e-8
             )
+
+
+class TestGaugeSolver:
+    # density kinked at t = 1 and bounded by 2: its conjugate is +inf
+    # beyond v = 2, so modular passes overflow and the solver bisects
+    KINKED = ([0.0, 1.0, 3.0], [0.0, 2.0, 2.0])
+
+    def fields(self, line64, square32):
+        rng = np.random.default_rng(8)
+        out = [GridFunction(line64, rng.standard_normal(64)),
+               GridFunction(square32, rng.standard_normal((32, 32))),
+               interval_indicator(line64, 0.0, 0.25) * 3.0]
+        return out + [f * 40.0 for f in out]
+
+    def test_agrees_with_bisection_oracle(self, line64, square32):
+        table = from_density(*self.KINKED)
+        for M in (power(1.5), power_log(3), exp_young(), table):
+            for u in self.fields(line64, square32):
+                ref = bisection_gauge(u, M)
+                assert abs(luxemburg_norm(u, M) - ref) <= 1e-11 * ref, (M, u)
+
+    def test_bisection_fallback_on_overflow(self, line64, square32, passes):
+        N = complementary(from_density(*self.KINKED))
+        for u in self.fields(line64, square32):
+            ref = bisection_gauge(u, N)
+            passes.clear()
+            assert abs(luxemburg_norm(u, N) - ref) <= 1e-11 * ref
+            assert math.inf in passes
+
+    def test_few_passes(self, line64, square32, passes):
+        for M, most in ((power(1.5), 4), (power(2), 4), (power(3), 4),
+                        (exp_young(), 8), (power_log(2), 8), (power_log(3), 8)):
+            for u in self.fields(line64, square32):
+                passes.clear()
+                luxemburg_norm(u, M)
+                assert len(passes) <= most, (M, len(passes))
+
+    def test_non_finite_field_raises(self, line64):
+        for bad in (math.nan, math.inf):
+            vals = np.ones(64)
+            vals[5] = bad
+            with pytest.raises(BracketError):
+                luxemburg_norm(GridFunction(line64, vals), power(2))
 
 
 class TestOrlicz:

@@ -9,7 +9,6 @@ from orlipde import (
     EmbeddingWindowError,
     InvalidYoungFunctionError,
     RangeError,
-    WindowOverflowError,
     boyd_indices,
     check_delta2,
     complementary,
@@ -87,11 +86,38 @@ class TestComplementary:
         ref = (1 + v) * np.log(1 + v) - v
         assert np.max(np.abs(N(v) - ref) / ref) < 1e-10
 
-    def test_window_overflow_names_the_value(self):
-        M = power(1.5)
-        with pytest.raises(WindowOverflowError) as err:
-            complementary(M, v_grid=np.logspace(0, 9, 30), u_window=(1e-6, 1e6))
-        assert err.value.v > 0
+    def test_range_error_beyond_trusted_range(self):
+        # the density is bounded by 1, so N is finite up to v = 1 only
+        t = np.linspace(0.0, 2.0, 21)
+        N = complementary(from_density(t, np.minimum(t, 1.0)))
+        assert N.domain_cap == 1.0
+        assert N(1.0) == pytest.approx(0.5, rel=1e-12)
+        assert N(1.5) == math.inf
+        with pytest.raises(RangeError):
+            N.inverse(0.6)
+
+    def test_tiny_argument_not_flushed(self):
+        # N(v) = v^2 / 4 for M(u) = u^2, far below any sampling window
+        assert complementary(power(2))(1e-14) == pytest.approx(2.5e-29, rel=1e-12)
+
+    def test_flat_density_piece(self):
+        # p = 1 on [1, 2]: q jumps from 1 to 2 at s = 1 and takes the right limit
+        M = from_density([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 1.0, 3.0])
+        N = complementary(M)
+        assert N.density(1.0) == 2.0
+        assert N.density(1.0 - 1e-9) == pytest.approx(1.0, rel=1e-8)
+        u = np.array([0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0])
+        v = M.density(u)
+        assert np.max(np.abs(u * v - M(u) - N(v)) / (u * v)) < 1e-14
+
+    def test_trusted_range_ends_where_finite(self):
+        t = np.linspace(0.0, 2.0, 21)
+        families = (power(1.5), power(3, coeff=1.0 / 3.0), power_log(2), exp_young(),
+                    from_density(t, t**2), from_density(t, np.minimum(t, 1.0)))
+        for M in families:
+            N = complementary(M)
+            assert N.domain_cap <= M.density(M.domain_cap)
+            assert math.isfinite(N(N.domain_cap))
 
     def test_biconjugation(self):
         M = power_log(2)
