@@ -41,6 +41,7 @@ from .kernels import (
     ball_integral,
     fundamental_solution,
     potential,
+    potential_channels,
     shift_invariance_probe,
     singular_integral,
     singular_potential,
@@ -67,7 +68,7 @@ from .parametrix import (
     bounded_multiplier_check,
     cap_bump,
     contraction_profile,
-    neumann_solve,
+    frozen_operator,
 )
 from .space import (
     characteristic_norm_value,

@@ -7,8 +7,16 @@ Usage: orlipde <young|norms|solve|contraction|mollify|shift>
 Each run writes into an output directory named by the resolved config hash:
 the resolved config, the result CSVs (12 significant digits, byte-stable
 for equal config and seed), and a manifest with checksums and timings.
-Exit codes: 0 success, 2 config error, 3 numerical divergence, 4 capability
-error.
+
+Exit codes (each failure prints one line to stderr):
+
+    0  success
+    2  config error (``ConfigError``)
+    3  numerical divergence (``DivergenceError``, or a solve that did not
+       converge with a certificate within 2*tol)
+    4  capability error (``CapabilityError``)
+    5  any other library error (``OrlipdeError``: ``RangeError``,
+       ``NotEllipticError``, ``CalibrationError``, ...)
 """
 
 from __future__ import annotations
@@ -26,9 +34,8 @@ import numpy as np
 from . import __version__
 from .config import build_field, build_kernel, build_operator, build_young, load_config
 from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError
-from .grid import GridDomain, GridFunction, ShiftVector, write_grid_function
-from .kernels import verify_fundamental
-from .parametrix import ParametrixOperator, contraction_profile
+from .grid import GridDomain, ShiftVector, write_grid_function
+from .parametrix import ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
     characteristic_norm_value,
     dual_norm_lower_bound,
@@ -152,7 +159,9 @@ def _cmd_solve(cfg, out, contraction_only=False):
     x0 = cfg.get_floats("x0") or [0.0] * n
     radii = cfg.get_floats("radii")
     probes = cfg.get_int("probes")
-    prof = contraction_profile(L, x0, radii=radii, probes=probes, seed=seed, N=32, M=M)
+    # one kernel for the frozen operator at x0 serves every radius and the solve
+    J = build_kernel(cfg.get("kernel"), frozen_operator(L, x0))
+    prof = contraction_profile(L, x0, radii=radii, probes=probes, seed=seed, N=32, M=M, J=J)
     _write_csv(
         out / "sigma_profile.csv",
         ["r", "sigma_hat"],
@@ -162,9 +171,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
         return 0
     r = cfg.get_float("r")
     tol = cfg.get_float("tol")
-    P = ParametrixOperator(L, x0, r, N=cfg.get_int("grid.N"), M=M)
-    if cfg.get("kernel") != "auto":
-        P.J = build_kernel(cfg.get("kernel"), P.L_frozen)
+    P = ParametrixOperator(L, x0, r, N=cfg.get_int("grid.N"), M=M, J=J)
     f, reference = build_field(cfg.get("f"), P.domain, operator=L)
     sigma_r = prof.sigma_hat[min(range(len(radii)), key=lambda i: abs(radii[i] - r))]
     if sigma_r >= 1.0:
@@ -264,6 +271,9 @@ def run_config(command, config_path, out_root, seed=None, force=False):
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
+    except OrlipdeError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 5
     outputs = {
         p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"
     }

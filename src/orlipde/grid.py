@@ -236,7 +236,9 @@ def shift(f, delta):
 
 
 def _spectral_product(f, g):
-    # symmetrized product keeps convolution commutative bit for bit
+    # numpy's complex multiply is not commutative bit for bit (with numpy
+    # 2.4 the imaginary parts of F*G and G*F differ in the last bit), so
+    # the symmetrized product keeps convolution commutative bit for bit
     F = np.fft.fftn(f)
     G = np.fft.fftn(g)
     return 0.5 * (F * G + G * F)
@@ -256,14 +258,29 @@ def convolve(f, g):
     return GridFunction(f.domain, vals * f.domain.cell_volume)
 
 
+def half_spectrum(values):
+    """Real-input spectrum (``rfftn`` over every axis) of a grid array."""
+    return np.fft.rfftn(values)
+
+
+def spectral_convolve(kernel_hat, f_hat, domain):
+    """Convolution from the half spectra of an offset-lattice kernel and a function.
+
+    One inverse transform; the output lives on the original nodes and is
+    scaled by the cell volume.  Callers that apply many kernels to one
+    function transform the function once and reuse ``f_hat``.
+    """
+    vals = np.fft.irfftn(kernel_hat * f_hat, s=domain.shape, axes=tuple(range(domain.n)))
+    return GridFunction(domain, vals * domain.cell_volume)
+
+
 def kernel_convolve(kernel_values, f):
     """Convolve an offset-lattice kernel array with a grid function.
 
     ``kernel_values[m]`` must hold the kernel at the wrapped difference
     m*h, so the output lives on the original nodes.
     """
-    vals = np.fft.ifftn(np.fft.fftn(kernel_values) * np.fft.fftn(f.values)).real
-    return GridFunction(f.domain, vals * f.domain.cell_volume)
+    return spectral_convolve(half_spectrum(kernel_values), half_spectrum(f.values), f.domain)
 
 
 def kernel_convolve_direct(kernel_values, f):

@@ -2,12 +2,15 @@
 
 Shipped closed-form kernels cover the isotropic and anisotropic second-order
 families in one to three dimensions and the squared-Laplacian family in two
-and three dimensions.  Derivatives are produced symbolically and cached as
-vectorized evaluators.  Convolution kernels are sampled on the offset
+and three dimensions.  Each derivative d^p J is differentiated symbolically
+from the cached expression of its predecessor and compiled once into a
+vectorized evaluator.  Convolution kernels are sampled on the offset
 lattice; the singular cell is either replaced by its inscribed-ball average
 (weakly singular regime) or excluded symmetrically (principal value), with
 the local multiple of the identity calibrated against the exact inversion
-identity of the generating operator.
+identity of the generating operator.  A kernel keeps only the half spectra
+of its sampled arrays, so ``potential_channels`` evaluates every derivative
+channel of a density from one forward transform of that density.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 import sympy as sp
 
 from .errors import CalibrationError, CapabilityError, InvalidKernelError, RangeError
-from .grid import GridFunction, kernel_convolve, kernel_convolve_direct, mollifier_kernel
-from .operators import EllipticOperator, MultiIndex, diff, multi_indices
-from .space import luxemburg_norm, shift_modulus
+from .grid import GridFunction, half_spectrum, kernel_convolve_direct, spectral_convolve
+from .operators import MultiIndex, diff, multi_indices
+from .space import shift_modulus
 
 
 def unit_ball_volume(n):
@@ -111,7 +114,12 @@ class FundamentalSolution:
 
     ``branch`` is "power" when the kernel is positively homogeneous of
     degree m-n and "log" when a logarithmic factor is present (even n with
-    n <= m).  Derivative evaluators are generated symbolically on demand.
+    n <= m).  Derivative evaluators are generated symbolically on demand,
+    each from the cached expression one derivative below it.  One instance
+    serves every grid it is used on: it caches the half spectrum of each
+    sampled kernel array per (p, mode, N, d) and the calibrated local
+    constants per (N, d), so a solver that freezes its operator once shares
+    one kernel across all radii and iterates.
     """
 
     def __init__(self, operator, expr, symbols, branch, name):
@@ -122,20 +130,30 @@ class FundamentalSolution:
         self.symbols = symbols
         self.branch = branch
         self.name = name
+        self._deriv_exprs = {MultiIndex((0,) * self.n): expr}
         self._deriv_fns = {}
-        self._grid_cache = {}
+        self._spectra = {}
         self._local_cache = {}
+
+    def _expr(self, p):
+        """d^p J, taken from d^(p - e_last) with one differentiation.
+
+        e_last is the last axis with a nonzero entry, so the x1 derivatives
+        are taken first, then the x2 ones, and so on.
+        """
+        if p not in self._deriv_exprs:
+            axis = max(i for i, k in enumerate(p) if k)
+            q = MultiIndex(k - (i == axis) for i, k in enumerate(p))
+            e = sp.diff(self._expr(q), self.symbols[axis])
+            # distributional point masses do not contribute away from zero
+            e = e.replace(lambda t: isinstance(t, sp.DiracDelta), lambda t: sp.S.Zero)
+            self._deriv_exprs[p] = e
+        return self._deriv_exprs[p]
 
     def _fn(self, p):
         p = MultiIndex(p)
         if p not in self._deriv_fns:
-            e = self.expr
-            for x, k in zip(self.symbols, p):
-                if k:
-                    e = sp.diff(e, x, k)
-            # distributional point masses do not contribute away from zero
-            e = e.replace(lambda t: isinstance(t, sp.DiracDelta), lambda t: sp.S.Zero)
-            self._deriv_fns[p] = sp.lambdify(self.symbols, e, modules="numpy")
+            self._deriv_fns[p] = sp.lambdify(self.symbols, self._expr(p), modules="numpy")
         return self._deriv_fns[p]
 
     def evaluate(self, *coords):
@@ -189,11 +207,9 @@ class FundamentalSolution:
 
         mode "weak" replaces the zero-offset entry by the inscribed-ball
         average (|p| < m); mode "pv" zeroes it (symmetric exclusion).
+        Sampled afresh on every call; ``kernel_spectrum`` holds the cache.
         """
         p = MultiIndex(p)
-        key = (p, mode, domain.N, round(domain.d, 12))
-        if key in self._grid_cache:
-            return self._grid_cache[key]
         offs = domain.offset_lattice()
         vals = self.derivative(p, *offs)
         origin = (0,) * domain.n
@@ -205,9 +221,14 @@ class FundamentalSolution:
             raise ValueError(f"unknown kernel mode {mode!r}")
         if not np.all(np.isfinite(vals)):
             raise CapabilityError("kernel samples are not finite off the origin")
-        vals.flags.writeable = False
-        self._grid_cache[key] = vals
         return vals
+
+    def kernel_spectrum(self, domain, p, mode):
+        """Half spectrum of ``kernel_array(domain, p, mode)``, cached per (p, mode, N, d)."""
+        key = (MultiIndex(p), mode, domain.N, round(domain.d, 12))
+        if key not in self._spectra:
+            self._spectra[key] = half_spectrum(self.kernel_array(domain, p, mode))
+        return self._spectra[key]
 
     def local_constants(self, domain):
         """Calibrated identity coefficients for the order-m derivative kernels."""
@@ -296,6 +317,34 @@ def fundamental_solution(L0):
 # -- potentials ---------------------------------------------------------------
 
 
+def potential_channels(J, sigma, orders):
+    """Derivative channels d^p of the potential of sigma, keyed by p.
+
+    sigma is restricted to its domain mask and transformed once; each
+    channel then costs one inverse transform against the cached kernel
+    spectrum.  Channels with |p| < m use the weakly singular kernel, whose
+    singular cell holds the inscribed-ball average.  Order-m channels are
+    the principal value plus the local multiple of the restricted density,
+    with the constants calibrated against the inversion identity of the
+    generating operator.  Linear in sigma.
+    """
+    dom = sigma.domain
+    psi = sigma.restricted()
+    psi_hat = half_spectrum(psi.values)
+    out = {}
+    for p in orders:
+        p = MultiIndex(p)
+        if p.order > J.m:
+            raise ValueError(f"channel {p} exceeds the kernel order {J.m}")
+        singular = p.order == J.m
+        ker_hat = J.kernel_spectrum(dom, p, "pv" if singular else "weak")
+        ch = spectral_convolve(ker_hat, psi_hat, dom)
+        if singular:
+            ch = ch + psi * J.local_constants(dom).constants[p]
+        out[p] = ch
+    return out
+
+
 def potential(J, psi, p=None):
     """Convolution of d^p J with psi over the masked domain, |p| < m.
 
@@ -306,8 +355,7 @@ def potential(J, psi, p=None):
     p = MultiIndex(p if p is not None else (0,) * J.n)
     if p.order >= J.m:
         raise ValueError("order-m derivatives require singular_potential")
-    ker = J.kernel_array(psi.domain, p, "weak")
-    return kernel_convolve(ker, psi.restricted())
+    return potential_channels(J, psi, [p])[p]
 
 
 def singular_potential(J, psi, p, include_local=True):
@@ -320,13 +368,13 @@ def singular_potential(J, psi, p, include_local=True):
     p = MultiIndex(p)
     if p.order != J.m:
         raise ValueError("singular_potential handles exactly the order-m derivatives")
-    ker = J.kernel_array(psi.domain, p, "pv")
-    psi_r = psi.restricted()
-    out = kernel_convolve(ker, psi_r)
     if include_local:
-        consts = J.local_constants(psi.domain)
-        out = out + psi_r * consts.constants[p]
-    return out
+        return potential_channels(J, psi, [p])[p]
+    return _pv_convolve(J, half_spectrum(psi.restricted().values), psi.domain, p)
+
+
+def _pv_convolve(J, psi_hat, domain, p):
+    return spectral_convolve(J.kernel_spectrum(domain, p, "pv"), psi_hat, domain)
 
 
 @dataclass
@@ -370,39 +418,48 @@ def _calibrate_local_constants(J, domain, threshold=0.05):
     """
     probes = _probe_bumps(domain, 3)
     fit_probes, holdout = probes[:2], probes[2]
+    orders = multi_indices(J.n, J.m, J.m)
+    lowers = multi_indices(J.n, J.m - 1, J.m - 1)
+    # principal values act on the probe as it is, the lower potentials on
+    # its restriction to the mask
+    pv = []
+    lower = []
+    for psi in fit_probes:
+        psi_hat = half_spectrum(psi.values)
+        pv.append({p: _pv_convolve(J, psi_hat, domain, p) for p in orders})
+        lower.append(potential_channels(J, psi, lowers))
     raw = {}
-    for p in multi_indices(J.n, J.m, J.m):
+    for p in orders:
         axis = next(i for i, e in enumerate(p) if e)
-        q = list(p)
-        q[axis] -= 1
+        unit = tuple(1 if a == axis else 0 for a in range(J.n))
+        q = MultiIndex(e - u for e, u in zip(p, unit))
         num = 0.0
         den = 0.0
-        for psi in fit_probes:
-            lower = potential(J, psi, q)
-            target = diff(lower, tuple(1 if a == axis else 0 for a in range(J.n)))
-            pv = kernel_convolve(J.kernel_array(domain, p, "pv"), psi)
-            resid = target.values - pv.values
+        for psi, pv_psi, lower_psi in zip(fit_probes, pv, lower):
+            target = diff(lower_psi[q], unit)
+            resid = target.values - pv_psi[p].values
             num += float(np.sum(resid * psi.values))
             den += float(np.sum(psi.values**2))
-        raw[MultiIndex(p)] = num / den
+        raw[p] = num / den
     # joint rescale against the inversion identity on the fit probes; the
     # identity involves only the operator's own leading indices
     a0 = {p: J.operator.coeff_at(p, np.zeros(J.n)) for p in J.operator.leading_indices()}
     csum = sum(a0[p] * raw[p] for p in a0)
     num = 0.0
     den = 0.0
-    for psi in fit_probes:
+    for psi, pv_psi in zip(fit_probes, pv):
         pv_total = np.zeros(domain.shape)
         for p in a0:
-            pv_total += a0[p] * kernel_convolve(J.kernel_array(domain, p, "pv"), psi).values
+            pv_total += a0[p] * pv_psi[p].values
         num += float(np.sum((psi.values - pv_total) * (csum * psi.values)))
         den += float(np.sum((csum * psi.values) ** 2))
     gamma = num / den
     constants = {p: gamma * raw[p] for p in raw}
     # held-out residual of the inversion identity
+    holdout_hat = half_spectrum(holdout.values)
     pv_total = np.zeros(domain.shape)
     for p in a0:
-        pv_total += a0[p] * kernel_convolve(J.kernel_array(domain, p, "pv"), holdout).values
+        pv_total += a0[p] * _pv_convolve(J, holdout_hat, domain, p).values
     local = sum(a0[p] * constants[p] for p in a0)
     recon = pv_total + local * holdout.values
     residual = float(

@@ -5,29 +5,46 @@ remainder; convolving the remainder with the frozen kernel defines a
 correction operator whose weighted-Sobolev norm shrinks with the ball
 radius.  The fixed-point iteration u <- correction(u) + potential(f) then
 converges to a local solution of the original equation for small radii.
+
+The frozen operator does not depend on the radius, so one fundamental
+solution serves the whole radius ladder and the solve; it caches its kernel
+spectra and local constants per grid.  The potential of a density is carried
+as one dictionary of derivative channels {p: d^p S sigma}, computed from one
+forward transform of the density.  The correction density, the weighted
+norms and the residual are coefficient combinations over that dictionary.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DivergenceError
 from .grid import GridDomain, GridFunction
-from .kernels import fundamental_solution, potential, singular_potential, verify_fundamental
-from .operators import (
-    EllipticOperator,
-    ellipticity_check,
-    freeze_leading,
-    multi_indices,
-    sobolev_norms,
-)
-from .space import luxemburg_norm, shift_modulus
+from .kernels import fundamental_solution, potential, potential_channels
+from .operators import diff, ellipticity_check, freeze_leading, multi_indices, sobolev_norms
+from .space import luxemburg_norm
 
 DEFAULT_RADII = (0.4, 0.2, 0.1, 0.05)
+
+
+def _sign_normalized(L, x0):
+    """L, negated when its characteristic form is negative at x0, and the report."""
+    rep = ellipticity_check(L, [x0])
+    return (L.scaled(-1.0) if rep.sign_flipped else L), rep
+
+
+def frozen_operator(L, x0):
+    """Leading part of the sign-normalized L, frozen at x0.
+
+    This is the operator every ``ParametrixOperator`` centred at x0 inverts,
+    whatever its radius, so one kernel built for it serves them all.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    return freeze_leading(_sign_normalized(L, x0)[0], x0)
 
 
 def cap_bump(domain, radius, center=None, degree=None, rng=None):
@@ -57,15 +74,21 @@ class ParametrixOperator:
     The cube side is pad*r so periodic images stay separated.  When the
     characteristic form is uniformly negative, the operator and any data
     are negated together (recorded in ``sign_flipped``), which leaves the
-    solution set unchanged.
+    solution set unchanged.  ``J`` is the fundamental solution of
+    ``frozen_operator(L, x0)`` (or a kernel chosen in its place); pass it
+    in to share one kernel, and its caches, across radii.  It is built here
+    when omitted.
+
+    Two coefficient tables drive everything: ``remainder_coeffs`` of the
+    (frozen - full) operator and ``operator_coeffs`` of L itself, each
+    combined by ``combine`` over a dictionary of derivative channels.
     """
 
-    def __init__(self, L, x0, r, N=64, M=None, pad=4.0):
+    def __init__(self, L, x0, r, N=64, M=None, pad=4.0, J=None):
         x0 = np.asarray(x0, dtype=float)
-        rep = ellipticity_check(L, [x0])
+        self.L, rep = _sign_normalized(L, x0)
         self.sign_flipped = rep.sign_flipped
         self.ellipticity = rep
-        self.L = L.scaled(-1.0) if rep.sign_flipped else L
         self.x0 = x0
         self.r = float(r)
         self.M = M
@@ -73,102 +96,84 @@ class ParametrixOperator:
         dom = GridDomain(L.n, N, d, center=x0)
         self.domain = dom.with_mask(dom.ball_mask(x0, r))
         self.L_frozen = freeze_leading(self.L, x0)
-        self.J = fundamental_solution(self.L_frozen)
+        self.J = fundamental_solution(self.L_frozen) if J is None else J
         self.d_omega = 2.0 * self.r
-
-    # -- operator pieces -----------------------------------------------------
-
-    def remainder(self, phi):
-        """(frozen - full) operator applied to phi, split by derivative order.
-
-        Returns (psi1, psi2): the leading-order part driven by coefficient
-        oscillation and the lower-order part, both restricted to the ball.
-        """
-        from .operators import diff  # local import to avoid a cycle at import time
-
-        dom = phi.domain
-        psi1 = np.zeros(dom.shape)
-        for p in self.L.leading_indices():
-            b = self.L_frozen.coeff_at(p, self.x0) - self._coeff_values(p, dom)
-            psi1 += b * diff(phi, p).values
-        psi2 = np.zeros(dom.shape)
-        for p in self.L.lower_indices():
-            psi2 -= self._coeff_values(p, dom) * diff(phi, p).values
-        mask = dom.mask
-        return (
-            GridFunction(dom, np.where(mask, psi1, 0.0)),
-            GridFunction(dom, np.where(mask, psi2, 0.0)),
+        self.orders = multi_indices(L.n, L.m)
+        self.operator_coeffs = {p: self._coeff_values(p) for p in sorted(self.L.coeffs)}
+        self.remainder_coeffs = {
+            p: self.L_frozen.coeff_at(p, x0) - self.operator_coeffs[p]
+            for p in self.L.leading_indices()
+        }
+        self.remainder_coeffs.update(
+            {p: -self.operator_coeffs[p] for p in self.L.lower_indices()}
         )
 
-    def _coeff_values(self, p, dom):
-        fld = self.L.coeff_field(p, dom)
+    def _coeff_values(self, p):
+        fld = self.L.coeff_field(p, self.domain)
         if fld is None:
             return float(self.L.coeffs[p])
         return fld
 
-    def source_potential(self, f):
-        """Convolution of the frozen kernel with f restricted to the ball."""
-        return potential(self.J, f.restricted(), (0,) * self.L.n)
+    # -- operator pieces -----------------------------------------------------
 
-    def potential_channel(self, sigma, p):
-        """Derivative channel d^p of the potential of a density.
+    def combine(self, coeffs, channels):
+        """sum_p coeffs[p] * channels[p], restricted to the ball.
+
+        With ``remainder_coeffs`` over the channels of u this is the
+        (frozen - full) operator applied to u; with ``operator_coeffs`` it
+        is L u.
+        """
+        dom = self.domain
+        out = np.zeros(dom.shape)
+        for p, c in coeffs.items():
+            out += c * channels[p].values
+        return GridFunction(dom, np.where(dom.mask, out, 0.0))
+
+    def remainder(self, phi):
+        """(frozen - full) operator applied to phi by central differences."""
+        differences = {p: diff(phi, p) for p in self.remainder_coeffs}
+        return self.combine(self.remainder_coeffs, differences)
+
+    def channels(self, sigma):
+        """Every derivative channel d^p, |p| <= m, of the potential of sigma.
 
         Order-m channels go through the calibrated principal-value kernels,
         so differentiation never amplifies cell-level quadrature noise.
         """
-        if sum(p) == self.L.m:
-            return singular_potential(self.J, sigma, p)
-        return potential(self.J, sigma, p)
+        return potential_channels(self.J, sigma, self.orders)
 
-    def density_weighted_norm(self, sigma):
-        """Weighted Sobolev norm of the potential of sigma, channel by channel."""
+    def source_potential(self, f):
+        """Convolution of the frozen kernel with f restricted to the ball."""
+        return potential(self.J, f, (0,) * self.L.n)
+
+    def channel_norm(self, channels):
+        """Weighted Sobolev norm sum_p d_omega^|p| ||channels[p]||_M over the ball."""
         total = 0.0
-        for p in multi_indices(self.L.n, self.L.m):
-            ch = self.potential_channel(sigma, p).restricted(self.domain.mask)
+        for p in self.orders:
+            ch = channels[p].restricted(self.domain.mask)
             total += self.d_omega**p.order * luxemburg_norm(ch, self.M)
         return total
 
-    def correction_density(self, sigma):
-        """Density of the correction applied to the potential of sigma.
-
-        Returns (frozen - full) operator applied to S0 sigma, restricted to
-        the ball: the next fixed-point density is this plus the data.
-        """
-        dom = self.domain
-        out = np.zeros(dom.shape)
-        for p in self.L.leading_indices():
-            b = self.L_frozen.coeff_at(p, self.x0) - self._coeff_values(p, dom)
-            out += b * self.potential_channel(sigma, p).values
-        for p in self.L.lower_indices():
-            out -= self._coeff_values(p, dom) * self.potential_channel(sigma, p).values
-        return GridFunction(dom, np.where(dom.mask, out, 0.0))
-
-    def correction(self, phi, return_split=False):
-        """Correction operator on a grid function: potential of the remainder.
-
-        phi is truncated to the ball mask (with a warning when that loses
-        mass beyond rounding).
-        """
-        outside = np.abs(phi.values[~phi.domain.mask])
-        if outside.size and outside.max() > 1e-12 * max(phi.sup_norm(masked=False), 1e-300):
-            warnings.warn("probe support exceeds the working ball; truncating", stacklevel=2)
-            phi = phi.restricted()
-        psi1, psi2 = self.remainder(phi)
-        chi = self.source_potential(psi1 + psi2)
-        if return_split:
-            return chi, psi1, psi2
-        return chi
+    def density_weighted_norm(self, sigma):
+        """Weighted Sobolev norm of the potential of sigma."""
+        return self.channel_norm(self.channels(sigma))
 
     def identity_defect(self, phi):
         """Relative sup defect of phi = correction(phi) + potential(L phi).
 
-        Returns the masked sup-norm defect divided by sup|phi|; NaN for a
-        vanishing probe.
+        The correction is the potential of the remainder applied to phi;
+        phi is truncated to the ball mask first (with a warning when that
+        loses mass beyond rounding).  Returns the masked sup-norm defect
+        divided by sup|phi|; NaN for a vanishing probe.
         """
         sup = phi.sup_norm(masked=False)
         if sup == 0.0:
             return math.nan
-        chi = self.correction(phi)
+        outside = np.abs(phi.values[~phi.domain.mask])
+        if outside.size and outside.max() > 1e-12 * sup:
+            warnings.warn("probe support exceeds the working ball; truncating", stacklevel=2)
+            phi = phi.restricted()
+        chi = self.source_potential(self.remainder(phi))
         rec = chi + self.source_potential(self.L.apply(phi))
         defect = np.abs((rec - phi).values[self.domain.mask])
         return float(np.max(defect)) / sup
@@ -182,42 +187,45 @@ class ParametrixOperator:
         The potential side uses kernel derivative channels; the reference is
         differenced directly (it is expected to be a smooth grid function).
         """
-        from .operators import diff
-
+        channels = self.channels(sigma)
         total = 0.0
         ref_total = 0.0
-        for p in multi_indices(self.L.n, self.L.m):
-            ch = self.potential_channel(sigma, p) - diff(reference, p)
+        for p in self.orders:
+            ref = diff(reference, p)
             w = self.d_omega**p.order
-            total += w * luxemburg_norm(ch.restricted(self.domain.mask), self.M)
-            ref_total += w * luxemburg_norm(
-                diff(reference, p).restricted(self.domain.mask), self.M
-            )
+            total += w * luxemburg_norm((channels[p] - ref).restricted(self.domain.mask), self.M)
+            ref_total += w * luxemburg_norm(ref.restricted(self.domain.mask), self.M)
         return total / ref_total if ref_total > 0 else total
 
     def solve(self, f, tol=1e-6, k_max=200):
         """Fixed-point iteration on source densities.
 
         The iterate is the potential of sigma_k with sigma_{k+1} =
-        remainder(S0 sigma_k) + f.  Stops when the weighted-Sobolev step
-        norm drops below tol times the iterate norm; three consecutive
-        step-norm increases raise DivergenceError carrying the partial
-        report.
+        remainder(S0 sigma_k) + f.  Each iterate's channels are computed
+        once and serve its correction density, its norm and its residual;
+        the step norm is that of the difference of consecutive channel
+        dictionaries.  Stops when the weighted-Sobolev step norm drops
+        below tol times the iterate norm; three consecutive step-norm
+        increases raise DivergenceError carrying the partial report.
         """
         if self.sign_flipped:
             f = -f
         f = f.restricted()
         rows = []
         sigma = f
+        channels = self.channels(sigma)
         prev_step = math.inf
         increases = 0
         converged = False
         den_f = luxemburg_norm(f, self.M)
         for k in range(1, k_max + 1):
-            sigma_next = self.correction_density(sigma) + f
-            step = self.density_weighted_norm(sigma_next - sigma)
-            u_norm = self.density_weighted_norm(sigma)
-            residual = self._relative_residual(sigma, f, den_f)
+            sigma_next = self.combine(self.remainder_coeffs, channels) + f
+            channels_next = self.channels(sigma_next)
+            step = self.channel_norm({p: channels_next[p] - channels[p] for p in self.orders})
+            u_norm = self.channel_norm(channels)
+            # L u - f with L applied through the kernel channels
+            r = luxemburg_norm(self.combine(self.operator_coeffs, channels) - f, self.M)
+            residual = r / den_f if den_f > 0 else r
             rows.append(IterationRow(k=k, norm=u_norm, step=step, residual=residual))
             if step > prev_step:
                 increases += 1
@@ -228,30 +236,21 @@ class ParametrixOperator:
                     )
             else:
                 increases = 0
-            sigma = sigma_next
+            sigma, channels = sigma_next, channels_next
             if step <= tol * max(u_norm, 1e-300):
                 converged = True
                 break
             prev_step = step
         report = self._report(rows, converged)
-        # fixed-point certificate: one more half-step of the density map
-        defect = self.density_weighted_norm(self.correction_density(sigma) + f - sigma)
-        norm = self.density_weighted_norm(sigma)
+        # fixed-point certificate: one more half-step of the density map,
+        # normed through the channels of the density defect itself, since
+        # the difference of two channel dictionaries cancels here
+        sigma_next = self.combine(self.remainder_coeffs, channels) + f
+        defect = self.density_weighted_norm(sigma_next - sigma)
+        norm = self.channel_norm(channels)
         report.certificate = defect / norm if norm > 0 else defect
-        u = self.source_potential(sigma)
         report.sigma = sigma
-        return u, report
-
-    def _relative_residual(self, sigma, f, den_f):
-        """||L u - f||_M / ||f||_M with L applied through the kernel channels."""
-        dom = self.domain
-        out = np.zeros(dom.shape)
-        for p in sorted(self.L.coeffs):
-            a = self._coeff_values(p, dom)
-            out += a * self.potential_channel(sigma, p).values
-        r = GridFunction(dom, out) - f
-        num = luxemburg_norm(r.restricted(), self.M)
-        return num / den_f if den_f > 0 else num
+        return channels[(0,) * self.L.n], report
 
     def _report(self, rows, converged):
         ratios = [
@@ -288,29 +287,6 @@ class SolveReport:
     certificate: float = math.nan
     sigma: object = None  # final source density; the solution is its potential
 
-    def step_ratios(self, last=3):
-        steps = [r.step for r in self.iterations if r.step > 0]
-        if len(steps) < 2:
-            return []
-        ratios = [b / a for a, b in zip(steps, steps[1:])]
-        return ratios[-last:]
-
-
-def neumann_solve(L, f, x0, r, M, tol=1e-6, k_max=200, N=64, pad=4.0):
-    """Build the parametrix machinery and run the fixed-point solve.
-
-    f may be a callable of the node coordinates or a GridFunction on the
-    solver grid.  A contraction factor above one is allowed but warned
-    about; the iteration may then diverge.
-    """
-    P = ParametrixOperator(L, x0, r, N=N, M=M, pad=pad)
-    if callable(f):
-        f = GridFunction.from_callable(P.domain, f, restrict=True)
-    elif not f.domain.same_geometry(P.domain):
-        raise ValueError("data grid does not match the solver grid")
-    u, report = P.solve(f, tol=tol, k_max=k_max)
-    return u, report, P
-
 
 @dataclass
 class ContractionProfile:
@@ -319,28 +295,29 @@ class ContractionProfile:
     probe_count: int
     seed: int
 
-    def monotone_within(self, slack=0.10):
-        return all(
-            s2 <= s1 * (1.0 + slack) for s1, s2 in zip(self.sigma_hat, self.sigma_hat[1:])
-        )
 
-
-def contraction_profile(L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, pad=4.0):
+def contraction_profile(
+    L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, pad=4.0, J=None
+):
     """Empirical norm profile of the correction operator along a radius ladder.
 
     For every radius the ratio of weighted-Sobolev norms correction(phi) to
     phi is maximized over a seeded family of probe functions (cap bumps
     times random polynomials of degree at most three, supported inside the
     ball).  Deterministic for equal seeds; the estimate is a lower bound on
-    the true operator norm.
+    the true operator norm.  Every radius shares the one kernel J of the
+    frozen operator (built once here when omitted), so the symbolic work is
+    done once and only the per-grid spectra and constants are new.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
+    if J is None:
+        J = fundamental_solution(frozen_operator(L, x0))
     radii = list(radii)
     sigma = []
     for r in radii:
         rng = np.random.default_rng(seed)
-        P = ParametrixOperator(L, x0, r, N=N, M=M, pad=pad)
+        P = ParametrixOperator(L, x0, r, N=N, M=M, pad=pad, J=J)
         worst = 0.0
         for j in range(probes):
             if j == 0:
@@ -350,8 +327,7 @@ def contraction_profile(L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=No
             denom = P.weighted_norm(phi)
             if denom == 0.0:
                 continue
-            psi1, psi2 = P.remainder(phi)
-            worst = max(worst, P.density_weighted_norm(psi1 + psi2) / denom)
+            worst = max(worst, P.density_weighted_norm(P.remainder(phi)) / denom)
         sigma.append(worst)
     return ContractionProfile(radii=radii, sigma_hat=sigma, probe_count=probes, seed=seed)
 

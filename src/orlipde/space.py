@@ -64,6 +64,12 @@ def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
     past the root, so the next pass closes the bracket.  The result is
     exp(-(a + b) / 2) with b - a <= rtol, tight enough that the gauge of a
     power function coincides with the discrete p-norm to ~1e-12 relative.
+
+    When M's range ends in a jump to +inf (the conjugate of a bounded
+    density), the gauge may sit at that jump, where e^t sup = M.domain_cap,
+    instead of at a root.  So after an overflowing pass the jump (rtol/4
+    inside it) is tried before bisecting, and when rho <= 1 there the next
+    pass goes rtol/4 past it, which closes the bracket.
     """
     sup = u.sup_norm()
     if sup == 0.0:
@@ -72,6 +78,7 @@ def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
         raise BracketError("no upper gauge bracket: function exceeds the trusted range")
     # modular(e^t u) <= mes * M(e^t sup) <= 1 once e^t sup <= M^{-1}(1/mes)
     t = math.log(M.inverse(1.0 / u.domain.measure()) / sup)
+    t_jump = math.log(M.domain_cap / sup) - 0.25 * rtol
     a, b = -math.inf, math.inf
     for _ in range(max_iter):
         rho, drho = modular(u * math.exp(t), M, slope=True)
@@ -86,8 +93,12 @@ def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
             step = -math.log(rho) * rho / drho
             if abs(step) < 0.5 * rtol:
                 step += 0.25 * rtol if rho <= 1.0 else -0.25 * rtol
-        if step is not None and a <= t + step <= b:
+        if a == t_jump:
+            t = a + 0.5 * rtol
+        elif step is not None and a <= t + step <= b:
             t += step
+        elif rho == math.inf and a < t_jump < b:
+            t = t_jump
         elif math.isinf(a):
             t = b - math.log(2.0)
         elif math.isinf(b):

@@ -1,0 +1,138 @@
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from orlipde import (
+    GridDomain,
+    ParametrixOperator,
+    bilaplacian,
+    cap_bump,
+    cli,
+    config,
+    fundamental_solution,
+    kernels,
+    laplacian,
+    multi_indices,
+    parametrix,
+    potential,
+    potential_channels,
+    power,
+    singular_potential,
+)
+from orlipde.grid import kernel_convolve
+
+from conftest import cap_profile
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def read_table(path):
+    """name,value (or r,sigma_hat) CSV without its header, as a list of rows."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+class TestPotentialChannels:
+    @pytest.mark.parametrize("operator", [laplacian(2), bilaplacian(2)], ids=repr)
+    def test_matches_single_channel_potentials(self, operator):
+        J = fundamental_solution(operator)
+        dom = GridDomain(2, 32, 1.0)
+        dom = dom.with_mask(dom.ball_mask([0.0, 0.0], 0.3))
+        psi = cap_profile(dom, 0.25, center=[0.03, -0.02])
+        channels = potential_channels(J, psi, multi_indices(2, J.m))
+        assert len(channels) == len(multi_indices(2, J.m))
+        local = J.local_constants(dom).constants
+        for p, ch in channels.items():
+            if p.order < J.m:
+                single = potential(J, psi, p)
+                full = kernel_convolve(J.kernel_array(dom, p, "weak"), psi.restricted())
+            else:
+                single = singular_potential(J, psi, p)
+                full = kernel_convolve(J.kernel_array(dom, p, "pv"), psi.restricted())
+                full = full + psi.restricted() * local[p]
+            scale = np.max(np.abs(ch.values))
+            assert np.max(np.abs(ch.values - single.values)) <= 1e-12 * scale, p
+            assert np.max(np.abs(ch.values - full.values)) <= 1e-12 * scale, p
+
+    def test_order_above_m_rejected(self, square32):
+        J = fundamental_solution(laplacian(2))
+        with pytest.raises(ValueError):
+            potential_channels(J, cap_profile(square32, 0.2), [(2, 1)])
+
+
+class TestIdentityDefect:
+    def test_representation_converges_with_the_grid(self):
+        # phi = correction(phi) + potential(L phi) holds up to quadrature
+        # error, which shrinks as the grid is refined
+        L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+        defects = []
+        for N in (32, 64):
+            P = ParametrixOperator(L, [0.0, 0.0], 0.2, N=N, M=power(2))
+            defects.append(P.identity_defect(cap_bump(P.domain, 0.15)))
+        assert defects[1] <= 0.05
+        assert defects[1] <= 0.6 * defects[0]
+
+
+def _run(tmp_path, command, kernel, monkeypatch):
+    """Run the shipped perturbed-Laplace config with a kernel choice.
+
+    Returns (exit code, fundamental_solution calls, run directory).
+    """
+    calls = []
+    real = kernels.fundamental_solution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (kernels, config, parametrix):
+        monkeypatch.setattr(module, "fundamental_solution", counting)
+    text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+    assert "kernel = auto" in text
+    cfg = tmp_path / f"{command}-{kernel}.cfg"
+    cfg.write_text(text.replace("kernel = auto", f"kernel = {kernel}"))
+    out_root = tmp_path / f"runs-{command}-{kernel}"
+    code = cli.run_config(command, cfg, out_root)
+    (run_dir,) = out_root.iterdir()
+    return code, len(calls), run_dir
+
+
+class TestShippedSolve:
+    @pytest.fixture(scope="class")
+    def auto_run(self, tmp_path_factory):
+        with pytest.MonkeyPatch.context() as mp:
+            return _run(tmp_path_factory.mktemp("solve"), "solve", "auto", mp)
+
+    def test_converges_with_certificate(self, auto_run):
+        code, _, run_dir = auto_run
+        summary = dict(read_table(run_dir / "summary.csv"))
+        assert code == 0
+        assert summary["converged"] == "true"
+        assert int(summary["iterations"]) == 4
+        assert float(summary["certificate"]) <= 2 * 1e-6
+
+    def test_sigma_hat_halves_with_radius(self, auto_run):
+        # Lipschitz coefficients: the contraction factor is linear in r
+        _, _, run_dir = auto_run
+        profile = [(float(r), float(s)) for r, s in read_table(run_dir / "sigma_profile.csv")]
+        assert [r for r, _ in profile] == [0.4, 0.2, 0.1, 0.05]
+        for (r1, s1), (r2, s2) in zip(profile, profile[1:]):
+            assert s2 / s1 == pytest.approx(r2 / r1, rel=0.10)
+
+    def test_one_kernel_for_auto(self, auto_run):
+        _, calls, _ = auto_run
+        assert calls == 1
+
+    def test_one_kernel_for_named(self, tmp_path, monkeypatch):
+        code, calls, _ = _run(tmp_path, "solve", "laplace2d", monkeypatch)
+        assert code == 0
+        assert calls == 1
+
+    def test_profile_uses_configured_kernel(self, tmp_path, monkeypatch, auto_run):
+        # a kernel that does not match the frozen operator leaves a larger
+        # remainder, so the profile must read differently from auto's
+        code, calls, run_dir = _run(tmp_path, "contraction", "aniso2:1,0,2", monkeypatch)
+        assert code == 0
+        assert calls == 1
+        other = read_table(run_dir / "sigma_profile.csv")
+        assert other != read_table(auto_run[2] / "sigma_profile.csv")
