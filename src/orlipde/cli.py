@@ -173,7 +173,10 @@ def _cmd_solve(cfg, out, contraction_only=False):
     tol = cfg.get_float("tol")
     P = ParametrixOperator(L, x0, r, N=cfg.get_int("grid.N"), M=M, J=J)
     f, reference = build_field(cfg.get("f"), P.domain, operator=L)
-    sigma_r = prof.sigma_hat[min(range(len(radii)), key=lambda i: abs(radii[i] - r))]
+    # sigma_hat at r: the ladder's entry, or a ladder of r alone with the same seed
+    at_r = prof if r in radii else contraction_profile(
+        L, x0, radii=[r], probes=probes, seed=seed, N=32, M=M, J=J)
+    sigma_r = at_r.sigma_hat[at_r.radii.index(r)]
     if sigma_r >= 1.0:
         print(f"warning: contraction estimate {sigma_r:.3g} >= 1 at r={r:g}", file=sys.stderr)
     code = 0

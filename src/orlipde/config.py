@@ -225,26 +225,38 @@ def build_field(spec, domain, operator=None, restrict=True):
 
     Returns (field, manufactured_reference): for the manufactured form, the
     reference solution is the sampled expression and the field is the
-    operator applied to it.
+    operator applied to it.  A non-finite sample of either raises
+    ConfigError naming the first such node.
     """
     spec = spec.strip()
+    what = f"data {spec!r}"
     if spec.startswith("expr:"):
         fn = compile_expression(spec[5:], domain.n)
-        return GridFunction.from_callable(domain, fn, restrict=restrict), None
+        return _finite(GridFunction.from_callable(domain, fn, restrict=restrict), what), None
     if spec.startswith("file:"):
         g = read_grid_function(spec[5:])
         if g.domain.N != domain.N or g.domain.n != domain.n:
             raise ConfigError("grid file geometry does not match the configured grid")
         out = GridFunction(domain, g.values)
-        return (out.restricted() if restrict else out), None
+        return _finite(out.restricted() if restrict else out, what), None
     if spec.startswith("manufactured:"):
         if operator is None:
             raise ConfigError("manufactured data requires an operator")
         fn = compile_expression(spec[len("manufactured:"):], domain.n)
-        reference = GridFunction.from_callable(domain, fn, restrict=True)
+        reference = _finite(GridFunction.from_callable(domain, fn, restrict=True), what)
         f = operator.apply(reference).restricted()
-        return f, reference
+        return _finite(f, f"the operator applied to {spec!r}"), reference
     raise ConfigError(f"cannot parse data spec {spec!r}")
+
+
+def _finite(g, what):
+    """g itself when every sample is finite; otherwise ConfigError at the first bad node."""
+    bad = np.argwhere(~np.isfinite(g.values))
+    if bad.size:
+        node = tuple(int(i) for i in bad[0])
+        x = ", ".join(f"{float(axis[node]):.6g}" for axis in g.domain.node_grids())
+        raise ConfigError(f"{what} is not finite at node {node}, x = ({x})")
+    return g
 
 
 def build_kernel(spec, L_frozen):

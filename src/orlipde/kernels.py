@@ -1,25 +1,28 @@
 """Fundamental solutions, weakly singular potentials and principal-value integrals.
 
-Shipped closed-form kernels cover the isotropic and anisotropic second-order
-families in one to three dimensions and the squared-Laplacian family in two
-and three dimensions.  Each derivative d^p J is differentiated symbolically
-from the cached expression of its predecessor and compiled once into a
-vectorized evaluator.  Convolution kernels are sampled on the offset
-lattice; the singular cell is either replaced by its inscribed-ball average
-(weakly singular regime) or excluded symmetrically (principal value), with
-the local multiple of the identity calibrated against the exact inversion
-identity of the generating operator.  A kernel keeps only the half spectra
-of its sampled arrays, so ``potential_channels`` evaluates every derivative
-channel of a density from one forward transform of that density.
+Every shipped kernel is J = c * g(q) with g(q) = q^a (log q)^b and q = x^T A x:
+the isotropic and anisotropic second-order families in one to three
+dimensions and the squared-Laplacian family in two and three dimensions.  So
+d^p J = c * sum_k g^(k)(q) P_{p,k}(x), with polynomials P_{p,k} that follow
+from those of the next-lower derivative by the product rule.  Convolution
+kernels are sampled on the offset lattice; the singular cell is either
+replaced by its inscribed-ball average (weakly singular regime) or excluded
+symmetrically (principal value), with the local multiple of the identity
+calibrated against the exact inversion identity of the generating operator.
+A kernel keeps only the half spectra of its sampled arrays, so
+``potential_channels`` evaluates every derivative channel of a density from
+one forward transform of that density.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-import sympy as sp
 
 from .errors import CalibrationError, CapabilityError, InvalidKernelError, RangeError
 from .grid import GridFunction, half_spectrum, kernel_convolve_direct, spectral_convolve
@@ -49,6 +52,10 @@ def ball_integral(alpha, r, n):
     return sphere_area(n) * r ** (n - alpha) / (n - alpha)
 
 
+# Gauss-Legendre nodes and weights on [-1, 1], memoized; callers must not mutate them
+_gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
 def sphere_points(n, count=None):
     """Quadrature nodes and weights integrating over the unit sphere.
 
@@ -64,7 +71,7 @@ def sphere_points(n, count=None):
         return pts, np.full(k, 2 * math.pi / k)
     k_mu = 32
     k_phi = count or 64
-    mu, w_mu = np.polynomial.legendre.leggauss(k_mu)
+    mu, w_mu = _gauss_legendre(k_mu)
     phi = np.linspace(0.0, 2 * math.pi, k_phi, endpoint=False)
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")
     s = np.sqrt(1 - MU**2)
@@ -81,125 +88,124 @@ def sphere_integral(n, fn, count=None):
 
 # -- closed-form families -----------------------------------------------------
 
-
-def _sym_vars(n):
-    return sp.symbols(f"x1:{n + 1}", real=True)
-
-
-def _laplace_family_expr(n, Binv, det):
-    """Kernel of -sum b_ij d_i d_j for symmetric positive-definite B."""
-    X = _sym_vars(n)
-    q = sum(
-        sp.Float(Binv[i, j]) * X[i] * X[j] for i in range(n) for j in range(n)
-    )
-    if n == 1:
-        return -sp.sqrt(q) / 2 / sp.sqrt(sp.Float(det)), X
-    if n == 2:
-        return -sp.log(q) / (4 * sp.pi) / sp.sqrt(sp.Float(det)), X
-    return 1 / (4 * sp.pi * sp.sqrt(q)) / sp.sqrt(sp.Float(det)), X
-
-
-def _bilaplace_expr(n):
-    X = _sym_vars(n)
-    q = sum(x**2 for x in X)
-    if n == 2:
-        return q * sp.log(q) / (16 * sp.pi), X
-    if n == 3:
-        return -sp.sqrt(q) / (8 * sp.pi), X
-    raise CapabilityError(f"squared-Laplacian kernel not shipped for n={n}")
+# (m, n) -> (a, b, c0, q -> q^a): the kernel is c0 * q^a (log q)^b, divided
+# by sqrt(det B) for -sum b_ij d_i d_j (q = x^T B^-1 x) and by the scale for
+# a multiple of the squared Laplacian (q = |x|^2).  q^a avoids a float power,
+# which costs several times more.
+_FAMILIES = {
+    (2, 1): (0.5, 0, -0.5, np.sqrt),
+    (2, 2): (0.0, 1, -1.0 / (4 * math.pi), np.ones_like),
+    (2, 3): (-0.5, 0, 1.0 / (4 * math.pi), lambda q: 1.0 / np.sqrt(q)),
+    (4, 2): (1.0, 1, 1.0 / (16 * math.pi), lambda q: q),
+    (4, 3): (0.5, 0, -1.0 / (8 * math.pi), np.sqrt),
+}
 
 
 class FundamentalSolution:
-    """Closed-form kernel inverting a constant-coefficient pure-order operator.
+    """Closed-form kernel J = c * g(q), g(q) = q^a (log q)^b, q = x^T A x.
 
-    ``branch`` is "power" when the kernel is positively homogeneous of
-    degree m-n and "log" when a logarithmic factor is present (even n with
-    n <= m).  Derivative evaluators are generated symbolically on demand,
-    each from the cached expression one derivative below it.  One instance
-    serves every grid it is used on: it caches the half spectrum of each
-    sampled kernel array per (p, mode, N, d) and the calibrated local
-    constants per (N, d), so a solver that freezes its operator once shares
-    one kernel across all radii and iterates.
+    ``branch`` is "power" when J is positively homogeneous of degree m-n
+    (b = 0) and "log" otherwise (b = 1).  d^p J = c * sum_k g^(k)(q) P_{p,k}(x)
+    is carried as a term table {k: P_{p,k}} of polynomials {exponent tuple:
+    coefficient}, derived once from the cached table of p - e_last (e_last
+    the last axis with a nonzero entry) by d_i[g^(k) P] = g^(k+1) 2(Ax)_i P +
+    g^(k) d_i P.  One instance serves every grid: it caches the half spectrum
+    of each sampled kernel array per (p, mode, N, d) and the calibrated local
+    constants per (N, d), so one frozen operator shares one kernel across all
+    radii and iterates.
     """
 
-    def __init__(self, operator, expr, symbols, branch, name):
+    def __init__(self, operator, A, c, name):
         self.operator = operator
         self.n = operator.n
         self.m = operator.m
-        self.expr = expr
-        self.symbols = symbols
-        self.branch = branch
+        self.A = np.asarray(A, dtype=float)
+        self.a, self.b, _, self._q_pow = _FAMILIES[self.m, self.n]
+        self.c = c
+        self.branch = "log" if self.b else "power"
         self.name = name
-        self._deriv_exprs = {MultiIndex((0,) * self.n): expr}
-        self._deriv_fns = {}
+        self._tables = {MultiIndex((0,) * self.n): {0: {(0,) * self.n: 1.0}}}
         self._spectra = {}
         self._local_cache = {}
 
-    def _expr(self, p):
-        """d^p J, taken from d^(p - e_last) with one differentiation.
-
-        e_last is the last axis with a nonzero entry, so the x1 derivatives
-        are taken first, then the x2 ones, and so on.
-        """
-        if p not in self._deriv_exprs:
+    def _table(self, p):
+        """Term table {k: P_{p,k}} of d^p J, derived from the table of p - e_last."""
+        if p not in self._tables:
             axis = max(i for i, k in enumerate(p) if k)
-            q = MultiIndex(k - (i == axis) for i, k in enumerate(p))
-            e = sp.diff(self._expr(q), self.symbols[axis])
-            # distributional point masses do not contribute away from zero
-            e = e.replace(lambda t: isinstance(t, sp.DiracDelta), lambda t: sp.S.Zero)
-            self._deriv_exprs[p] = e
-        return self._deriv_exprs[p]
-
-    def _fn(self, p):
-        p = MultiIndex(p)
-        if p not in self._deriv_fns:
-            self._deriv_fns[p] = sp.lambdify(self.symbols, self._expr(p), modules="numpy")
-        return self._deriv_fns[p]
+            lower = self._table(MultiIndex(k - (i == axis) for i, k in enumerate(p)))
+            terms = collections.defaultdict(lambda: collections.defaultdict(float))
+            for k, P in lower.items():
+                for e, v in P.items():
+                    for j in range(self.n):
+                        if self.A[axis, j]:
+                            up = tuple(d + (i == j) for i, d in enumerate(e))
+                            terms[k + 1][up] += 2.0 * self.A[axis, j] * v
+                    if e[axis]:
+                        terms[k][tuple(d - (i == axis) for i, d in enumerate(e))] += e[axis] * v
+            self._tables[p] = {k: dict(terms[k]) for k in sorted(terms)}
+        return self._tables[p]
 
     def evaluate(self, *coords):
         return self.derivative((0,) * self.n, *coords)
 
     def derivative(self, p, *coords):
-        """d^p of the kernel at nonzero points; vectorized over arrays."""
-        arrs = [np.asarray(c, dtype=float) for c in coords]
-        shape = np.broadcast_shapes(*[a.shape for a in arrs])
+        """d^p of the kernel at nonzero points; vectorized over arrays.
+
+        g^(k)(q) = q^(a-k) (alpha_k log q + beta_k), alpha_(k+1) = (a-k) alpha_k,
+        beta_(k+1) = (a-k) beta_k + alpha_k.  Every factor is a product of q^a,
+        1/q, log q and powers of the coordinates, each computed once per call.
+        """
+        table = self._table(MultiIndex(p))
+        xs = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
+        degrees = [max(e[i] for P in table.values() for e in P) for i in range(self.n)]
+        powers = [[None, *itertools.accumulate([x] * d, np.multiply)] for x, d in zip(xs, degrees)]
+        out = np.zeros(xs[0].shape)
+        A, axes = self.A, range(self.n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            out = np.asarray(self._fn(p)(*arrs), dtype=float)
-        if shape == ():
-            return float(out)
-        if out.shape != shape:
-            out = np.broadcast_to(out, shape)
-        return np.array(out)
+            q = sum(A[i, j] * xs[i] * xs[j] for i in axes for j in axes if A[i, j])
+            log_q = np.log(q) if self.b else None
+            inv_q = 1.0 / q
+            q_pow = self._q_pow(q)
+            alpha, beta = (1.0, 0.0) if self.b else (0.0, 1.0)
+            for k in range(max(table) + 1):
+                if k:
+                    alpha, beta = (self.a - k + 1) * alpha, (self.a - k + 1) * beta + alpha
+                    q_pow = q_pow * inv_q
+                if k in table:
+                    poly = sum(
+                        math.prod((powers[i][d] for i, d in enumerate(e) if d), start=v)
+                        for e, v in table[k].items()
+                    )
+                    radial = self.c * beta + (self.c * alpha * log_q if alpha else 0.0)
+                    out += q_pow * radial * poly
+        return float(out) if out.shape == () else out
 
     def decay_constant(self, orders=None):
         """Sampled sup of |d^p J(x)| |x|^(n+|p|-m) over the annulus 1e-3 <= |x| <= 1."""
-        best = 0.0
         pts, _ = sphere_points(self.n, 64 if self.n == 2 else None)
         radii = np.logspace(-3, 0, 25)
+        X = [np.multiply.outer(radii, pts[:, a]) for a in range(self.n)]
+        best = 0.0
         for p in multi_indices(self.n, self.m if orders is None else orders):
-            for r in radii:
-                X = [r * pts[:, a] for a in range(self.n)]
-                vals = np.abs(self.derivative(p, *X))
-                best = max(best, float(np.max(vals)) * r ** (self.n + p.order - self.m))
+            sup = np.abs(self.derivative(p, *X)).max(axis=1)
+            best = max(best, float(np.max(sup * radii ** (self.n + p.order - self.m))))
         return best
 
     def cell_average(self, p, h):
         """Mean of d^p J over the ball inscribed in the singular cell.
 
-        Radial Gauss-Legendre times a sphere rule; valid in the weakly
-        singular regime |p| < m.  Normalized by the cell volume so it can
-        replace the kernel value at the zero offset.
+        Radial Gauss-Legendre times a sphere rule, every node in one
+        evaluation; valid in the weakly singular regime |p| < m.  Normalized
+        by the cell volume so it can replace the kernel value at the zero
+        offset.
         """
         rho = h / 2.0
-        nodes, w_r = np.polynomial.legendre.leggauss(48)
+        nodes, w_r = _gauss_legendre(48)
         s = 0.5 * rho * (nodes + 1.0)
         w_s = 0.5 * rho * w_r
         pts, w_th = sphere_points(self.n)
-        total = 0.0
-        for si, wi in zip(s, w_s):
-            X = [si * pts[:, a] for a in range(self.n)]
-            vals = self.derivative(p, *X)
-            total += wi * si ** (self.n - 1) * float(np.dot(w_th, vals))
+        vals = self.derivative(p, *[np.multiply.outer(s, pts[:, a]) for a in range(self.n)])
+        total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals @ w_th))
         return total / h**self.n
 
     def kernel_array(self, domain, p, mode):
@@ -288,6 +294,9 @@ def fundamental_solution(L0):
     if any(p.order < L0.m for p in L0.coeffs):
         raise CapabilityError("fundamental solutions require a pure-order operator")
     n = L0.n
+    if (L0.m, n) not in _FAMILIES:
+        raise CapabilityError(f"no fundamental solution shipped for (n={n}, m={L0.m})")
+    c0 = _FAMILIES[L0.m, n][2]
     if L0.m == 2:
         B = _second_order_matrix(L0)
         eig = np.linalg.eigvalsh(B)
@@ -298,20 +307,10 @@ def fundamental_solution(L0):
         elif not np.all(eig > 0):
             raise CapabilityError("second-order coefficient matrix is not definite")
         Binv = np.linalg.inv(B)
-        det = float(np.linalg.det(B))
-        expr, X = _laplace_family_expr(n, Binv, det)
-        expr = sp.Float(sign) * expr
-        branch = "log" if n == 2 else "power"
-        iso = np.allclose(B, B[0, 0] * np.eye(n))
-        name = f"laplace{n}d" if iso else f"aniso{n}d"
-        return FundamentalSolution(L0, expr, X, branch, name)
-    if L0.m == 4 and n in (2, 3):
-        scale = _bilaplacian_scale(L0)
-        expr, X = _bilaplace_expr(n)
-        expr = expr / sp.Float(scale)
-        branch = "log" if n == 2 else "power"
-        return FundamentalSolution(L0, expr, X, branch, f"biharmonic{n}d")
-    raise CapabilityError(f"no fundamental solution shipped for (n={n}, m={L0.m})")
+        c = sign * c0 / math.sqrt(float(np.linalg.det(B)))
+        name = f"laplace{n}d" if np.allclose(B, B[0, 0] * np.eye(n)) else f"aniso{n}d"
+        return FundamentalSolution(L0, (Binv + Binv.T) / 2.0, c, name)
+    return FundamentalSolution(L0, np.eye(n), c0 / _bilaplacian_scale(L0), f"biharmonic{n}d")
 
 
 # -- potentials ---------------------------------------------------------------

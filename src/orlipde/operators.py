@@ -242,10 +242,6 @@ class EllipticityReport:
     min_abs: float
     max_abs: float
 
-    def describe(self):
-        note = " (sign-flip normalization applied)" if self.sign_flipped else ""
-        return f"elliptic{note}, ratio={self.ratio:.3g}"
-
 
 def ellipticity_check(L, x_samples, eta_samples=None):
     """Verify a uniform sign of (-1)^(m/2) Q(x, eta) over sampled directions.
@@ -355,12 +351,14 @@ def coefficient_continuity_check(L, x0, radii, samples=256, seed=0):
 
 @dataclass
 class SobolevNorms:
-    """Per-index gauge norms of D^p u with plain and diameter-weighted sums."""
+    """Per-index gauge norms of the differences {p: D^p u}, with plain and
+    diameter-weighted sums."""
 
     per_index: dict
     plain: float
     weighted: float
     d_omega: float
+    differences: dict
 
 
 def sobolev_norms(u, m, M, d_omega):
@@ -372,11 +370,15 @@ def sobolev_norms(u, m, M, d_omega):
     if u.domain.N < 4 * m:
         raise ValueError("grid too coarse for the difference stencils")
     per = {}
+    differences = {}
     plain = 0.0
     weighted = 0.0
     for p in multi_indices(u.domain.n, m):
-        nrm = luxemburg_norm(diff(u, p), M)
+        differences[p] = diff(u, p)
+        nrm = luxemburg_norm(differences[p], M)
         per[p] = nrm
         plain += nrm
         weighted += d_omega**p.order * nrm
-    return SobolevNorms(per_index=per, plain=plain, weighted=weighted, d_omega=d_omega)
+    return SobolevNorms(
+        per_index=per, plain=plain, weighted=weighted, d_omega=d_omega, differences=differences
+    )

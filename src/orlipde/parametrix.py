@@ -178,9 +178,6 @@ class ParametrixOperator:
         defect = np.abs((rec - phi).values[self.domain.mask])
         return float(np.max(defect)) / sup
 
-    def weighted_norm(self, u):
-        return sobolev_norms(u, self.L.m, self.M, self.d_omega).weighted
-
     def solution_error(self, sigma, reference):
         """Weighted-norm distance between the potential of sigma and a reference.
 
@@ -306,8 +303,10 @@ def contraction_profile(
     times random polynomials of degree at most three, supported inside the
     ball).  Deterministic for equal seeds; the estimate is a lower bound on
     the true operator norm.  Every radius shares the one kernel J of the
-    frozen operator (built once here when omitted), so the symbolic work is
-    done once and only the per-grid spectra and constants are new.
+    frozen operator (built once here when omitted), so its derivative tables
+    are derived once and only the per-grid spectra and constants are new.
+    The generator is re-seeded for every radius, so a ladder of one radius
+    reproduces that radius's entry of a longer ladder.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
@@ -324,10 +323,12 @@ def contraction_profile(
                 phi = cap_bump(P.domain, 0.75 * r, center=x0)
             else:
                 phi = cap_bump(P.domain, 0.75 * r, center=x0, degree=3, rng=rng)
-            denom = P.weighted_norm(phi)
-            if denom == 0.0:
+            # one difference dictionary serves the norm of phi and the remainder
+            norms = sobolev_norms(phi, L.m, M, P.d_omega)
+            if norms.weighted == 0.0:
                 continue
-            worst = max(worst, P.density_weighted_norm(P.remainder(phi)) / denom)
+            remainder = P.combine(P.remainder_coeffs, norms.differences)
+            worst = max(worst, P.density_weighted_norm(remainder) / norms.weighted)
         sigma.append(worst)
     return ContractionProfile(radii=radii, sigma_hat=sigma, probe_count=probes, seed=seed)
 

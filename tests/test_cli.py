@@ -1,5 +1,12 @@
-import numpy as np
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import orlipde
 from orlipde import cli
 
 
@@ -37,3 +44,31 @@ class TestExitCodes:
         code, err = run(tmp_path, "norms", "n = 1\n", capsys)
         assert code == 2
         assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    @pytest.mark.parametrize("spec", ["expr:log(x1)", "manufactured:log(x1)"])
+    def test_non_finite_data_exits_2(self, tmp_path, capsys, spec):
+        # the ball of radius 0.2 around 0 holds nodes with x1 < 0
+        code, err = run(tmp_path, "solve", (
+            f"n = 2\ngrid.N = 32\nf = {spec}\n"
+            "coeff p=(2,0) expr=-1\ncoeff p=(0,2) expr=-1\n"
+        ), capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+        assert "not finite at node (8, 13), x = (-0.1875, -0.0625)" in err[0], err
+
+    def test_non_finite_grid_file_exits_2(self, tmp_path, capsys):
+        values = np.linspace(0.0, 1.0, 64)
+        values[5] = np.inf
+        grid = tmp_path / "f.grid"
+        grid.write_text("1,64,2.0\n" + "".join(f"{float(v)!r}\n" for v in values))
+        code, err = run(tmp_path, "norms", f"n = 1\nf = file:{grid}\n", capsys)
+        assert code == 2
+        assert len(err) == 1 and "not finite at node (5,), x = (-0.828125)" in err[0], err
+
+
+def test_import_leaves_sympy_out():
+    # a fresh interpreter, since this one may have imported sympy already
+    paths = [str(Path(orlipde.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code = "import sys, orlipde.cli; sys.exit('sympy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -17,6 +17,7 @@ from orlipde import (
     bilaplacian,
     fundamental_solution,
     laplacian,
+    multi_indices,
     potential,
     power,
     second_order,
@@ -26,7 +27,7 @@ from orlipde import (
     singular_potential,
     verify_fundamental,
 )
-from orlipde.kernels import sphere_area, unit_ball_volume
+from orlipde.kernels import sphere_area, sphere_points, unit_ball_volume
 
 from conftest import cap_profile
 
@@ -38,6 +39,26 @@ def masked_domain(n, N, d=1.0, R=0.28):
 
 ANISO2 = [[2.0, 0.5], [0.5, 1.0]]
 ANISO3 = [[2.0, 0.3, 0.0], [0.3, 1.0, 0.2], [0.0, 0.2, 1.5]]
+
+# every shipped family, plus a negative-definite and a scaled operator
+FAMILIES = {
+    "laplace1d": lambda: laplacian(1),
+    "laplace2d": lambda: laplacian(2),
+    "laplace3d": lambda: laplacian(3),
+    "aniso2d": lambda: second_order(ANISO2),
+    "aniso2d_negative": lambda: second_order(-np.array(ANISO2)),
+    "aniso3d": lambda: second_order(ANISO3),
+    "biharmonic2d": lambda: bilaplacian(2),
+    "biharmonic2d_scaled": lambda: bilaplacian(2, scale=1.7),
+    "biharmonic3d": lambda: bilaplacian(3),
+}
+
+
+def random_points(rng, n, count):
+    """Seeded points of the cube [-1, 1]^n with 0.1 <= |x|, as an (n, count) array."""
+    X = rng.uniform(-1.0, 1.0, size=(n, 4 * count))
+    X = X[:, np.linalg.norm(X, axis=0) >= 0.1]
+    return X[:, :count]
 
 
 class TestBallIntegral:
@@ -90,12 +111,22 @@ class TestClosedForms:
         assert fundamental_solution(bilaplacian(3)).branch == "power"
 
     def test_power_branch_homogeneity(self):
-        J = fundamental_solution(laplacian(3))
-        x = np.array([0.3, -0.2, 0.1])
-        base = J.evaluate(*x)
-        for t in (0.5, 2.0, 10.0):
-            scaled = J.evaluate(*(t * x))
-            assert abs(scaled - t ** (2 - 3) * base) <= 1e-12 * abs(base)
+        # d^p J(t x) = t^(m-n-|p|) d^p J(x) for every |p| <= m; the scale
+        # |J(x)| / |x|^|p| covers channels that vanish, such as J'' in 1d
+        rng = np.random.default_rng(3)
+        for name, op in FAMILIES.items():
+            J = fundamental_solution(op())
+            if J.branch != "power":
+                continue
+            x = random_points(rng, J.n, 1)[:, 0]
+            r = np.linalg.norm(x)
+            for p in multi_indices(J.n, J.m):
+                base = J.derivative(p, *x)
+                scale = max(abs(base), abs(J.evaluate(*x)) / r**p.order)
+                for t in (0.5, 2.0, 10.0):
+                    factor = t ** (J.m - J.n - p.order)
+                    scaled = J.derivative(p, *(t * x))
+                    assert abs(scaled - factor * base) <= 1e-12 * factor * scale, (name, p, t)
 
     def test_derivative_decay(self):
         J = fundamental_solution(laplacian(2))
@@ -113,6 +144,75 @@ class TestClosedForms:
         L = EllipticOperator(2, 2, {(2, 0): lambda x, y: -1.0 - 0 * x, (0, 2): -1.0})
         with pytest.raises(CapabilityError):
             fundamental_solution(L)
+
+
+# d^p J of the kernels as the symbolic evaluator they replace gave them
+PINNED = [
+    ("biharmonic2d", (0, 0), (0.3, -0.4), -0.0068948625047703625),
+    ("biharmonic2d", (2, 1), (0.3, -0.4), -0.035650707252584554),
+    ("biharmonic2d", (4, 0), (0.3, -0.4), -0.09014535976724969),
+    ("biharmonic2d", (1, 3), (-0.7, 0.2), 0.21402110203051813),
+    ("aniso3d", (1, 1, 0), (0.2, -0.1, 0.35), -0.3649957843921544),
+    ("aniso3d", (0, 0, 2), (0.2, -0.1, 0.35), 0.7650398946606428),
+    ("aniso2d", (1, 1), (0.25, 0.6), 0.06277786355140344),
+    ("laplace1d", (1,), (-0.3,), 0.5),
+    ("laplace3d", (0, 1, 1), (0.1, 0.2, -0.3), -1.953181274108013),
+    ("biharmonic3d", (2, 1, 1), (0.1, 0.2, -0.3), 0.6278082666775756),
+    ("biharmonic3d", (0, 0, 4), (0.1, 0.2, -0.3), -1.8020422469448918),
+]
+
+
+class TestDerivatives:
+    """Kernel derivatives against oracles that do not use the term tables."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_operator_annihilates_kernel(self, name):
+        # L0 J = 0 away from the origin; the scale |a_p| |J| / |x|^|p| per
+        # term covers the 1d Laplacian, whose single term is itself zero
+        J = fundamental_solution(FAMILIES[name]())
+        X = random_points(np.random.default_rng(11), J.n, 64)
+        r = np.linalg.norm(X, axis=0)
+        total = np.zeros(r.shape)
+        scale = np.zeros(r.shape)
+        for p, a in J.operator.coeffs.items():
+            term = a * J.derivative(p, *X)
+            total += term
+            scale += np.maximum(np.abs(term), abs(a) * np.abs(J.evaluate(*X)) / r ** sum(p))
+        assert np.all(np.abs(total) <= 1e-10 * scale)
+
+    def test_laplace2d_gradient(self):
+        J = fundamental_solution(laplacian(2))
+        X = random_points(np.random.default_rng(5), 2, 64)
+        r2 = X[0] ** 2 + X[1] ** 2
+        for axis, p in enumerate(((1, 0), (0, 1))):
+            expect = -X[axis] / (2 * math.pi * r2)
+            assert np.allclose(J.derivative(p, *X), expect, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name,p,x,value", PINNED)
+    def test_pinned_values(self, name, p, x, value):
+        J = fundamental_solution(FAMILIES[name]())
+        assert J.derivative(p, *x) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("name", ["laplace3d", "aniso2d", "biharmonic2d"])
+    def test_cell_average_matches_per_radius_loop(self, name):
+        # reference: one evaluation per radial Gauss node, summed in order;
+        # odd channels average to rounding, so the tolerance is relative to
+        # the mean of |d^p J|
+        J = fundamental_solution(FAMILIES[name]())
+        h = 0.03
+        nodes, w_r = np.polynomial.legendre.leggauss(48)
+        s = 0.25 * h * (nodes + 1.0)
+        w_s = 0.25 * h * w_r
+        pts, w_th = sphere_points(J.n)
+        for p in multi_indices(J.n, J.m - 1):
+            total = 0.0
+            size = 0.0
+            for si, wi in zip(s, w_s):
+                vals = J.derivative(p, *[si * pts[:, a] for a in range(J.n)])
+                total += wi * si ** (J.n - 1) * float(np.dot(w_th, vals))
+                size += wi * si ** (J.n - 1) * float(np.dot(w_th, np.abs(vals)))
+            got = J.cell_average(p, h)
+            assert abs(got - total / h**J.n) <= 1e-12 * size / h**J.n, p
 
 
 class TestReproduction:

@@ -198,6 +198,13 @@ class TestSobolevNorms:
             got = sn.per_index[MultiIndex((k,))]
             assert got == pytest.approx(expect, rel=5e-3)
 
+    def test_differences_returned(self, square32, bump):
+        u = bump(square32, 0.3)
+        sn = sobolev_norms(u, 2, power(2), d_omega=0.7)
+        assert list(sn.differences) == multi_indices(2, 2)
+        for p, dp in sn.differences.items():
+            assert np.array_equal(dp.values, diff(u, p).values)
+
     def test_weight_bracket(self, square32, bump):
         u = bump(square32, 0.3)
         for d_omega in (0.3, 1.0, 2.5):

@@ -119,6 +119,33 @@ class TestShippedSolve:
         for (r1, s1), (r2, s2) in zip(profile, profile[1:]):
             assert s2 / s1 == pytest.approx(r2 / r1, rel=0.10)
 
+    def test_sigma_hat_at_r_on_ladder(self, auto_run):
+        # the generator is re-seeded per radius, so a ladder of r alone
+        # gives the ladder's entry at r = 0.2
+        _, _, run_dir = auto_run
+        summary = dict(read_table(run_dir / "summary.csv"))
+        ladder = dict(read_table(run_dir / "sigma_profile.csv"))
+        assert summary["sigma_hat_at_r"] == ladder["0.2"]
+        L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+        alone = parametrix.contraction_profile(L, [0.0, 0.0], radii=[0.2], seed=7, M=power(2))
+        assert cli._fmt(alone.sigma_hat[0]) == ladder["0.2"]
+
+    def test_sigma_hat_at_r_off_ladder(self, tmp_path, auto_run):
+        # r = 0.15 is not on the ladder: sigma_hat is taken at r itself, not
+        # at the nearest ladder radius
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        assert "r = 0.2\n" in text
+        cfg = tmp_path / "r015.cfg"
+        cfg.write_text(text.replace("r = 0.2\n", "r = 0.15\n"))
+        assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        at_r = float(dict(read_table(run_dir / "summary.csv"))["sigma_hat_at_r"])
+        L = config.build_operator(config.load_config(cfg, "solve"))
+        alone = parametrix.contraction_profile(L, [0.0, 0.0], radii=[0.15], seed=7, M=power(2))
+        assert at_r == pytest.approx(alone.sigma_hat[0], rel=1e-11)
+        ladder = {float(r): float(s) for r, s in read_table(auto_run[2] / "sigma_profile.csv")}
+        assert ladder[0.1] < at_r < ladder[0.2]
+
     def test_one_kernel_for_auto(self, auto_run):
         _, calls, _ = auto_run
         assert calls == 1
