@@ -40,11 +40,9 @@ from .kernels import (
     SingularKernel,
     ball_integral,
     fundamental_solution,
-    potential,
     potential_channels,
     shift_invariance_probe,
     singular_integral,
-    singular_potential,
     verify_fundamental,
 )
 from .operators import (
@@ -59,7 +57,7 @@ from .operators import (
     laplacian,
     multi_indices,
     second_order,
-    sobolev_norms,
+    sobolev_norm,
 )
 from .parametrix import (
     ContractionProfile,

@@ -114,11 +114,26 @@ def _cmd_young(cfg, out):
     )
 
 
-def _cmd_norms(cfg, out):
+def _grid_data(cfg):
+    """The N-function, the unmasked cube and the data f of a grid command."""
     M = build_young(cfg.get("young"))
-    seed = cfg.get_int("seed")
     domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_float("d"))
     f, _ = build_field(cfg.get("f"), domain, restrict=False)
+    return M, domain, f
+
+
+def _write_shift_modulus(cfg, out, M, domain, f):
+    """shift_modulus.csv: the modulus of f under shifts along the first axis."""
+    deltas = [
+        ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1))
+        for c in cfg.get_floats("deltas")
+    ]
+    _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, deltas))
+
+
+def _cmd_norms(cfg, out):
+    M, domain, f = _grid_data(cfg)
+    seed = cfg.get_int("seed")
     g_spec = cfg.get("g")
     g = f if not g_spec else build_field(g_spec, domain, restrict=False)[0]
     rows = [
@@ -133,7 +148,7 @@ def _cmd_norms(cfg, out):
     if values.size <= 2 and set(np.round(values, 12)) <= {0.0, 1.0}:
         mes = float(np.count_nonzero(f.values)) * domain.cell_volume
         formula = characteristic_norm_value(M, mes)
-        amemiya = orlicz_norm(f, M)
+        amemiya = dict(rows)["orlicz"]
         rows.append(("indicator_measure", mes))
         rows.append(("characteristic_formula", formula))
         rows.append(("formula_vs_amemiya", abs(formula - amemiya) / amemiya))
@@ -144,11 +159,7 @@ def _cmd_norms(cfg, out):
         ["name", "lhs", "rhs", "violated"],
         [(r.name, r.lhs, r.rhs, r.violated) for r in rep.rows],
     )
-    deltas = [
-        ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1))
-        for c in cfg.get_floats("deltas")
-    ]
-    _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, deltas))
+    _write_shift_modulus(cfg, out, M, domain, f)
 
 
 def _cmd_solve(cfg, out, contraction_only=False):
@@ -211,9 +222,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
 
 
 def _cmd_mollify(cfg, out):
-    M = build_young(cfg.get("young"))
-    domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_float("d"))
-    f, _ = build_field(cfg.get("f"), domain, restrict=False)
+    M, _, f = _grid_data(cfg)
     eps = cfg.get_float("eps")
     smoothed = mollify(f, eps)
     write_grid_function(smoothed, out / "mollified.grid")
@@ -229,14 +238,7 @@ def _cmd_mollify(cfg, out):
 
 
 def _cmd_shift(cfg, out):
-    M = build_young(cfg.get("young"))
-    domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_float("d"))
-    f, _ = build_field(cfg.get("f"), domain, restrict=False)
-    deltas = [
-        ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1))
-        for c in cfg.get_floats("deltas")
-    ]
-    _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, deltas))
+    _write_shift_modulus(cfg, out, *_grid_data(cfg))
 
 
 _HANDLERS = {

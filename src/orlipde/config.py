@@ -49,14 +49,6 @@ _SCHEMAS = {
         "radii": "0.4,0.2,0.1,0.05",
         "probes": "8",
     },
-    "contraction": {
-        **_COMMON,
-        "n": "2",
-        "grid.N": "32",
-        "x0": "",
-        "radii": "0.4,0.2,0.1,0.05",
-        "probes": "8",
-    },
     "mollify": {
         **_COMMON,
         "n": "1",
@@ -232,31 +224,21 @@ def build_field(spec, domain, operator=None, restrict=True):
     what = f"data {spec!r}"
     if spec.startswith("expr:"):
         fn = compile_expression(spec[5:], domain.n)
-        return _finite(GridFunction.from_callable(domain, fn, restrict=restrict), what), None
+        return GridFunction.from_callable(domain, fn, restrict=restrict).require_finite(what), None
     if spec.startswith("file:"):
         g = read_grid_function(spec[5:])
         if g.domain.N != domain.N or g.domain.n != domain.n:
             raise ConfigError("grid file geometry does not match the configured grid")
         out = GridFunction(domain, g.values)
-        return _finite(out.restricted() if restrict else out, what), None
+        return (out.restricted() if restrict else out).require_finite(what), None
     if spec.startswith("manufactured:"):
         if operator is None:
             raise ConfigError("manufactured data requires an operator")
         fn = compile_expression(spec[len("manufactured:"):], domain.n)
-        reference = _finite(GridFunction.from_callable(domain, fn, restrict=True), what)
+        reference = GridFunction.from_callable(domain, fn, restrict=True).require_finite(what)
         f = operator.apply(reference).restricted()
-        return _finite(f, f"the operator applied to {spec!r}"), reference
+        return f.require_finite(f"the operator applied to {spec!r}"), reference
     raise ConfigError(f"cannot parse data spec {spec!r}")
-
-
-def _finite(g, what):
-    """g itself when every sample is finite; otherwise ConfigError at the first bad node."""
-    bad = np.argwhere(~np.isfinite(g.values))
-    if bad.size:
-        node = tuple(int(i) for i in bad[0])
-        x = ", ".join(f"{float(axis[node]):.6g}" for axis in g.domain.node_grids())
-        raise ConfigError(f"{what} is not finite at node {node}, x = ({x})")
-    return g
 
 
 def build_kernel(spec, L_frozen):

@@ -136,6 +136,15 @@ class GridFunction:
         vals = self.masked_values() if masked else self.values
         return float(np.max(np.abs(vals)))
 
+    def require_finite(self, what):
+        """self when every sample is finite; otherwise ConfigError at the first bad node."""
+        bad = np.argwhere(~np.isfinite(self.values))
+        if bad.size:
+            node = tuple(int(i) for i in bad[0])
+            x = ", ".join(f"{float(axis[node]):.6g}" for axis in self.domain.node_grids())
+            raise ConfigError(f"{what} is not finite at node {node}, x = ({x})")
+        return self
+
     # arithmetic conveniences used heavily by callers and tests
     def _binary(self, other, op):
         if isinstance(other, GridFunction):
@@ -337,17 +346,30 @@ def write_grid_function(f, path):
 
 
 def read_grid_function(path, mask=None):
-    with open(path) as fh:
+    """Read the format of ``write_grid_function``.
+
+    A missing file, a bad header, a geometry that ``GridDomain`` rejects, a
+    value that is not a number or a wrong value count raises ConfigError
+    naming the file.
+    """
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ConfigError(f"grid file {path}: {exc.strerror}") from exc
+    with fh:
         header = fh.readline().strip()
         try:
             n_s, N_s, d_s = header.split(",")
             n, N, d = int(n_s), int(N_s), float(d_s)
         except ValueError as exc:
-            raise ConfigError(f"bad grid file header {header!r}") from exc
-        values = np.loadtxt(fh, dtype=float, ndmin=1)
+            raise ConfigError(f"grid file {path}: bad header {header!r}") from exc
+        try:
+            domain = GridDomain(n, N, d, mask=mask)
+            values = np.loadtxt(fh, dtype=float, ndmin=1)
+        except ValueError as exc:
+            raise ConfigError(f"grid file {path}: {exc}") from exc
     if values.size != N**n:
-        raise ConfigError(f"grid file holds {values.size} values, expected {N**n}")
-    domain = GridDomain(n, N, d, mask=mask)
+        raise ConfigError(f"grid file {path} holds {values.size} values, expected {N**n}")
     return GridFunction(domain, values.reshape(domain.shape))
 
 

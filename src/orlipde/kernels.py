@@ -344,34 +344,6 @@ def potential_channels(J, sigma, orders):
     return out
 
 
-def potential(J, psi, p=None):
-    """Convolution of d^p J with psi over the masked domain, |p| < m.
-
-    The singular cell uses the inscribed-ball average of the kernel, which
-    removes the dominant quadrature error of the weakly singular integrand.
-    Linear in psi.
-    """
-    p = MultiIndex(p if p is not None else (0,) * J.n)
-    if p.order >= J.m:
-        raise ValueError("order-m derivatives require singular_potential")
-    return potential_channels(J, psi, [p])[p]
-
-
-def singular_potential(J, psi, p, include_local=True):
-    """Order-m derivative of the potential: principal value plus local term.
-
-    The principal value excludes exactly the singular cell; the local
-    multiple of psi uses the constants calibrated against the inversion
-    identity of the generating operator.
-    """
-    p = MultiIndex(p)
-    if p.order != J.m:
-        raise ValueError("singular_potential handles exactly the order-m derivatives")
-    if include_local:
-        return potential_channels(J, psi, [p])[p]
-    return _pv_convolve(J, half_spectrum(psi.restricted().values), psi.domain, p)
-
-
 def _pv_convolve(J, psi_hat, domain, p):
     return spectral_convolve(J.kernel_spectrum(domain, p, "pv"), psi_hat, domain)
 
@@ -505,8 +477,8 @@ def verify_fundamental(J, phis, threshold=0.05):
         if sup == 0.0:
             rows.append(ReproductionRow(label=f"phi{i}", error=math.nan, trivial=True))
             continue
-        lphi = J.operator.apply(phi)
-        recon = potential(J, lphi, (0,) * J.n)
+        origin = (0,) * J.n
+        recon = potential_channels(J, J.operator.apply(phi), [origin])[origin]
         err = float(np.max(np.abs((recon.values - phi.values)[phi.domain.mask]))) / sup
         rows.append(ReproductionRow(label=f"phi{i}", error=err))
     return ReproductionReport(rows=rows, threshold=threshold)

@@ -3,18 +3,18 @@
 An operator is a coefficient map {multi-index p: a_p(.)} applied through
 tensor-product second-order central differences.  The module also provides
 the characteristic form, ellipticity and coefficient-regularity checks,
-coefficient freezing at a point, and (weighted) Orlicz-Sobolev norms.
+coefficient freezing at a point, and the weighted Orlicz-Sobolev norm.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, NotEllipticError
+from .errors import NotEllipticError
 from .grid import GridFunction
 from .space import luxemburg_norm
 
@@ -349,36 +349,11 @@ def coefficient_continuity_check(L, x0, radii, samples=256, seed=0):
     return RegularityReport(rows=rows, passed=passed, note=note)
 
 
-@dataclass
-class SobolevNorms:
-    """Per-index gauge norms of the differences {p: D^p u}, with plain and
-    diameter-weighted sums."""
+def sobolev_norm(channels, M, d_omega):
+    """Weighted Orlicz-Sobolev norm sum_p d_omega^|p| ||channels[p]||_M.
 
-    per_index: dict
-    plain: float
-    weighted: float
-    d_omega: float
-    differences: dict
-
-
-def sobolev_norms(u, m, M, d_omega):
-    """Norms of all difference derivatives up to order m.
-
-    plain = sum ||D^p u||_M; weighted scales the order-|p| term by
-    d_omega^|p| (d_omega is the diameter of the working domain).
+    Sums over any dictionary {multi-index p: grid function} in its order;
+    d_omega is the diameter of the working domain.  Each gauge reads only
+    the masked nodes of its channel, so the channels need no restriction.
     """
-    if u.domain.N < 4 * m:
-        raise ValueError("grid too coarse for the difference stencils")
-    per = {}
-    differences = {}
-    plain = 0.0
-    weighted = 0.0
-    for p in multi_indices(u.domain.n, m):
-        differences[p] = diff(u, p)
-        nrm = luxemburg_norm(differences[p], M)
-        per[p] = nrm
-        plain += nrm
-        weighted += d_omega**p.order * nrm
-    return SobolevNorms(
-        per_index=per, plain=plain, weighted=weighted, d_omega=d_omega, differences=differences
-    )
+    return sum(d_omega ** MultiIndex(p).order * luxemburg_norm(ch, M) for p, ch in channels.items())

@@ -10,8 +10,9 @@ The frozen operator does not depend on the radius, so one fundamental
 solution serves the whole radius ladder and the solve; it caches its kernel
 spectra and local constants per grid.  The potential of a density is carried
 as one dictionary of derivative channels {p: d^p S sigma}, computed from one
-forward transform of the density.  The correction density, the weighted
-norms and the residual are coefficient combinations over that dictionary.
+forward transform of the density.  The correction density and the residual
+are coefficient combinations over that dictionary, and every weighted norm
+(probe, correction, iterate, step, error) is ``sobolev_norm`` of one.
 """
 
 from __future__ import annotations
@@ -22,19 +23,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 from .grid import GridDomain, GridFunction
-from .kernels import fundamental_solution, potential, potential_channels
-from .operators import diff, ellipticity_check, freeze_leading, multi_indices, sobolev_norms
+from .kernels import fundamental_solution, potential_channels
+from .operators import diff, ellipticity_check, freeze_leading, multi_indices, sobolev_norm
 from .space import luxemburg_norm
 
 DEFAULT_RADII = (0.4, 0.2, 0.1, 0.05)
 
 
 def _sign_normalized(L, x0):
-    """L, negated when its characteristic form is negative at x0, and the report."""
+    """L, negated when its characteristic form is negative at x0, and the report.
+
+    Every coefficient must be finite at x0, where the form is evaluated;
+    otherwise ConfigError names the first one that is not.
+    """
+    with np.errstate(all="ignore"):
+        for p in sorted(L.coeffs):
+            if not math.isfinite(L.coeff_at(p, x0)):
+                at = ", ".join(f"{float(c):.6g}" for c in x0)
+                raise ConfigError(f"coefficient p={_index(p)} is not finite at x0 = ({at})")
     rep = ellipticity_check(L, [x0])
     return (L.scaled(-1.0) if rep.sign_flipped else L), rep
+
+
+def _index(p):
+    """A multi-index as the config writes it: (2,0)."""
+    return f"({','.join(map(str, p))})"
 
 
 def frozen_operator(L, x0):
@@ -81,7 +96,9 @@ class ParametrixOperator:
 
     Two coefficient tables drive everything: ``remainder_coeffs`` of the
     (frozen - full) operator and ``operator_coeffs`` of L itself, each
-    combined by ``combine`` over a dictionary of derivative channels.
+    combined by ``combine`` over a dictionary of derivative channels.  A
+    coefficient field with a non-finite sample on the cube raises
+    ConfigError naming its index and the first such node.
     """
 
     def __init__(self, L, x0, r, N=64, M=None, pad=4.0, J=None):
@@ -109,30 +126,27 @@ class ParametrixOperator:
         )
 
     def _coeff_values(self, p):
-        fld = self.L.coeff_field(p, self.domain)
+        with np.errstate(all="ignore"):
+            fld = self.L.coeff_field(p, self.domain)
         if fld is None:
             return float(self.L.coeffs[p])
+        GridFunction(self.domain, fld).require_finite(f"coefficient p={_index(p)}")
         return fld
 
     # -- operator pieces -----------------------------------------------------
 
     def combine(self, coeffs, channels):
-        """sum_p coeffs[p] * channels[p], restricted to the ball.
+        """sum_p coeffs[p] * channels[p] on the whole cube.
 
         With ``remainder_coeffs`` over the channels of u this is the
         (frozen - full) operator applied to u; with ``operator_coeffs`` it
-        is L u.
+        is L u.  Only its values in the ball matter: potentials restrict
+        their density and gauges read the masked nodes.
         """
-        dom = self.domain
-        out = np.zeros(dom.shape)
+        out = np.zeros(self.domain.shape)
         for p, c in coeffs.items():
             out += c * channels[p].values
-        return GridFunction(dom, np.where(dom.mask, out, 0.0))
-
-    def remainder(self, phi):
-        """(frozen - full) operator applied to phi by central differences."""
-        differences = {p: diff(phi, p) for p in self.remainder_coeffs}
-        return self.combine(self.remainder_coeffs, differences)
+        return GridFunction(self.domain, out)
 
     def channels(self, sigma):
         """Every derivative channel d^p, |p| <= m, of the potential of sigma.
@@ -142,29 +156,19 @@ class ParametrixOperator:
         """
         return potential_channels(self.J, sigma, self.orders)
 
-    def source_potential(self, f):
-        """Convolution of the frozen kernel with f restricted to the ball."""
-        return potential(self.J, f, (0,) * self.L.n)
-
     def channel_norm(self, channels):
-        """Weighted Sobolev norm sum_p d_omega^|p| ||channels[p]||_M over the ball."""
-        total = 0.0
-        for p in self.orders:
-            ch = channels[p].restricted(self.domain.mask)
-            total += self.d_omega**p.order * luxemburg_norm(ch, self.M)
-        return total
-
-    def density_weighted_norm(self, sigma):
-        """Weighted Sobolev norm of the potential of sigma."""
-        return self.channel_norm(self.channels(sigma))
+        """Weighted Sobolev norm of a channel dictionary over the ball."""
+        return sobolev_norm(channels, self.M, self.d_omega)
 
     def identity_defect(self, phi):
         """Relative sup defect of phi = correction(phi) + potential(L phi).
 
-        The correction is the potential of the remainder applied to phi;
-        phi is truncated to the ball mask first (with a warning when that
-        loses mass beyond rounding).  Returns the masked sup-norm defect
-        divided by sup|phi|; NaN for a vanishing probe.
+        The correction is the potential of the remainder applied to phi by
+        central differences; both potentials are taken at once, as channel 0
+        of the potential of the summed density.  phi is truncated to the
+        ball mask first (with a warning when that loses mass beyond
+        rounding).  Returns the masked sup-norm defect divided by sup|phi|;
+        NaN for a vanishing probe.
         """
         sup = phi.sup_norm(masked=False)
         if sup == 0.0:
@@ -173,8 +177,10 @@ class ParametrixOperator:
         if outside.size and outside.max() > 1e-12 * sup:
             warnings.warn("probe support exceeds the working ball; truncating", stacklevel=2)
             phi = phi.restricted()
-        chi = self.source_potential(self.remainder(phi))
-        rec = chi + self.source_potential(self.L.apply(phi))
+        differences = {p: diff(phi, p) for p in self.remainder_coeffs}
+        density = self.combine(self.remainder_coeffs, differences) + self.L.apply(phi)
+        origin = (0,) * self.L.n
+        rec = potential_channels(self.J, density, [origin])[origin]
         defect = np.abs((rec - phi).values[self.domain.mask])
         return float(np.max(defect)) / sup
 
@@ -185,14 +191,10 @@ class ParametrixOperator:
         differenced directly (it is expected to be a smooth grid function).
         """
         channels = self.channels(sigma)
-        total = 0.0
-        ref_total = 0.0
-        for p in self.orders:
-            ref = diff(reference, p)
-            w = self.d_omega**p.order
-            total += w * luxemburg_norm((channels[p] - ref).restricted(self.domain.mask), self.M)
-            ref_total += w * luxemburg_norm(ref.restricted(self.domain.mask), self.M)
-        return total / ref_total if ref_total > 0 else total
+        refs = {p: diff(reference, p) for p in self.orders}
+        error = self.channel_norm({p: channels[p] - refs[p] for p in self.orders})
+        ref_norm = self.channel_norm(refs)
+        return error / ref_norm if ref_norm > 0 else error
 
     def solve(self, f, tol=1e-6, k_max=200):
         """Fixed-point iteration on source densities.
@@ -243,7 +245,7 @@ class ParametrixOperator:
         # normed through the channels of the density defect itself, since
         # the difference of two channel dictionaries cancels here
         sigma_next = self.combine(self.remainder_coeffs, channels) + f
-        defect = self.density_weighted_norm(sigma_next - sigma)
+        defect = self.channel_norm(self.channels(sigma_next - sigma))
         norm = self.channel_norm(channels)
         report.certificate = defect / norm if norm > 0 else defect
         report.sigma = sigma
@@ -282,7 +284,9 @@ class SolveReport:
     final_residual: float
     sign_flipped: bool
     certificate: float = math.nan
-    sigma: object = None  # final source density; the solution is its potential
+    # final source density; the solution is its potential, so only its
+    # values in the ball count
+    sigma: object = None
 
 
 @dataclass
@@ -306,10 +310,14 @@ def contraction_profile(
     frozen operator (built once here when omitted), so its derivative tables
     are derived once and only the per-grid spectra and constants are new.
     The generator is re-seeded for every radius, so a ladder of one radius
-    reproduces that radius's entry of a longer ladder.
+    reproduces that radius's entry of a longer ladder.  Each probe is
+    differenced once; that one dictionary gives both its norm and the
+    remainder applied to it.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
+    if N < 4 * L.m:
+        raise ValueError("grid too coarse for the difference stencils")
     if J is None:
         J = fundamental_solution(frozen_operator(L, x0))
     radii = list(radii)
@@ -323,12 +331,12 @@ def contraction_profile(
                 phi = cap_bump(P.domain, 0.75 * r, center=x0)
             else:
                 phi = cap_bump(P.domain, 0.75 * r, center=x0, degree=3, rng=rng)
-            # one difference dictionary serves the norm of phi and the remainder
-            norms = sobolev_norms(phi, L.m, M, P.d_omega)
-            if norms.weighted == 0.0:
+            differences = {p: diff(phi, p) for p in P.orders}
+            norm = P.channel_norm(differences)
+            if norm == 0.0:
                 continue
-            remainder = P.combine(P.remainder_coeffs, norms.differences)
-            worst = max(worst, P.density_weighted_norm(remainder) / norms.weighted)
+            remainder = P.combine(P.remainder_coeffs, differences)
+            worst = max(worst, P.channel_norm(P.channels(remainder)) / norm)
         sigma.append(worst)
     return ContractionProfile(radii=radii, sigma_hat=sigma, probe_count=probes, seed=seed)
 

@@ -1,6 +1,8 @@
+import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,8 @@ import pytest
 
 import orlipde
 from orlipde import cli
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(tmp_path, command, text, capsys):
@@ -64,6 +68,65 @@ class TestExitCodes:
         code, err = run(tmp_path, "norms", f"n = 1\nf = file:{grid}\n", capsys)
         assert code == 2
         assert len(err) == 1 and "not finite at node (5,), x = (-0.828125)" in err[0], err
+
+
+    @pytest.mark.parametrize("body, fault", [
+        ("1,64,2.0\nabc\n", "could not convert string 'abc'"),
+        ("2,2,2.0\n1\n2\n3\n4\n", "need at least 4 points per axis"),
+        (None, "No such file or directory"),
+    ], ids=["value", "header", "missing"])
+    def test_bad_grid_file_exits_2(self, tmp_path, capsys, body, fault):
+        grid = tmp_path / "f.grid"
+        if body is not None:
+            grid.write_text(body)
+        code, err = run(tmp_path, "norms", f"n = 1\nf = file:{grid}\n", capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"config error: grid file {grid}: "), err
+        assert fault in err[0], err
+
+    @pytest.mark.parametrize("coeffs, where", [
+        # log(x1) is -inf at x0 itself
+        ("coeff p=(2,0) expr=-1-log(x1)\ncoeff p=(0,2) expr=-1\n",
+         "coefficient p=(2,0) is not finite at x0 = (0, 0)"),
+        # finite at x0, NaN on the cube of the first radius (x1 < -0.7)
+        ("coeff p=(2,0) expr=-1\ncoeff p=(0,2) expr=-1\ncoeff p=(0,0) expr=log(x1+0.7)\n",
+         "coefficient p=(0,0) is not finite at node (0, 0), x = (-0.775, -0.775)"),
+    ], ids=["at_x0", "on_cube"])
+    def test_non_finite_coefficient_exits_2(self, tmp_path, capsys, coeffs, where):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = run(
+                tmp_path, "solve", "n = 2\ngrid.N = 32\nx0 = 0,0\nf = expr:1\n" + coeffs, capsys
+            )
+        assert code == 2
+        assert err == [f"config error: {where}"], err
+
+
+class TestReruns:
+    def test_byte_stable_and_jobs_match_serial(self, tmp_path):
+        configs = [str(CONFIGS / "exp_young.cfg"), str(CONFIGS / "power2_young.cfg")]
+        trees = []
+        for root, jobs in (("first", 1), ("again", 1), ("jobs2", 2)):
+            out = tmp_path / root
+            args = ["young", "--config", *configs, "--out", str(out), "--jobs", str(jobs)]
+            assert cli.main(args) == 0
+            trees.append(outputs(out))
+        assert len(trees[0]) == 2 * 7  # six tables and a manifest per config
+        assert trees[1] == trees[0]
+        assert trees[2] == trees[0]
+
+
+def outputs(root):
+    """{path: bytes} of every file a run wrote, less the manifest's timings."""
+    tree = {}
+    for path in sorted(root.rglob("*")):
+        if path.name == "manifest.json":
+            manifest = json.loads(path.read_text())
+            assert set(manifest.pop("timings")) == {"total_s"}
+            tree[path.relative_to(root)] = manifest
+        elif path.is_file():
+            tree[path.relative_to(root)] = path.read_bytes()
+    return tree
 
 
 def test_import_leaves_sympy_out():

@@ -18,15 +18,15 @@ from orlipde import (
     fundamental_solution,
     laplacian,
     multi_indices,
-    potential,
+    potential_channels,
     power,
     second_order,
     shift,
     shift_invariance_probe,
     singular_integral,
-    singular_potential,
     verify_fundamental,
 )
+from orlipde.grid import kernel_convolve
 from orlipde.kernels import sphere_area, sphere_points, unit_ball_volume
 
 from conftest import cap_profile
@@ -249,26 +249,32 @@ class TestReproduction:
         assert rep.rows[0].trivial
 
 
+def one_channel(J, psi, p):
+    """One derivative channel d^p of the potential of psi."""
+    return potential_channels(J, psi, [p])[p]
+
+
 class TestPotential:
     def test_linearity(self, square32, bump):
         J = fundamental_solution(laplacian(2))
         a = bump(square32, 0.2)
         b = bump(square32, 0.15, center=[0.05, 0.0])
-        lhs = potential(J, a * 2.0 + b * (-1.5)).values
-        rhs = 2.0 * potential(J, a).values - 1.5 * potential(J, b).values
-        assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0)
+        for p in multi_indices(2, 2):
+            lhs = one_channel(J, a * 2.0 + b * (-1.5), p).values
+            rhs = 2.0 * one_channel(J, a, p).values - 1.5 * one_channel(J, b, p).values
+            assert np.max(np.abs(lhs - rhs)) < 1e-12 * max(np.max(np.abs(rhs)), 1.0), p
 
     def test_zero_density(self, square32):
         J = fundamental_solution(laplacian(2))
-        out = potential(J, GridFunction.zeros(square32))
+        out = one_channel(J, GridFunction.zeros(square32), (0, 0))
         assert np.all(out.values == 0.0)
 
     def test_order_guard(self, square32, bump):
-        J = fundamental_solution(laplacian(2))
-        with pytest.raises(ValueError):
-            potential(J, bump(square32, 0.2), (2, 0))
-        with pytest.raises(ValueError):
-            singular_potential(J, bump(square32, 0.2), (1, 0))
+        # channels run up to the kernel order m and no further
+        for J, p in ((fundamental_solution(laplacian(2)), (3, 0)),
+                     (fundamental_solution(bilaplacian(2)), (4, 1))):
+            with pytest.raises(ValueError):
+                one_channel(J, bump(square32, 0.2), p)
 
 
 class TestSingularPotential:
@@ -276,8 +282,8 @@ class TestSingularPotential:
         J = fundamental_solution(laplacian(2))
         psi = cap_profile(square64, 0.18, center=[0.05, -0.03])
         acc = np.zeros(square64.shape)
-        for p in ((2, 0), (0, 2)):
-            acc += -singular_potential(J, psi, p).values
+        for ch in potential_channels(J, psi, [(2, 0), (0, 2)]).values():
+            acc += -ch.values
         err = np.max(np.abs(acc - psi.values)) / psi.sup_norm(masked=False)
         assert err <= 0.05
 
@@ -292,12 +298,12 @@ class TestSingularPotential:
     def test_pure_pv_annihilates_constants(self, square64):
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square64, lambda x, y: np.full_like(x, 4.0))
-        out = singular_potential(J, c, (2, 0), include_local=False)
+        out = kernel_convolve(J.kernel_array(square64, (2, 0), "pv"), c)
         assert np.max(np.abs(out.values)) < 1e-10
 
     def test_zero_density(self, square32):
         J = fundamental_solution(laplacian(2))
-        out = singular_potential(J, GridFunction.zeros(square32), (2, 0))
+        out = one_channel(J, GridFunction.zeros(square32), (2, 0))
         assert np.all(out.values == 0.0)
 
 

@@ -16,9 +16,10 @@ from orlipde import (
     ellipticity_check,
     freeze_leading,
     laplacian,
+    luxemburg_norm,
     multi_indices,
     power,
-    sobolev_norms,
+    sobolev_norm,
 )
 
 
@@ -176,42 +177,58 @@ class TestCoefficientContinuity:
             coefficient_continuity_check(L, [0.0], [0.1, 0.2])
 
 
+def differences(u, m):
+    """{p: D^p u} for every |p| <= m."""
+    return {p: diff(u, p) for p in multi_indices(u.domain.n, m)}
+
+
 class TestSobolevNorms:
     def test_constant_function(self, square32):
         u = GridFunction.from_callable(square32, lambda x, y: np.full_like(x, 2.0))
-        sn = sobolev_norms(u, 2, power(2), d_omega=0.7)
-        assert sn.plain == pytest.approx(sn.per_index[MultiIndex((0, 0))])
-        assert sn.weighted == pytest.approx(sn.plain)
+        weighted = sobolev_norm(differences(u, 2), power(2), d_omega=0.7)
+        assert weighted == pytest.approx(luxemburg_norm(u, power(2)))
 
     def test_unit_weight_collapses(self, square32, bump):
         u = bump(square32, 0.3)
-        sn = sobolev_norms(u, 2, power(2), d_omega=1.0)
-        assert sn.plain == sn.weighted
+        channels = differences(u, 2)
+        plain = sum(luxemburg_norm(ch, power(2)) for ch in channels.values())
+        assert sobolev_norm(channels, power(2), d_omega=1.0) == plain
 
     def test_sine_channels(self):
         dom = GridDomain(1, 128, 2.0)
         u = GridFunction.from_callable(dom, lambda x: np.sin(np.pi * x))
-        sn = sobolev_norms(u, 2, power(2), d_omega=1.0)
         w = math.pi
         base = 1.0  # L2 norm of sin(pi x) over one period of length 2
         for k, expect in ((0, base), (1, w * base), (2, w**2 * base)):
-            got = sn.per_index[MultiIndex((k,))]
+            p = MultiIndex((k,))
+            got = sobolev_norm({p: diff(u, p)}, power(2), d_omega=1.0)
             assert got == pytest.approx(expect, rel=5e-3)
 
-    def test_differences_returned(self, square32, bump):
+    def test_any_channel_dictionary(self, square32, bump):
+        # one term per entry, weighted by its order, whatever the keys
         u = bump(square32, 0.3)
-        sn = sobolev_norms(u, 2, power(2), d_omega=0.7)
-        assert list(sn.differences) == multi_indices(2, 2)
-        for p, dp in sn.differences.items():
-            assert np.array_equal(dp.values, diff(u, p).values)
+        channels = {(0, 0): u, (2, 1): diff(u, (1, 0)) * 0.5}
+        expect = luxemburg_norm(u, power(2)) + 0.7**3 * luxemburg_norm(channels[2, 1], power(2))
+        assert sobolev_norm(channels, power(2), d_omega=0.7) == expect
+
+    def test_reads_the_mask_only(self, bump):
+        # values outside the working ball do not enter the norm
+        dom = GridDomain(2, 32, 1.0)
+        dom = dom.with_mask(dom.ball_mask([0.0, 0.0], 0.3))
+        u = bump(dom, 0.3)
+        noisy = GridFunction(dom, np.where(dom.mask, u.values, 1e3))
+        assert sobolev_norm({(0, 0): noisy}, power(2), 0.7) == sobolev_norm(
+            {(0, 0): u}, power(2), 0.7)
 
     def test_weight_bracket(self, square32, bump):
         u = bump(square32, 0.3)
+        channels = differences(u, 2)
+        plain = sobolev_norm(channels, power(2), d_omega=1.0)
         for d_omega in (0.3, 1.0, 2.5):
-            sn = sobolev_norms(u, 2, power(2), d_omega=d_omega)
-            lo = min(1.0, d_omega**2) * sn.plain
-            hi = max(1.0, d_omega**2) * sn.plain
-            assert lo * (1 - 1e-12) <= sn.weighted <= hi * (1 + 1e-12)
+            weighted = sobolev_norm(channels, power(2), d_omega=d_omega)
+            lo = min(1.0, d_omega**2) * plain
+            hi = max(1.0, d_omega**2) * plain
+            assert lo * (1 - 1e-12) <= weighted <= hi * (1 + 1e-12)
 
 
 class TestDiff:

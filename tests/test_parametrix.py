@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -5,20 +6,22 @@ import pytest
 
 from orlipde import (
     GridDomain,
+    GridFunction,
     ParametrixOperator,
+    ShiftVector,
     bilaplacian,
+    bounded_multiplier_check,
     cap_bump,
     cli,
     config,
+    contraction_profile,
     fundamental_solution,
     kernels,
     laplacian,
     multi_indices,
     parametrix,
-    potential,
     potential_channels,
     power,
-    singular_potential,
 )
 from orlipde.grid import kernel_convolve
 
@@ -35,6 +38,9 @@ def read_table(path):
 class TestPotentialChannels:
     @pytest.mark.parametrize("operator", [laplacian(2), bilaplacian(2)], ids=repr)
     def test_matches_single_channel_potentials(self, operator):
+        # every channel equals the channel computed alone and a fresh
+        # convolution with its sampled kernel, plus the calibrated local
+        # term on the order-m channels
         J = fundamental_solution(operator)
         dom = GridDomain(2, 32, 1.0)
         dom = dom.with_mask(dom.ball_mask([0.0, 0.0], 0.3))
@@ -43,11 +49,10 @@ class TestPotentialChannels:
         assert len(channels) == len(multi_indices(2, J.m))
         local = J.local_constants(dom).constants
         for p, ch in channels.items():
+            single = potential_channels(J, psi, [p])[p]
             if p.order < J.m:
-                single = potential(J, psi, p)
                 full = kernel_convolve(J.kernel_array(dom, p, "weak"), psi.restricted())
             else:
-                single = singular_potential(J, psi, p)
                 full = kernel_convolve(J.kernel_array(dom, p, "pv"), psi.restricted())
                 full = full + psi.restricted() * local[p]
             scale = np.max(np.abs(ch.values))
@@ -71,6 +76,26 @@ class TestIdentityDefect:
             defects.append(P.identity_defect(cap_bump(P.domain, 0.15)))
         assert defects[1] <= 0.05
         assert defects[1] <= 0.6 * defects[0]
+
+
+def test_profile_rejects_coarse_grid():
+    # the fourth-order difference stencils need N >= 4m = 16
+    with pytest.raises(ValueError, match="grid too coarse"):
+        contraction_profile(bilaplacian(2), [0.0, 0.0], radii=[0.2], N=12, M=power(2))
+
+
+class TestBoundedMultiplier:
+    @pytest.mark.parametrize("M", [power(2), power(3)], ids=["p2", "p3"])
+    def test_split_bounds_the_product(self, M):
+        dom = GridDomain(1, 64, 2.0)
+        a = GridFunction.from_callable(dom, lambda x: 1.0 + 0.5 * np.sin(np.pi * x))
+        f = GridFunction.from_callable(dom, lambda x: np.exp(np.cos(np.pi * x)) * x)
+        deltas = [ShiftVector.from_cells(dom, [c]) for c in (0, 1, 2, 4, 8)]
+        rows = bounded_multiplier_check(a, f, M, deltas)
+        assert dataclasses.astuple(rows[0]) == (0.0,) * 5
+        for row in rows[1:]:
+            assert row.product_modulus > 0.0
+            assert row.bound >= row.product_modulus, row
 
 
 def _run(tmp_path, command, kernel, monkeypatch):
