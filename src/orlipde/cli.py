@@ -117,7 +117,10 @@ def _cmd_young(cfg, out):
 def _grid_data(cfg):
     """The N-function, the unmasked cube and the data f of a grid command."""
     M = build_young(cfg.get("young"))
-    domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_float("d"))
+    try:
+        domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_float("d"))
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     f, _ = build_field(cfg.get("f"), domain, restrict=False)
     return M, domain, f
 

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import hashlib
 import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import young as young_mod
-from .errors import CapabilityError, ConfigError
+from .errors import CapabilityError, ConfigError, InvalidYoungFunctionError
 from .expressions import compile_expression
 from .grid import GridFunction, read_grid_function
 from .kernels import fundamental_solution
@@ -158,19 +159,40 @@ def load_config(path, command, overrides=None):
 
 
 def build_young(spec):
-    """young = power:p=3 | power-log:p=2 | exp | table:<path>."""
+    """young = power:p=3 | power-log:p=2 | exp | table:<path>.
+
+    A table file that cannot be read as two columns t,p(t) and a parameter
+    the family rejects raise ConfigError naming the spec.
+    """
     spec = spec.strip()
-    if spec == "exp":
-        return young_mod.exp_young()
-    if spec.startswith("power-log:"):
-        return young_mod.power_log(_param(spec, "p"))
-    if spec.startswith("power:"):
-        return young_mod.power(_param(spec, "p"))
-    if spec.startswith("table:"):
-        path = spec.split(":", 1)[1]
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
-        return young_mod.from_density(data[:, 0], data[:, 1], name=f"table:{path}")
+    try:
+        if spec == "exp":
+            return young_mod.exp_young()
+        if spec.startswith("power-log:"):
+            return young_mod.power_log(_param(spec, "p"))
+        if spec.startswith("power:"):
+            return young_mod.power(_param(spec, "p"))
+        if spec.startswith("table:"):
+            path = spec.split(":", 1)[1]
+            data = _density_table(spec, path)
+            return young_mod.from_density(data[:, 0], data[:, 1], name=f"table:{path}")
+    except InvalidYoungFunctionError as exc:
+        raise ConfigError(f"young function spec {spec!r}: {exc}") from exc
     raise ConfigError(f"cannot parse young function spec {spec!r}")
+
+
+def _density_table(spec, path):
+    """The (t, p(t)) rows of a density table file, as an array with two columns."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is reported below, not by numpy's warning
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"young function spec {spec!r}: {exc}") from exc
+    if data.shape[1] != 2:
+        raise ConfigError(f"young function spec {spec!r}: expected two columns t,p(t)")
+    return data
 
 
 def _param(spec, name):

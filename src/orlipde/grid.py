@@ -365,7 +365,10 @@ def read_grid_function(path, mask=None):
             raise ConfigError(f"grid file {path}: bad header {header!r}") from exc
         try:
             domain = GridDomain(n, N, d, mask=mask)
-            values = np.loadtxt(fh, dtype=float, ndmin=1)
+            with warnings.catch_warnings():
+                # a file without values is reported by the count check below
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=float, ndmin=1)
         except ValueError as exc:
             raise ConfigError(f"grid file {path}: {exc}") from exc
     if values.size != N**n:

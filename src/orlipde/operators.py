@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import NotEllipticError
 from .grid import GridFunction
-from .space import luxemburg_norm
+from .space import gauges
 
 
 class MultiIndex(tuple):
@@ -248,17 +248,24 @@ def ellipticity_check(L, x_samples, eta_samples=None):
 
     A uniformly negative form passes with the sign-flip flag set (the solver
     then negates operator and data together); a sign change raises
-    NotEllipticError.  Reports the ellipticity ratio min|Q|/max|Q|.
+    NotEllipticError.  Reports the ellipticity ratio min|Q|/max|Q|.  Each
+    leading coefficient is evaluated once per sample point, and Q over all
+    directions is one array sum in ``leading_indices`` order, the order of
+    ``characteristic_form``.
     """
     if eta_samples is None:
         eta_samples = unit_directions(L.n, max(64, 2 * L.n))
     eta_samples = np.atleast_2d(np.asarray(eta_samples, dtype=float))
     sgn = (-1.0) ** L.half_order
+    lead = L.leading_indices()
+    monomials = [np.prod(eta_samples ** np.asarray(p), axis=1) for p in lead]
     vals = []
     for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
-        for eta in eta_samples:
-            vals.append(sgn * characteristic_form(L, x, eta))
-    vals = np.asarray(vals)
+        total = np.zeros(len(eta_samples))
+        for p, mono in zip(lead, monomials):
+            total = total + L.coeff_at(p, x) * mono
+        vals.append(sgn * total)
+    vals = np.concatenate(vals)
     if np.all(vals > 0):
         flipped = False
     elif np.all(vals < 0):
@@ -352,8 +359,12 @@ def coefficient_continuity_check(L, x0, radii, samples=256, seed=0):
 def sobolev_norm(channels, M, d_omega):
     """Weighted Orlicz-Sobolev norm sum_p d_omega^|p| ||channels[p]||_M.
 
-    Sums over any dictionary {multi-index p: grid function} in its order;
-    d_omega is the diameter of the working domain.  Each gauge reads only
-    the masked nodes of its channel, so the channels need no restriction.
+    Sums over any dictionary {multi-index p: grid function on one domain}
+    in its order; d_omega is the diameter of the working domain.  The
+    gauges of all channels are taken together, one evaluation of M per
+    pass, and each reads only the masked nodes of its channel, so the
+    channels need no restriction.
     """
-    return sum(d_omega ** MultiIndex(p).order * luxemburg_norm(ch, M) for p, ch in channels.items())
+    domain = next(iter(channels.values())).domain
+    norms = gauges([np.abs(ch.masked_values()) for ch in channels.values()], M, domain)
+    return sum(d_omega ** MultiIndex(p).order * g for p, g in zip(channels, norms))

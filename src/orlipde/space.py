@@ -1,9 +1,15 @@
 """Discrete Orlicz-space engine: modulars, norms, shift diagnostics, mollification.
 
-The Luxemburg gauge is the workhorse norm; the dual (Orlicz) norm is
-computed through the Amemiya infimum, and a randomized witness search
-provides certified lower bounds for it.  All integrals are midpoint-rule
-sums over the domain mask with compensated summation.
+The Luxemburg gauge is the workhorse norm.  ``gauges`` is its one
+implementation: it takes the gauges of several functions on one domain
+together, evaluating M once per pass on the stack of their values
+(``modulars``), in one pass when M is homogeneous and by per-row
+safeguarded Newton solves otherwise.  ``luxemburg_norm`` is its one-row
+call.  The dual (Orlicz) norm is the Amemiya infimum, in closed form for a
+homogeneous M and at the root of its optimality condition otherwise, and a
+randomized witness search provides certified lower bounds for it.  All
+integrals are midpoint-rule sums over the domain mask with compensated
+summation, one per function.
 """
 
 from __future__ import annotations
@@ -22,6 +28,30 @@ def _csum(arr):
     return math.fsum(arr.tolist())
 
 
+def modulars(rows, M, cell_volume, slope=False):
+    """rho_M of every row of a stack, from one evaluation of M on the stack.
+
+    ``rows`` is a 2-d array holding |u| on the masked cells, one function
+    per row.  Returns the list of each row's rho, one compensated sum per
+    row, +inf for a row where M overflows.  With ``slope=True`` returns the
+    pair (rhos, integrals of |u| p(|u|)), the latter +inf where they
+    overflow.  This is the one modular pass every gauge takes.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mv = M(rows)
+    rhos = _row_sums(mv, cell_volume)
+    if not slope:
+        return rhos
+    with np.errstate(over="ignore", invalid="ignore"):
+        xp = rows * M.density(rows)
+    return rhos, _row_sums(xp, cell_volume)
+
+
+def _row_sums(arr, cell_volume):
+    finite = np.isfinite(arr).all(axis=1)
+    return [_csum(row) * cell_volume if ok else math.inf for row, ok in zip(arr, finite)]
+
+
 def modular(u, M, slope=False):
     """rho_M(u) = integral of M(u(x)) over the masked cells.
 
@@ -30,16 +60,8 @@ def modular(u, M, slope=False):
     (rho, integral of |u| p(|u|)), the second +inf when it overflows; their
     ratio is the derivative of log rho(e^t u) in t.
     """
-    vals = np.abs(u.masked_values())
-    with np.errstate(over="ignore", invalid="ignore"):
-        mv = M(vals)
-    rho = _csum(mv) * u.domain.cell_volume if np.all(np.isfinite(mv)) else math.inf
-    if not slope:
-        return rho
-    with np.errstate(over="ignore", invalid="ignore"):
-        xp = vals * M.density(vals)
-    drho = _csum(xp) * u.domain.cell_volume if np.all(np.isfinite(xp)) else math.inf
-    return rho, drho
+    out = modulars(np.abs(u.masked_values())[None, :], M, u.domain.cell_volume, slope)
+    return (out[0][0], out[1][0]) if slope else out[0]
 
 
 def l1_norm(u):
@@ -52,18 +74,66 @@ def pairing(u, v):
     return _csum(prod) * u.domain.cell_volume
 
 
-def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
-    """Gauge norm inf{ lam > 0 : modular(u/lam) <= 1 }, by safeguarded Newton.
+def gauges(rows, M, domain, rtol=1e-12, max_iter=400):
+    """Gauge norms inf{ lam > 0 : rho(u/lam) <= 1 } of several functions at once.
+
+    ``rows`` holds |u| on the masked cells of ``domain``, one function per
+    row.  A zero row has gauge 0; a non-finite value raises BracketError.
+    Every pass evaluates M (and its density) once on the stack of the rows
+    still open, through ``modulars``, so a channel dictionary costs the
+    passes of its slowest row, not their sum.
+
+    When M is homogeneous of degree q, one pass gives every gauge in closed
+    form: ||u|| = sup * rho(u / sup)^(1/q).
+
+    Otherwise each row runs its own safeguarded Newton solve (``_newton``),
+    and a row's result does not depend on the other rows.
+    """
+    rows = np.asarray(rows, dtype=float)
+    sups = rows.max(axis=1)
+    out = [0.0] * len(rows)
+    live = []
+    for i, sup in enumerate(sups.tolist()):
+        if not math.isfinite(sup):
+            raise BracketError("no upper gauge bracket: function exceeds the trusted range")
+        if sup != 0.0:
+            live.append(i)
+    if not live:
+        return out
+    cell_volume = domain.cell_volume
+    if M.degree is not None:
+        rhos = modulars(rows[live] / sups[live, None], M, cell_volume)
+        for i, rho in zip(live, rhos):
+            out[i] = float(sups[i]) * rho ** (1.0 / M.degree)
+        return out
+    measure = domain.measure()
+    solvers = {i: _newton(float(sups[i]), M, measure, rtol, max_iter) for i in live}
+    ts = {i: next(solver) for i, solver in solvers.items()}
+    while ts:
+        open_rows = list(ts)
+        scales = np.array([math.exp(ts[i]) for i in open_rows])
+        rhos, drhos = modulars(rows[open_rows] * scales[:, None], M, cell_volume, slope=True)
+        for i, rho, drho in zip(open_rows, rhos, drhos):
+            try:
+                ts[i] = solvers[i].send((rho, drho))
+            except StopIteration as done:
+                out[i] = done.value
+                del ts[i]
+    return out
+
+
+def _newton(sup, M, measure, rtol, max_iter):
+    """One row's gauge solve: yields each t, receives (rho, drho) at e^t u.
 
     Solves log rho(e^t |u|) = 0 in t = -log(lam), whose slope is
-    int |u| p(|u|) / int M(|u|) at e^t u.  The start t0 = log(M^{-1}(1/mes)
-    / sup) has rho <= 1.  Every pass narrows a bracket [a, b] with
-    rho(e^a u) <= 1 < rho(e^b u); a Newton step that leaves it, or a pass
-    with a non-finite or zero sum, falls back to bisection (or to doubling
-    while one side is open).  Once a step is below rtol it is pushed rtol/4
-    past the root, so the next pass closes the bracket.  The result is
-    exp(-(a + b) / 2) with b - a <= rtol, tight enough that the gauge of a
-    power function coincides with the discrete p-norm to ~1e-12 relative.
+    int |u| p(|u|) / int M(|u|) at e^t u.  The start t0 = log(M^{-1}(1/mes) / sup) has rho <= 1.  Every pass
+    narrows a bracket [a, b] with rho(e^a u) <= 1 < rho(e^b u); a Newton
+    step that leaves it, or a pass with a non-finite or zero sum, falls back
+    to bisection (or to doubling while one side is open).  Once a step is
+    below rtol it is pushed rtol/4 past the root, so the next pass closes
+    the bracket.  Returns exp(-(a + b) / 2) with b - a <= rtol, tight enough
+    that the gauge of a power function coincides with the discrete p-norm
+    to ~1e-12 relative.
 
     When M's range ends in a jump to +inf (the conjugate of a bounded
     density), the gauge may sit at that jump, where e^t sup = M.domain_cap,
@@ -71,17 +141,12 @@ def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
     inside it) is tried before bisecting, and when rho <= 1 there the next
     pass goes rtol/4 past it, which closes the bracket.
     """
-    sup = u.sup_norm()
-    if sup == 0.0:
-        return 0.0
-    if not math.isfinite(sup):
-        raise BracketError("no upper gauge bracket: function exceeds the trusted range")
     # modular(e^t u) <= mes * M(e^t sup) <= 1 once e^t sup <= M^{-1}(1/mes)
-    t = math.log(M.inverse(1.0 / u.domain.measure()) / sup)
+    t = math.log(M.inverse(1.0 / measure) / sup)
     t_jump = math.log(M.domain_cap / sup) - 0.25 * rtol
     a, b = -math.inf, math.inf
     for _ in range(max_iter):
-        rho, drho = modular(u * math.exp(t), M, slope=True)
+        rho, drho = yield t
         if rho <= 1.0:
             a = t
         else:
@@ -113,37 +178,92 @@ def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
     return math.exp(-0.5 * (a + b))
 
 
-def orlicz_norm(u, M, rtol=1e-10, iters=90):
+def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
+    """Gauge norm inf{ lam > 0 : modular(u/lam) <= 1 }: the one-row ``gauges``.
+
+    One pass in closed form when M is homogeneous (``M.degree``), otherwise
+    a safeguarded Newton solve in t = -log(lam); see ``gauges``.
+    """
+    return gauges(np.abs(u.masked_values())[None, :], M, u.domain, rtol, max_iter)[0]
+
+
+def orlicz_norm(u, M, rtol=1e-12, max_iter=200):
     """Dual norm via the Amemiya form inf_{k>0} (1 + modular(k u)) / k.
 
-    The objective is unimodal in log k; a golden-section search locates the
-    infimum.  Satisfies luxemburg <= orlicz <= 2 luxemburg.
+    When M is homogeneous of degree p, rho(k u) = k^p rho(u) and the
+    infimum is p/(p-1) * sup * ((p-1) rho(u / sup))^(1/p) in closed form.
+
+    Otherwise the derivative of the objective in k is
+    (g(k) - 1) / k^2 with g(k) = int (k|u| p(k|u|) - M(k|u|)), the
+    ``drho - rho`` of one slope pass.  g is nondecreasing (it is the
+    complementary modular of p(k|u|)), so the infimum sits at the root of
+    g = 1, found by a safeguarded secant solve for log g in s = log k
+    (Krasnosel'skii & Rutickii, Sec. 10; Hudzik & Maligranda 2000).  The
+    norm is (1 + rho(k u)) / k at the root.  Two cases have no root:
+    - a density bounded by B whose g stays <= 1: the objective falls toward
+      its k -> oo limit B ||u||_1, which is returned;
+    - M jumps to +inf (the conjugate of a bounded density): the infimum may
+      sit at the jump, which is tried after an overflowing pass, as in the
+      gauge solve.
+    Satisfies luxemburg <= orlicz <= 2 luxemburg.
     """
-    lux = luxemburg_norm(u, M)
-    if lux == 0.0:
+    vals = np.abs(u.masked_values())
+    sup = float(np.max(vals))
+    if sup == 0.0:
         return 0.0
-
-    def objective(logk):
-        k = math.exp(logk)
-        return (1.0 + modular(u * k, M)) / k
-
-    a = math.log(1.0 / lux) - 5.0
-    b = math.log(1.0 / lux) + 5.0
-    x1 = b - (b - a) * 0.6180339887498949
-    x2 = a + (b - a) * 0.6180339887498949
-    f1, f2 = objective(x1), objective(x2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - (b - a) * 0.6180339887498949
-            f1 = objective(x1)
+    if not math.isfinite(sup):
+        raise BracketError("no Amemiya bracket: function exceeds the trusted range")
+    cell_volume = u.domain.cell_volume
+    q = M.degree
+    if q is not None:
+        rho = modulars((vals / sup)[None, :], M, cell_volume)[0]
+        return q / (q - 1.0) * sup * ((q - 1.0) * rho) ** (1.0 / q)
+    bound = M.density(M.domain_cap)
+    if math.isinf(M.inverse_density(2.0 * bound)):
+        support = float(np.count_nonzero(vals)) * cell_volume
+        if support * M.complementary()(bound) <= 1.0:
+            return bound * _csum(vals) * cell_volume
+    s = math.log(M.inverse(1.0 / u.domain.measure()) / sup)
+    s_jump = math.log(M.domain_cap / sup) - 0.25 * rtol
+    a, b = -math.inf, math.inf
+    value = math.inf
+    last = None  # (s, log g) of the previous finite pass
+    for _ in range(max_iter):
+        k = math.exp(s)
+        rhos, drhos = modulars((vals * k)[None, :], M, cell_volume, slope=True)
+        rho, drho = rhos[0], drhos[0]
+        g = drho - rho if drho < math.inf else math.inf
+        if g <= 1.0:
+            a, value = s, (1.0 + rho) / k
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + (b - a) * 0.6180339887498949
-            f2 = objective(x2)
-        if b - a < rtol:
-            break
-    return min(f1, f2)
+            b = s
+        if b - a <= rtol:
+            return value
+        step = None
+        if 0.0 < g < math.inf:
+            log_g = math.log(g)
+            slope = (log_g - last[1]) / (s - last[0]) if last is not None else 0.0
+            if not slope > 0.0 and 0.0 < rho < math.inf:
+                # d log g / ds is d log rho / ds for a power function
+                slope = drho / rho
+            if slope > 0.0:
+                step = -log_g / slope
+                if abs(step) < 0.5 * rtol:
+                    step += 0.25 * rtol if g <= 1.0 else -0.25 * rtol
+            last = (s, log_g)
+        if a == s_jump:
+            s = a + 0.5 * rtol
+        elif step is not None and a <= s + step <= b:
+            s += step
+        elif g == math.inf and a < s_jump < b:
+            s = s_jump
+        elif math.isinf(a):
+            s = b - math.log(2.0)
+        elif math.isinf(b):
+            s = a + math.log(2.0)
+        else:
+            s = 0.5 * (a + b)
+    raise BracketError("Amemiya root not bracketed within max_iter passes")
 
 
 def characteristic_norm_value(M, measure):
@@ -189,9 +309,10 @@ def dual_norm_lower_bound(u, M, trials=16, seed=0):
             shp[axis] = dom.N
             spec = spec * (np.abs(k.reshape(shp)) <= cut)
         candidates.append(GridFunction(dom, np.fft.ifftn(spec).real))
+    candidates = candidates[:max(trials, 3)]
+    norms = gauges([np.abs(v.masked_values()) for v in candidates], N, dom)
     best = 0.0
-    for v in candidates[:max(trials, 3)]:
-        s = luxemburg_norm(v, N)
+    for v, s in zip(candidates, norms):
         if s == 0.0:
             continue
         val = abs(pairing(u, v * (1.0 / s)))
@@ -200,14 +321,17 @@ def dual_norm_lower_bound(u, M, trials=16, seed=0):
 
 
 def shift_modulus(f, M, deltas):
-    """Table of (|delta|, ||T_delta f - f||_M) rows for the given shifts."""
-    rows = []
+    """Table of (|delta|, ||T_delta f - f||_M) rows for the given shifts.
+
+    The gauges of all differences are taken together.
+    """
+    magnitudes, diffs = [], []
     for delta in deltas:
         if not isinstance(delta, ShiftVector):
             delta = ShiftVector(tuple(np.atleast_1d(np.asarray(delta, dtype=float))))
-        diff = shift(f, delta) - f
-        rows.append((delta.magnitude(), luxemburg_norm(diff, M)))
-    return rows
+        magnitudes.append(delta.magnitude())
+        diffs.append(np.abs((shift(f, delta) - f).masked_values()))
+    return list(zip(magnitudes, gauges(diffs, M, f.domain))) if diffs else []
 
 
 def mollify(f, eps):
@@ -254,13 +378,11 @@ def inequality_suite(f, g, M, minkowski_terms=6, seed=0):
 
     conv = convolve(f, g)
     sup_conv = float(np.max(np.abs(conv.values)))
-    lux_f = luxemburg_norm(f, M)
-    lux_g = luxemburg_norm(g, M)
+    lux_f, lux_g, lux_conv = gauges([np.abs(v.masked_values()) for v in (f, g, conv)], M, dom)
     orl_f = orlicz_norm(f, M)
     lux_g_N = luxemburg_norm(g, N)
     l1_f = l1_norm(f)
     l1_g = l1_norm(g)
-    lux_conv = luxemburg_norm(conv, M)
 
     rep.add("holder_sup_bound", sup_conv, orl_f * lux_g_N)
     rep.add("convolution_l1_bound", lux_conv, lux_f * l1_g)

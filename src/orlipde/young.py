@@ -30,11 +30,14 @@ class YoungFunction:
     derivative p with M(u) = int_0^|u| p(t) dt.  ``inverse_density`` is its
     right-continuous inverse q(s) = sup{ t : p(t) <= s }, which is the
     density of the complementary function.  ``domain_cap`` is the largest
-    |u| at which evaluation is numerically trusted.
+    |u| at which evaluation is numerically trusted.  ``degree`` is the
+    homogeneity degree q with M(lam u) = lam^q M(u) for every lam > 0 (p for
+    ``power(p)``, p/(p-1) for its conjugate) and None for every other
+    family; gauge and Amemiya norms take a closed form when it is set.
     """
 
     def __init__(self, kind, evaluate, density, inverse_density, domain_cap,
-                 params=None, name=None):
+                 params=None, name=None, degree=None):
         self.kind = kind
         self._evaluate = evaluate
         self._density = density
@@ -42,6 +45,7 @@ class YoungFunction:
         self.domain_cap = float(domain_cap)
         self.params = dict(params or {})
         self.name = name or kind
+        self.degree = degree
         self._conjugate = None
         self._inverse_memo = {}
 
@@ -146,6 +150,7 @@ def power(p, coeff=1.0):
         domain_cap=cap,
         params={"p": p, "coeff": coeff},
         name=f"power(p={p:g}" + (f",c={coeff:g})" if coeff != 1.0 else ")"),
+        degree=p,
     )
 
 
@@ -280,7 +285,9 @@ def complementary(M):
     N(v) = |v| q(|v|) - M(q(|v|)) (clamped at 0 against round-off).  N has
     density q and inverse density p, so conjugating twice evaluates M again.
     N is +inf where q is, i.e. beyond the bound of a bounded density.  The
-    trusted range of N ends at p(M.domain_cap), where N is finite.
+    trusted range of N ends at p(M.domain_cap), where N is finite.  The
+    conjugate of a function homogeneous of degree p is homogeneous of degree
+    p/(p-1).
     """
 
     def evaluate(v):
@@ -296,6 +303,7 @@ def complementary(M):
         domain_cap=M.density(M.domain_cap),
         params={"conjugate_of": M.name},
         name=f"conjugate[{M.name}]",
+        degree=None if M.degree is None else M.degree / (M.degree - 1.0),
     )
 
 

@@ -102,6 +102,54 @@ class TestExitCodes:
         assert err == [f"config error: {where}"], err
 
 
+    @pytest.mark.parametrize("spec, fault", [
+        ("table:nope.csv", "nope.csv not found"),
+        ("table:{empty}", "expected two columns"),
+        ("table:{bad}", "could not convert string"),
+        ("table:{rising}", "density must vanish at t = 0"),
+        ("power:p=0.5", "power family requires p > 1"),
+        ("power-log:p=1", "power-log family requires p > 1"),
+    ], ids=["missing", "empty", "value", "invalid", "power", "power_log"])
+    def test_bad_young_spec_exits_2(self, tmp_path, capsys, spec, fault):
+        files = {"empty": "", "bad": "0,0\n1,abc\n", "rising": "0,1\n1,2\n"}
+        for name, text in files.items():
+            (tmp_path / f"{name}.csv").write_text(text)
+        spec = spec.format(**{name: tmp_path / f"{name}.csv" for name in files})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run(tmp_path, "young", f"young = {spec}\n", capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith(f"config error: young function spec {spec!r}"), err
+        assert fault in err[0], err
+        assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("text, fault", [
+        ("n = 1\ngrid.N = 2\nf = expr:x1\n", "config error: grid: need at least 4 points per axis"),
+        ("n = 1\nf = file:{grid}\n", "holds 0 values, expected 64"),
+    ], ids=["coarse", "header_only"])
+    def test_grid_fault_exits_2_without_warning(self, tmp_path, capsys, text, fault):
+        grid = tmp_path / "f.grid"
+        grid.write_text("1,64,2.0\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run(tmp_path, "norms", text.format(grid=grid), capsys)
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("config error:") and fault in err[0], err
+        assert not caught, [str(w.message) for w in caught]
+
+
+class TestOrliczSolve:
+    def test_converges_outside_lebesgue(self, tmp_path, capsys):
+        # the shipped solve under power-log:p=3, an N-function of no power type
+        code = cli.run_config("solve", CONFIGS / "orlicz_laplace.cfg", tmp_path)
+        assert code == 0, capsys.readouterr().err
+        (summary,) = tmp_path.glob("*/summary.csv")
+        rows = dict(line.split(",") for line in summary.read_text().splitlines()[1:])
+        tol = 1e-6
+        assert rows["converged"] == "true"
+        assert float(rows["certificate"]) <= 2 * tol
+
+
 class TestReruns:
     def test_byte_stable_and_jobs_match_serial(self, tmp_path):
         configs = [str(CONFIGS / "exp_young.cfg"), str(CONFIGS / "power2_young.cfg")]

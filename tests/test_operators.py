@@ -131,6 +131,26 @@ class TestEllipticity:
         assert r1.sign_flipped == r2.sign_flipped
         assert r1.ratio == pytest.approx(r2.ratio, rel=1e-12)
 
+    def test_matches_characteristic_form_per_direction(self):
+        # one coefficient evaluation per point gives the per-direction
+        # report bit for bit
+        from orlipde.operators import unit_directions
+
+        variable = EllipticOperator(2, 4, {
+            (4, 0): lambda x, y: 1 + 0.1 * x, (0, 4): lambda x, y: 1 + 0.1 * x,
+            (2, 2): lambda x, y: 2 + 0.2 * x + 0.3 * y, (3, 1): 0.1, (0, 0): 0.5})
+        points = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3))
+        for L in (variable, bilaplacian(3), laplacian(2, sign=+1.0)):
+            x = points[:, :L.n]
+            for dirs in (unit_directions(L.n, max(64, 2 * L.n)), 3.0 * unit_directions(L.n, 17)):
+                ref = np.array([(-1.0) ** L.half_order * characteristic_form(L, xi, eta)
+                                for xi in x for eta in dirs])
+                rep = ellipticity_check(L, x, dirs)
+                assert rep.sign_flipped == bool(np.all(ref < 0))
+                assert (rep.ratio, rep.min_abs, rep.max_abs) == (
+                    float(np.abs(ref).min() / np.abs(ref).max()),
+                    float(np.abs(ref).min()), float(np.abs(ref).max()))
+
 
 class TestFreeze:
     def test_variable_coefficient_at_origin(self):

@@ -12,6 +12,7 @@ from orlipde import (
     characteristic_norm_value,
     complementary,
     convolve,
+    diff,
     dual_norm_lower_bound,
     exp_young,
     from_density,
@@ -20,11 +21,13 @@ from orlipde import (
     luxemburg_norm,
     modular,
     mollify,
+    multi_indices,
     orlicz_norm,
     power,
     power_log,
     shift,
     shift_modulus,
+    sobolev_norm,
 )
 
 
@@ -47,18 +50,41 @@ def bisection_gauge(u, M, rtol=1e-15):
     return math.sqrt(lo * hi)
 
 
+def amemiya_oracle(u, M):
+    """Independent oracle: zoomed log-grid minimum of (1 + modular(k u)) / k.
+
+    The objective is unimodal in log k, so the true minimum lies within one
+    grid step of the best node; each level zooms to two steps around it.
+    """
+    def objective(s):
+        k = math.exp(s)
+        return (1.0 + modular(u * k, M)) / k
+
+    center, half = -math.log(luxemburg_norm(u, M)), 40.0
+    while half > 1e-12:
+        grid = center + np.linspace(-half, half, 41)
+        values = [objective(s) for s in grid]
+        center = grid[int(np.argmin(values))]
+        half /= 10.0
+    return min(values)
+
+
 @pytest.fixture
 def passes(monkeypatch):
-    """Modular values of every pass, recorded by a wrapper around space.modular."""
+    """Each row's modular in every pass, recorded by a wrapper around space.modulars.
+
+    Every gauge pass is one ``modulars`` call on the stack of its open rows,
+    so a one-row gauge records one value per pass.
+    """
     seen = []
-    real = space.modular
+    real = space.modulars
 
     def recording(*args, **kwargs):
         out = real(*args, **kwargs)
-        seen.append(out[0] if isinstance(out, tuple) else out)
+        seen.extend(out[0] if isinstance(out, tuple) else out)
         return out
 
-    monkeypatch.setattr(space, "modular", recording)
+    monkeypatch.setattr(space, "modulars", recording)
     return seen
 
 
@@ -172,6 +198,37 @@ class TestGaugeSolver:
                 luxemburg_norm(u, M)
                 assert len(passes) <= most, (M, len(passes))
 
+    def test_one_pass_power_gauges(self, line64, square32, passes):
+        # a homogeneous M gives each gauge in closed form from one pass
+        for M in (power(1.5), power(2), power(3)):
+            for M in (M, M.complementary()):
+                for u in self.fields(line64, square32):
+                    ref = bisection_gauge(u, M)
+                    passes.clear()
+                    assert abs(luxemburg_norm(u, M) - ref) <= 1e-11 * ref, (M, u)
+                    assert len(passes) == 1
+
+    def test_batched_rows_one_pass_each(self, square32, passes):
+        # every row of a power gauge records exactly one pass; zero rows none
+        rng = np.random.default_rng(9)
+        rows = np.abs(rng.standard_normal((5, 1024))) * np.array([[1.0], [0.0], [3.0], [1e-3], [40.0]])
+        for M in (power(2), power(3).complementary()):
+            passes.clear()
+            got = space.gauges(rows, M, square32)
+            assert len(passes) == 4
+            assert got[1] == 0.0
+            for row, g in zip(rows, got):
+                assert g == luxemburg_norm(GridFunction(square32, row.reshape(32, 32)), M)
+
+    def test_batched_rows_match_one_row_calls(self, square32, bump):
+        # a dictionary's gauges, taken together, are each row's alone, bit for bit
+        u = bump(square32, 0.4)
+        channels = {p: diff(u, p) for p in multi_indices(2, 2)}
+        channels[(0, 0)] = channels[(0, 0)] * 40.0
+        for M in (power_log(3), exp_young(), from_density(*self.KINKED)):
+            alone = sum(0.7 ** sum(p) * luxemburg_norm(ch, M) for p, ch in channels.items())
+            assert sobolev_norm(channels, M, d_omega=0.7) == alone, M
+
     def test_non_finite_field_raises(self, line64):
         for bad in (math.nan, math.inf):
             vals = np.ones(64)
@@ -201,6 +258,19 @@ class TestOrlicz:
 
     def test_zero(self, line64):
         assert orlicz_norm(GridFunction.zeros(line64), power(2)) == 0.0
+
+    def test_agrees_with_grid_oracle(self, line64, square32):
+        # closed form (power), root of the optimality condition (power-log,
+        # exp, kinked table), the k -> oo limit of a bounded density (the
+        # table on a support of measure < 1) and the jump of its conjugate
+        table = from_density(*TestGaugeSolver.KINKED)
+        for M in (power(1.5), power(3), power_log(3), exp_young(), table, table.complementary()):
+            for u in TestGaugeSolver().fields(line64, square32):
+                ref = amemiya_oracle(u, M)
+                got = orlicz_norm(u, M)
+                assert abs(got - ref) <= 1e-9 * ref, (M, u, got, ref)
+                lux = luxemburg_norm(u, M)
+                assert lux <= got * (1 + 1e-9) and got <= 2 * lux * (1 + 1e-9), (M, u)
 
 
 class TestDualLowerBound:

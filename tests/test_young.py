@@ -145,6 +145,17 @@ class TestComplementary:
         N = M.complementary()
         assert u * v <= M(u) + N(v) + 1e-9
 
+    def test_degree(self):
+        # a power is homogeneous, and so is its conjugate, of the dual degree
+        for p in (1.5, 2.0, 3.0):
+            assert power(p).degree == p
+            assert power(p, coeff=0.5).complementary().degree == p / (p - 1.0)
+        assert complementary(complementary(power(3))).degree == pytest.approx(3.0, rel=1e-15)
+        t = np.linspace(0.0, 2.0, 21)
+        for M in (power_log(3), exp_young(), from_density(t, t**2)):
+            assert M.degree is None
+            assert M.complementary().degree is None
+
     def test_power_family_oracle(self):
         for p in (1.5, 2.0, 3.0, 4.0):
             q = p / (p - 1.0)
