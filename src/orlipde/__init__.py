@@ -52,6 +52,7 @@ from .operators import (
     characteristic_form,
     coefficient_continuity_check,
     diff,
+    difference_channels,
     ellipticity_check,
     freeze_leading,
     laplacian,

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .config import build_field, build_kernel, build_operator, build_young, load_config
-from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError
+from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError, RangeError
 from .grid import GridDomain, ShiftVector, write_grid_function
 from .parametrix import ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
@@ -81,37 +81,40 @@ def _sha256(path):
 
 
 def _cmd_young(cfg, out):
-    M = build_young(cfg.get("young"))
+    """Every table is computed before the first is written, so a failure writes none."""
+    spec = cfg.get("young")
+    M = build_young(spec)
     vs = np.logspace(-2, 2, 81)
     N = M.complementary()
-    _write_csv(out / "complementary.csv", ["v", "conjugate"], [(v, N(v)) for v in vs])
+    tables = {"complementary.csv": (["v", "conjugate"], [(v, N(v)) for v in vs])}
+    boyd_header = ["alpha", "beta", "fit_residual", "note"]
     try:
         bi = boyd_indices(M)
-        _write_csv(
-            out / "boyd.csv",
-            ["alpha", "beta", "fit_residual", "note"],
-            [(bi.alpha, bi.beta, bi.fit_residual, "ok")],
-        )
-        _write_csv(out / "boyd_trace.csv", ["t", "h_hat"], [tuple(r) for r in bi.h_samples])
+        tables["boyd.csv"] = (boyd_header, [(bi.alpha, bi.beta, bi.fit_residual, "ok")])
+        tables["boyd_trace.csv"] = (["t", "h_hat"], [tuple(r) for r in bi.h_samples])
     except OrlipdeError as exc:
-        _write_csv(
-            out / "boyd.csv",
-            ["alpha", "beta", "fit_residual", "note"],
-            [(float("nan"), float("nan"), float("nan"), type(exc).__name__)],
-        )
+        nan = float("nan")
+        tables["boyd.csv"] = (boyd_header, [(nan, nan, nan, type(exc).__name__)])
+    u0 = 1.0
     u_max = min(1e6, M.domain_cap / 2.0000001)
-    rep = check_delta2(M, u0=1.0, u_max=u_max)
+    if not u0 < u_max:
+        raise RangeError(
+            f"young function spec {spec!r}: trusted range ends at {M.domain_cap:g}, "
+            f"too short for the Delta2 test from u0 = {u0:g}"
+        )
+    rep = check_delta2(M, u0=u0, u_max=u_max)
     verdict = "pass" if rep.satisfied else "fail"
-    _write_csv(
-        out / "delta2.csv",
+    tables["delta2.csv"] = (
         ["verdict", "k_hat", "u0", "u_max"],
         [(verdict, rep.k_hat, rep.u0_used, u_max)],
     )
-    _write_csv(
-        out / "delta2_trace.csv",
+    trace = rep.worst_ratio_trace
+    tables["delta2_trace.csv"] = (
         ["u", "ratio"],
-        [tuple(r) for r in rep.worst_ratio_trace[:: max(1, len(rep.worst_ratio_trace) // 40)]],
+        [tuple(r) for r in trace[:: max(1, len(trace) // 40)]],
     )
+    for name, (header, rows) in tables.items():
+        _write_csv(out / name, header, rows)
 
 
 def _grid_data(cfg):
@@ -168,14 +171,22 @@ def _cmd_norms(cfg, out):
 def _cmd_solve(cfg, out, contraction_only=False):
     M = build_young(cfg.get("young"))
     L = build_operator(cfg)
+    N, need = cfg.get_int("grid.N"), max(4, 4 * L.m)
+    if not contraction_only and N < need:
+        raise ConfigError(
+            f"grid: solve needs grid.N >= {need} for the order-{L.m} difference stencils, got {N}"
+        )
     seed = cfg.get_int("seed")
     n = cfg.get_int("n")
     x0 = cfg.get_floats("x0") or [0.0] * n
     radii = cfg.get_floats("radii")
     probes = cfg.get_int("probes")
-    # one kernel for the frozen operator at x0 serves every radius and the solve
-    J = build_kernel(cfg.get("kernel"), frozen_operator(L, x0))
-    prof = contraction_profile(L, x0, radii=radii, probes=probes, seed=seed, N=32, M=M, J=J)
+    # one kernel for the frozen operator at x0, and one sign normalization
+    # (one ellipticity check), serve every radius and the solve
+    L0, normalized = frozen_operator(L, x0)
+    J = build_kernel(cfg.get("kernel"), L0)
+    ladder = dict(probes=probes, seed=seed, N=32, M=M, J=J, normalized=normalized)
+    prof = contraction_profile(L, x0, radii=radii, **ladder)
     _write_csv(
         out / "sigma_profile.csv",
         ["r", "sigma_hat"],
@@ -185,11 +196,10 @@ def _cmd_solve(cfg, out, contraction_only=False):
         return 0
     r = cfg.get_float("r")
     tol = cfg.get_float("tol")
-    P = ParametrixOperator(L, x0, r, N=cfg.get_int("grid.N"), M=M, J=J)
+    P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
     f, reference = build_field(cfg.get("f"), P.domain, operator=L)
     # sigma_hat at r: the ladder's entry, or a ladder of r alone with the same seed
-    at_r = prof if r in radii else contraction_profile(
-        L, x0, radii=[r], probes=probes, seed=seed, N=32, M=M, J=J)
+    at_r = prof if r in radii else contraction_profile(L, x0, radii=[r], **ladder)
     sigma_r = at_r.sigma_hat[at_r.radii.index(r)]
     if sigma_r >= 1.0:
         print(f"warning: contraction estimate {sigma_r:.3g} >= 1 at r={r:g}", file=sys.stderr)

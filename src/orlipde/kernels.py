@@ -9,9 +9,15 @@ kernels are sampled on the offset lattice; the singular cell is either
 replaced by its inscribed-ball average (weakly singular regime) or excluded
 symmetrically (principal value), with the local multiple of the identity
 calibrated against the exact inversion identity of the generating operator.
-A kernel keeps only the half spectra of its sampled arrays, so
-``potential_channels`` evaluates every derivative channel of a density from
-one forward transform of that density.
+
+Since q(t y) = t^2 q(y) and 2a = m - n, the lattice of spacing t is the unit
+lattice scaled: d^p J(t y) = t^(m-n-|p|) (d^p J(y) + 2 log t V_p(y)), where
+V_p = c d^p(q^a) is the coefficient of log q (zero on the power branch).  So
+a kernel samples each channel, and calibrates its local constants, once per
+lattice size N on the unit lattice, and every grid of that size (a whole
+radius ladder) takes its spectra by that scaling.  ``potential_channels``
+evaluates every derivative channel of a density from one forward transform
+of that density and one batched inverse transform.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, CapabilityError, InvalidKernelError, RangeError
-from .grid import GridFunction, half_spectrum, kernel_convolve_direct, spectral_convolve
+from .grid import GridDomain, GridFunction, half_spectrum, kernel_convolve_direct
 from .operators import MultiIndex, diff, multi_indices
 from .space import shift_modulus
 
@@ -109,10 +115,13 @@ class FundamentalSolution:
     is carried as a term table {k: P_{p,k}} of polynomials {exponent tuple:
     coefficient}, derived once from the cached table of p - e_last (e_last
     the last axis with a nonzero entry) by d_i[g^(k) P] = g^(k+1) 2(Ax)_i P +
-    g^(k) d_i P.  One instance serves every grid: it caches the half spectrum
-    of each sampled kernel array per (p, mode, N, d) and the calibrated local
-    constants per (N, d), so one frozen operator shares one kernel across all
-    radii and iterates.
+    g^(k) d_i P.  One instance serves every grid.  It samples each (p, mode)
+    once per N on the unit lattice (h = 1), keeping the half spectra of d^p J
+    and of its log-q coefficient, and calibrates the local constants once per
+    (N, mask) there; ``kernel_spectrum`` scales them to the grid spacing.
+    The stacked spectra of a channel dictionary are cached per (orders, N,
+    d), so one frozen operator shares one kernel across all radii and
+    iterates.
     """
 
     def __init__(self, operator, A, c, name):
@@ -126,6 +135,8 @@ class FundamentalSolution:
         self.name = name
         self._tables = {MultiIndex((0,) * self.n): {0: {(0,) * self.n: 1.0}}}
         self._spectra = {}
+        self._stacks = {}
+        self._cell_means = {}
         self._local_cache = {}
 
     def _table(self, p):
@@ -155,6 +166,23 @@ class FundamentalSolution:
         beta_(k+1) = (a-k) beta_k + alpha_k.  Every factor is a product of q^a,
         1/q, log q and powers of the coordinates, each computed once per call.
         """
+        return self._series(p, coords, log_coefficient=False)
+
+    def _carries_log(self, p):
+        """Whether d^p J has a log q part: b = 1 and some term with alpha_k != 0.
+
+        That part, c d^p(q^a), vanishes on the power branch and for |p| > 2a.
+        """
+        return bool(self.b) and any(
+            math.prod(self.a - j for j in range(k)) for k in self._table(MultiIndex(p))
+        )
+
+    def _series(self, p, coords, log_coefficient):
+        """d^p J at the coords, or with ``log_coefficient`` its log-q coefficient.
+
+        The log-q coefficient c d^p(q^a) is the same term table with alpha_k
+        as the radial factor.
+        """
         table = self._table(MultiIndex(p))
         xs = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
         degrees = [max(e[i] for P in table.values() for e in P) for i in range(self.n)]
@@ -163,7 +191,7 @@ class FundamentalSolution:
         A, axes = self.A, range(self.n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = sum(A[i, j] * xs[i] * xs[j] for i in axes for j in axes if A[i, j])
-            log_q = np.log(q) if self.b else None
+            log_q = np.log(q) if self.b and not log_coefficient else None
             inv_q = 1.0 / q
             q_pow = self._q_pow(q)
             alpha, beta = (1.0, 0.0) if self.b else (0.0, 1.0)
@@ -171,12 +199,15 @@ class FundamentalSolution:
                 if k:
                     alpha, beta = (self.a - k + 1) * alpha, (self.a - k + 1) * beta + alpha
                     q_pow = q_pow * inv_q
-                if k in table:
+                if k in table and (alpha or not log_coefficient):
                     poly = sum(
                         math.prod((powers[i][d] for i, d in enumerate(e) if d), start=v)
                         for e, v in table[k].items()
                     )
-                    radial = self.c * beta + (self.c * alpha * log_q if alpha else 0.0)
+                    if log_coefficient:
+                        radial = self.c * alpha
+                    else:
+                        radial = self.c * beta + (self.c * alpha * log_q if alpha else 0.0)
                     out += q_pow * radial * poly
         return float(out) if out.shape == () else out
 
@@ -191,36 +222,44 @@ class FundamentalSolution:
             best = max(best, float(np.max(sup * radii ** (self.n + p.order - self.m))))
         return best
 
-    def cell_average(self, p, h):
-        """Mean of d^p J over the ball inscribed in the singular cell.
+    def cell_average(self, p, h, log_coefficient=False):
+        """Mean of d^p J, or of its log-q coefficient, over the singular cell's inscribed ball.
 
         Radial Gauss-Legendre times a sphere rule, every node in one
         evaluation; valid in the weakly singular regime |p| < m.  Normalized
         by the cell volume so it can replace the kernel value at the zero
-        offset.
+        offset.  Memoized: the unit lattices of every N share one value.
         """
+        key = (MultiIndex(p), h, log_coefficient)
+        if key not in self._cell_means:
+            self._cell_means[key] = self._cell_average(p, h, log_coefficient)
+        return self._cell_means[key]
+
+    def _cell_average(self, p, h, log_coefficient):
         rho = h / 2.0
         nodes, w_r = _gauss_legendre(48)
         s = 0.5 * rho * (nodes + 1.0)
         w_s = 0.5 * rho * w_r
         pts, w_th = sphere_points(self.n)
-        vals = self.derivative(p, *[np.multiply.outer(s, pts[:, a]) for a in range(self.n)])
+        coords = [np.multiply.outer(s, pts[:, a]) for a in range(self.n)]
+        vals = self._series(p, coords, log_coefficient)
         total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals @ w_th))
         return total / h**self.n
 
-    def kernel_array(self, domain, p, mode):
+    def kernel_array(self, domain, p, mode, log_coefficient=False):
         """Offset-lattice samples of d^p J with the singular cell handled.
 
         mode "weak" replaces the zero-offset entry by the inscribed-ball
-        average (|p| < m); mode "pv" zeroes it (symmetric exclusion).
+        average (|p| < m); mode "pv" zeroes it (symmetric exclusion).  With
+        ``log_coefficient`` the samples are those of the log-q coefficient.
         Sampled afresh on every call; ``kernel_spectrum`` holds the cache.
         """
         p = MultiIndex(p)
         offs = domain.offset_lattice()
-        vals = self.derivative(p, *offs)
+        vals = self._series(p, offs, log_coefficient)
         origin = (0,) * domain.n
         if mode == "weak":
-            vals[origin] = self.cell_average(p, domain.h)
+            vals[origin] = self.cell_average(p, domain.h, log_coefficient)
         elif mode == "pv":
             vals[origin] = 0.0
         else:
@@ -229,18 +268,58 @@ class FundamentalSolution:
             raise CapabilityError("kernel samples are not finite off the origin")
         return vals
 
+    def _unit_domain(self, N, mask=None):
+        """The N^n lattice of spacing 1 centred at 0."""
+        return GridDomain(self.n, N, float(N), mask=mask)
+
     def kernel_spectrum(self, domain, p, mode):
-        """Half spectrum of ``kernel_array(domain, p, mode)``, cached per (p, mode, N, d)."""
-        key = (MultiIndex(p), mode, domain.N, round(domain.d, 12))
+        """Half spectrum of ``kernel_array(domain, p, mode)``, scaled from the unit lattice.
+
+        t^(m-n-|p|) (U + 2 log t V) with t = domain.h, where U and V are the
+        half spectra of d^p J and of its log-q coefficient on the unit
+        lattice, sampled once per (p, mode, N).
+        """
+        p = MultiIndex(p)
+        key = (p, mode, domain.N)
         if key not in self._spectra:
-            self._spectra[key] = half_spectrum(self.kernel_array(domain, p, mode))
-        return self._spectra[key]
+            unit = self._unit_domain(domain.N)
+            U = half_spectrum(self.kernel_array(unit, p, mode))
+            V = None
+            if self._carries_log(p):
+                V = half_spectrum(self.kernel_array(unit, p, mode, log_coefficient=True))
+            self._spectra[key] = U, V
+        U, V = self._spectra[key]
+        t = domain.h
+        scale = t ** (self.m - self.n - p.order)
+        return scale * U if V is None else scale * (U + 2.0 * math.log(t) * V)
+
+    def channel_spectra(self, domain, orders):
+        """Stacked ``kernel_spectrum`` of the channels in orders, cached per (orders, N, d).
+
+        Order-m channels take the principal-value kernel, lower ones the
+        weakly singular kernel.
+        """
+        key = (tuple(orders), domain.N, round(domain.d, 12))
+        if key not in self._stacks:
+            stack = np.stack([
+                self.kernel_spectrum(domain, p, "pv" if p.order == self.m else "weak")
+                for p in orders
+            ])
+            stack.flags.writeable = False
+            self._stacks[key] = stack
+        return self._stacks[key]
 
     def local_constants(self, domain):
-        """Calibrated identity coefficients for the order-m derivative kernels."""
-        key = (domain.N, round(domain.d, 12))
+        """Calibrated identity coefficients for the order-m derivative kernels.
+
+        The principal-value operators are scale invariant, so the constants
+        depend on the grid only through N and the mask: they are calibrated
+        once per (N, mask) on the unit lattice centred at 0 under that mask.
+        """
+        key = (domain.N, domain.mask.tobytes())
         if key not in self._local_cache:
-            self._local_cache[key] = _calibrate_local_constants(self, domain)
+            unit = self._unit_domain(domain.N, domain.mask)
+            self._local_cache[key] = _calibrate_local_constants(self, unit)
         return self._local_cache[key]
 
     def __repr__(self):
@@ -316,36 +395,55 @@ def fundamental_solution(L0):
 # -- potentials ---------------------------------------------------------------
 
 
-def potential_channels(J, sigma, orders):
-    """Derivative channels d^p of the potential of sigma, keyed by p.
+# most grid nodes per batched inverse transform: batching saves the per-call
+# overhead of small grids (15 channels at N = 32 in 2-d run 2.8x faster as
+# one batch than one by one), while one large batch loses cache locality
+# (35 channels at N = 32 in 3-d run 1.5x slower as one batch)
+_BATCH_NODES = 2**16
 
-    sigma is restricted to its domain mask and transformed once; each
-    channel then costs one inverse transform against the cached kernel
-    spectrum.  Channels with |p| < m use the weakly singular kernel, whose
-    singular cell holds the inscribed-ball average.  Order-m channels are
-    the principal value plus the local multiple of the restricted density,
-    with the constants calibrated against the inversion identity of the
-    generating operator.  Linear in sigma.
+
+def _convolve_channels(J, psi_hat, domain, orders):
+    """Convolutions of the stacked kernels of orders with one half spectrum.
+
+    Batched inverse transforms of up to ``_BATCH_NODES`` nodes each (one
+    for a whole 2-d dictionary up to N = 64); each row equals
+    ``spectral_convolve`` of its kernel spectrum alone, bit for bit.
     """
-    dom = sigma.domain
-    psi = sigma.restricted()
-    psi_hat = half_spectrum(psi.values)
-    out = {}
-    for p in orders:
-        p = MultiIndex(p)
-        if p.order > J.m:
-            raise ValueError(f"channel {p} exceeds the kernel order {J.m}")
-        singular = p.order == J.m
-        ker_hat = J.kernel_spectrum(dom, p, "pv" if singular else "weak")
-        ch = spectral_convolve(ker_hat, psi_hat, dom)
-        if singular:
-            ch = ch + psi * J.local_constants(dom).constants[p]
-        out[p] = ch
+    stack = J.channel_spectra(domain, orders)
+    step = max(1, _BATCH_NODES // domain.N**domain.n)
+    axes = tuple(range(1, domain.n + 1))
+    out = []
+    for i in range(0, len(stack), step):
+        vals = np.fft.irfftn(stack[i : i + step] * psi_hat, s=domain.shape, axes=axes)
+        out.extend(GridFunction(domain, v * domain.cell_volume) for v in vals)
     return out
 
 
-def _pv_convolve(J, psi_hat, domain, p):
-    return spectral_convolve(J.kernel_spectrum(domain, p, "pv"), psi_hat, domain)
+def potential_channels(J, sigma, orders):
+    """Derivative channels d^p of the potential of sigma, keyed by p.
+
+    sigma is restricted to its domain mask and transformed once; all
+    channels then come from one batched inverse transform against the
+    stacked kernel spectra, cached on J per (orders, N, d).  Channels with
+    |p| < m use the weakly singular kernel, whose singular cell holds the
+    inscribed-ball average.  Order-m channels are the principal value plus
+    the local multiple of the restricted density, with the constants
+    calibrated against the inversion identity of the generating operator.
+    Linear in sigma.
+    """
+    orders = tuple(MultiIndex(p) for p in orders)
+    for p in orders:
+        if p.order > J.m:
+            raise ValueError(f"channel {p} exceeds the kernel order {J.m}")
+    dom = sigma.domain
+    psi = sigma.restricted()
+    channels = _convolve_channels(J, half_spectrum(psi.values), dom, orders)
+    out = {}
+    for p, ch in zip(orders, channels):
+        if p.order == J.m:
+            ch = ch + psi * J.local_constants(dom).constants[p]
+        out[p] = ch
+    return out
 
 
 @dataclass
@@ -396,8 +494,8 @@ def _calibrate_local_constants(J, domain, threshold=0.05):
     pv = []
     lower = []
     for psi in fit_probes:
-        psi_hat = half_spectrum(psi.values)
-        pv.append({p: _pv_convolve(J, psi_hat, domain, p) for p in orders})
+        pv_psi = _convolve_channels(J, half_spectrum(psi.values), domain, orders)
+        pv.append(dict(zip(orders, pv_psi)))
         lower.append(potential_channels(J, psi, lowers))
     raw = {}
     for p in orders:
@@ -427,10 +525,11 @@ def _calibrate_local_constants(J, domain, threshold=0.05):
     gamma = num / den
     constants = {p: gamma * raw[p] for p in raw}
     # held-out residual of the inversion identity
-    holdout_hat = half_spectrum(holdout.values)
+    pv_holdout = _convolve_channels(J, half_spectrum(holdout.values), domain, orders)
+    pv_holdout = dict(zip(orders, pv_holdout))
     pv_total = np.zeros(domain.shape)
     for p in a0:
-        pv_total += a0[p] * _pv_convolve(J, holdout_hat, domain, p).values
+        pv_total += a0[p] * pv_holdout[p].values
     local = sum(a0[p] * constants[p] for p in a0)
     recon = pv_total + local * holdout.values
     residual = float(

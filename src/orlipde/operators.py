@@ -1,9 +1,11 @@
 """Elliptic operators of even order on the periodic grid.
 
 An operator is a coefficient map {multi-index p: a_p(.)} applied through
-tensor-product second-order central differences.  The module also provides
-the characteristic form, ellipticity and coefficient-regularity checks,
-coefficient freezing at a point, and the weighted Orlicz-Sobolev norm.
+tensor-product second-order central differences; ``difference_channels``
+takes a whole dictionary of them, differencing each shared prefix of the
+multi-indices once.  The module also provides the characteristic form,
+ellipticity and coefficient-regularity checks, coefficient freezing at a
+point, and the weighted Orlicz-Sobolev norm.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ class MultiIndex(tuple):
     """Tuple of nonnegative integer exponents with a total order."""
 
     def __new__(cls, entries):
+        if isinstance(entries, MultiIndex):
+            return entries
         entries = tuple(int(e) for e in entries)
         if any(e < 0 for e in entries):
             raise ValueError("multi-index entries must be nonnegative")
@@ -54,25 +58,49 @@ _STENCILS = {
 
 
 def _axis_diff(values, k, axis, h):
+    """Order-k stencil along one axis, its taps summed in ``_STENCILS`` order.
+
+    Every tap is a view of one periodically padded copy of values, which
+    gives the samples np.roll would, without a copy per tap.
+    """
     if k == 0:
         return values
+    n = values.shape[axis]
+    padded = np.take(values, np.arange(-2, n + 2) % n, axis=axis)
+    window = [slice(None)] * values.ndim
     out = np.zeros_like(values)
     for off, c in _STENCILS[k].items():
-        out += c * np.roll(values, -off, axis=axis)
+        window[axis] = slice(2 + off, 2 + off + n)
+        out += c * padded[tuple(window)]
     return out / h**k
 
 
 def diff(u, p):
     """Central-difference derivative D^p u on the periodic lattice."""
     p = MultiIndex(p)
-    if len(p) != u.domain.n:
-        raise ValueError("multi-index dimension mismatch")
-    if max(p) > 4:
-        raise ValueError("stencils shipped up to fourth order per axis")
-    vals = u.values
-    for axis, k in enumerate(p):
-        vals = _axis_diff(vals, k, axis, u.domain.h)
-    return GridFunction(u.domain, vals)
+    return difference_channels(u, [p])[p]
+
+
+def difference_channels(u, orders):
+    """{p: D^p u} for every p in orders, each equal to ``diff(u, p)`` bit for bit.
+
+    The axes are differenced in order, so indices that agree on their first
+    entries share those passes: each distinct prefix is differenced once.
+    """
+    dom = u.domain
+    partial = {(): u.values}
+    out = {}
+    for p in orders:
+        p = MultiIndex(p)
+        if len(p) != dom.n:
+            raise ValueError("multi-index dimension mismatch")
+        if max(p) > 4:
+            raise ValueError("stencils shipped up to fourth order per axis")
+        for axis, k in enumerate(p):
+            if p[: axis + 1] not in partial:
+                partial[p[: axis + 1]] = _axis_diff(partial[p[:axis]], k, axis, dom.h)
+        out[p] = GridFunction(dom, partial[p])
+    return out
 
 
 class EllipticOperator:

@@ -7,8 +7,10 @@ radius.  The fixed-point iteration u <- correction(u) + potential(f) then
 converges to a local solution of the original equation for small radii.
 
 The frozen operator does not depend on the radius, so one fundamental
-solution serves the whole radius ladder and the solve; it caches its kernel
-spectra and local constants per grid.  The potential of a density is carried
+solution serves the whole radius ladder and the solve, and one ellipticity
+check at x0 serves every ``ParametrixOperator``.  The ladder's grids are one
+lattice scaled by the radius, so the kernel samples and calibrates once per
+lattice size, not once per radius.  The potential of a density is carried
 as one dictionary of derivative channels {p: d^p S sigma}, computed from one
 forward transform of the density.  The correction density and the residual
 are coefficient combinations over that dictionary, and every weighted norm
@@ -26,7 +28,13 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .grid import GridDomain, GridFunction
 from .kernels import fundamental_solution, potential_channels
-from .operators import diff, ellipticity_check, freeze_leading, multi_indices, sobolev_norm
+from .operators import (
+    difference_channels,
+    ellipticity_check,
+    freeze_leading,
+    multi_indices,
+    sobolev_norm,
+)
 from .space import luxemburg_norm
 
 DEFAULT_RADII = (0.4, 0.2, 0.1, 0.05)
@@ -53,13 +61,17 @@ def _index(p):
 
 
 def frozen_operator(L, x0):
-    """Leading part of the sign-normalized L, frozen at x0.
+    """Leading part of the sign-normalized L frozen at x0, and that normalization.
 
-    This is the operator every ``ParametrixOperator`` centred at x0 inverts,
-    whatever its radius, so one kernel built for it serves them all.
+    Returns (L0, normalized) with normalized = (sign-normalized L, its
+    ellipticity report).  L0 is the operator every ``ParametrixOperator``
+    centred at x0 inverts, whatever its radius, so one kernel built for it
+    serves them all; passing ``normalized`` to each of them checks
+    ellipticity once.
     """
     x0 = np.asarray(x0, dtype=float)
-    return freeze_leading(_sign_normalized(L, x0)[0], x0)
+    normalized = _sign_normalized(L, x0)
+    return freeze_leading(normalized[0], x0), normalized
 
 
 def cap_bump(domain, radius, center=None, degree=None, rng=None):
@@ -89,10 +101,11 @@ class ParametrixOperator:
     The cube side is pad*r so periodic images stay separated.  When the
     characteristic form is uniformly negative, the operator and any data
     are negated together (recorded in ``sign_flipped``), which leaves the
-    solution set unchanged.  ``J`` is the fundamental solution of
-    ``frozen_operator(L, x0)`` (or a kernel chosen in its place); pass it
-    in to share one kernel, and its caches, across radii.  It is built here
-    when omitted.
+    solution set unchanged.  ``J`` is the fundamental solution of the
+    frozen operator of ``frozen_operator(L, x0)`` (or a kernel chosen in its
+    place), and ``normalized`` the pair that call returns alongside it; pass
+    them in to share one kernel, its caches and one ellipticity check
+    across radii.  Each is computed here when omitted.
 
     Two coefficient tables drive everything: ``remainder_coeffs`` of the
     (frozen - full) operator and ``operator_coeffs`` of L itself, each
@@ -101,9 +114,9 @@ class ParametrixOperator:
     ConfigError naming its index and the first such node.
     """
 
-    def __init__(self, L, x0, r, N=64, M=None, pad=4.0, J=None):
+    def __init__(self, L, x0, r, N=64, M=None, pad=4.0, J=None, normalized=None):
         x0 = np.asarray(x0, dtype=float)
-        self.L, rep = _sign_normalized(L, x0)
+        self.L, rep = _sign_normalized(L, x0) if normalized is None else normalized
         self.sign_flipped = rep.sign_flipped
         self.ellipticity = rep
         self.x0 = x0
@@ -177,7 +190,7 @@ class ParametrixOperator:
         if outside.size and outside.max() > 1e-12 * sup:
             warnings.warn("probe support exceeds the working ball; truncating", stacklevel=2)
             phi = phi.restricted()
-        differences = {p: diff(phi, p) for p in self.remainder_coeffs}
+        differences = difference_channels(phi, self.remainder_coeffs)
         density = self.combine(self.remainder_coeffs, differences) + self.L.apply(phi)
         origin = (0,) * self.L.n
         rec = potential_channels(self.J, density, [origin])[origin]
@@ -191,7 +204,7 @@ class ParametrixOperator:
         differenced directly (it is expected to be a smooth grid function).
         """
         channels = self.channels(sigma)
-        refs = {p: diff(reference, p) for p in self.orders}
+        refs = difference_channels(reference, self.orders)
         error = self.channel_norm({p: channels[p] - refs[p] for p in self.orders})
         ref_norm = self.channel_norm(refs)
         return error / ref_norm if ref_norm > 0 else error
@@ -298,7 +311,7 @@ class ContractionProfile:
 
 
 def contraction_profile(
-    L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, pad=4.0, J=None
+    L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, pad=4.0, J=None, normalized=None
 ):
     """Empirical norm profile of the correction operator along a radius ladder.
 
@@ -307,31 +320,35 @@ def contraction_profile(
     times random polynomials of degree at most three, supported inside the
     ball).  Deterministic for equal seeds; the estimate is a lower bound on
     the true operator norm.  Every radius shares the one kernel J of the
-    frozen operator (built once here when omitted), so its derivative tables
-    are derived once and only the per-grid spectra and constants are new.
-    The generator is re-seeded for every radius, so a ladder of one radius
-    reproduces that radius's entry of a longer ladder.  Each probe is
-    differenced once; that one dictionary gives both its norm and the
-    remainder applied to it.
+    frozen operator and the one sign normalization ``normalized`` (both as
+    ``frozen_operator`` gives them, computed here when omitted).  Every
+    radius's grid is the same N-lattice scaled by pad*r/N, so J samples and
+    calibrates once for the whole ladder and each radius only rescales the
+    spectra.  The generator is re-seeded for every radius, so a ladder of
+    one radius reproduces that radius's entry of a longer ladder.  Each
+    probe is differenced once, by ``difference_channels``; that one
+    dictionary gives both its norm and the remainder applied to it.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
     if N < 4 * L.m:
         raise ValueError("grid too coarse for the difference stencils")
+    if normalized is None:
+        normalized = _sign_normalized(L, np.asarray(x0, dtype=float))
     if J is None:
-        J = fundamental_solution(frozen_operator(L, x0))
+        J = fundamental_solution(freeze_leading(normalized[0], x0))
     radii = list(radii)
     sigma = []
     for r in radii:
         rng = np.random.default_rng(seed)
-        P = ParametrixOperator(L, x0, r, N=N, M=M, pad=pad, J=J)
+        P = ParametrixOperator(L, x0, r, N=N, M=M, pad=pad, J=J, normalized=normalized)
         worst = 0.0
         for j in range(probes):
             if j == 0:
                 phi = cap_bump(P.domain, 0.75 * r, center=x0)
             else:
                 phi = cap_bump(P.domain, 0.75 * r, center=x0, degree=3, rng=rng)
-            differences = {p: diff(phi, p) for p in P.orders}
+            differences = difference_channels(phi, P.orders)
             norm = P.channel_norm(differences)
             if norm == 0.0:
                 continue

@@ -32,3 +32,36 @@ def cap_profile(domain, radius, center=None):
 @pytest.fixture
 def bump():
     return cap_profile
+
+
+# Outputs of the shipped solves, pinned to catch numerical drift: sigma_hat
+# along the ladder, the weighted norm of every iterate and the
+# manufactured-solution error.
+PINNED_SOLVES = {
+    "perturbed_laplace.cfg": (
+        [0.0327742446997, 0.0160247046476, 0.00792970950646, 0.00394524895108],
+        [18.5661819546, 18.5715458413, 18.5719634982, 18.5719629076],
+        0.00850400727327,
+    ),
+    "orlicz_laplace.cfg": (
+        [0.0354005977796, 0.0174020351721, 0.00862774953495, 0.00429417861984],
+        [49.7639440106, 49.7785006129, 49.7791853579],
+        0.00793111712908,
+    ),
+}
+
+
+def assert_pinned_outputs(run_dir, name, rtol=1e-9):
+    """A solve run directory of a shipped config reproduces its pinned outputs."""
+    sigma_hat, weighted_norms, error = PINNED_SOLVES[name]
+
+    def rows(csv):
+        return [line.split(",") for line in (run_dir / csv).read_text().splitlines()[1:]]
+
+    profile = rows("sigma_profile.csv")
+    assert [float(r) for r, _ in profile] == [0.4, 0.2, 0.1, 0.05]
+    assert [float(s) for _, s in profile] == pytest.approx(sigma_hat, rel=rtol)
+    assert [float(row[1]) for row in rows("iterations.csv")] == pytest.approx(
+        weighted_norms, rel=rtol)
+    summary = dict(rows("summary.csv"))
+    assert float(summary["manufactured_error"]) == pytest.approx(error, rel=rtol)

@@ -11,6 +11,8 @@ import pytest
 import orlipde
 from orlipde import cli
 
+from conftest import assert_pinned_outputs
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
@@ -138,6 +140,28 @@ class TestExitCodes:
         assert not caught, [str(w.message) for w in caught]
 
 
+    @pytest.mark.parametrize("N", [2, 7])
+    def test_coarse_solve_grid_exits_2(self, tmp_path, capsys, N):
+        # the second-order stencils need N >= 4m = 8
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        assert "grid.N = 64\n" in text
+        code, err = run(tmp_path, "solve", text.replace("grid.N = 64\n", f"grid.N = {N}\n"), capsys)
+        assert code == 2
+        assert err == [
+            "config error: grid: solve needs grid.N >= 8 for the order-2 difference stencils, "
+            f"got {N}"
+        ], err
+
+    def test_short_trusted_range_exits_5_without_tables(self, tmp_path, capsys):
+        # power:p=1e6 trusts M only up to 10^(250/p), so the Delta2 test
+        # from u0 = 1 has no range left
+        code, err = run(tmp_path, "young", "young = power:p=1e6\n", capsys)
+        assert code == 5
+        assert len(err) == 1 and err[0].startswith(
+            "error: RangeError: young function spec 'power:p=1e6': trusted range ends at"), err
+        assert not list((tmp_path / "runs").rglob("*.csv"))
+
+
 class TestOrliczSolve:
     def test_converges_outside_lebesgue(self, tmp_path, capsys):
         # the shipped solve under power-log:p=3, an N-function of no power type
@@ -148,6 +172,7 @@ class TestOrliczSolve:
         tol = 1e-6
         assert rows["converged"] == "true"
         assert float(rows["certificate"]) <= 2 * tol
+        assert_pinned_outputs(summary.parent, "orlicz_laplace.cfg")
 
 
 class TestReruns:

@@ -26,7 +26,7 @@ from orlipde import (
     singular_integral,
     verify_fundamental,
 )
-from orlipde.grid import kernel_convolve
+from orlipde.grid import half_spectrum, kernel_convolve
 from orlipde.kernels import sphere_area, sphere_points, unit_ball_volume
 
 from conftest import cap_profile
@@ -213,6 +213,53 @@ class TestDerivatives:
                 size += wi * si ** (J.n - 1) * float(np.dot(w_th, np.abs(vals)))
             got = J.cell_average(p, h)
             assert abs(got - total / h**J.n) <= 1e-12 * size / h**J.n, p
+
+
+class TestScaledSpectra:
+    """Spectra scaled from the unit lattice against sampling on the grid itself."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_matches_direct_sampling(self, name):
+        # the tolerance is relative to the family's largest channel spectrum:
+        # the (2,) channel of laplace1d is identically zero, so on both
+        # sides it is rounding residue
+        J = fundamental_solution(FAMILIES[name]())
+        for N in (16,) if J.n == 3 else (32, 64):
+            for d in (1.6, 0.8, 0.3, 0.05, 7.0):
+                dom = GridDomain(J.n, N, d)
+                scaled, direct = {}, {}
+                for p in multi_indices(J.n, J.m):
+                    mode = "pv" if p.order == J.m else "weak"
+                    scaled[p] = J.kernel_spectrum(dom, p, mode)
+                    direct[p] = half_spectrum(J.kernel_array(dom, p, mode))
+                scale = max(np.max(np.abs(v)) for v in direct.values())
+                for p in direct:
+                    assert np.max(np.abs(scaled[p] - direct[p])) <= 1e-13 * scale, (N, d, p)
+
+    @pytest.mark.parametrize("name, logs", [
+        ("laplace2d", [(0, 0)]),
+        ("aniso2d", [(0, 0)]),
+        ("biharmonic2d", [(0, 0), (0, 1), (1, 0), (0, 2), (2, 0)]),
+        ("laplace3d", []),
+        ("biharmonic3d", []),
+    ])
+    def test_log_part_only_where_q_to_the_a_survives(self, name, logs):
+        # c d^p(q^a) is zero on the power branch and for |p| > 2a, and
+        # d1 d2 |x|^2 = 0
+        J = fundamental_solution(FAMILIES[name]())
+        assert [p for p in multi_indices(J.n, J.m) if J._carries_log(p)] == logs
+
+    def test_one_sampling_per_lattice_size(self, monkeypatch):
+        J = fundamental_solution(bilaplacian(2))
+        calls = []
+        real = J.kernel_array
+        monkeypatch.setattr(J, "kernel_array", lambda *a, **k: calls.append(a) or real(*a, **k))
+        orders = multi_indices(2, 4)
+        for d in (1.6, 0.8, 0.4, 0.2):
+            J.channel_spectra(GridDomain(2, 32, d), orders)
+        # 15 channels, 5 of which carry a log part
+        assert len(calls) == 15 + 5
+        assert {dom.h for dom, *_ in calls} == {1.0}
 
 
 class TestReproduction:

@@ -13,6 +13,7 @@ from orlipde import (
     characteristic_form,
     coefficient_continuity_check,
     diff,
+    difference_channels,
     ellipticity_check,
     freeze_leading,
     laplacian,
@@ -21,6 +22,15 @@ from orlipde import (
     power,
     sobolev_norm,
 )
+
+
+# second-order central stencils {offset: coefficient} for d^k/dx^k
+STENCILS = {
+    1: {-1: -0.5, 1: 0.5},
+    2: {-1: 1.0, 0: -2.0, 1: 1.0},
+    3: {-2: -0.5, -1: 1.0, 1: -1.0, 2: 0.5},
+    4: {-2: 1.0, -1: -4.0, 0: 6.0, 1: -4.0, 2: 1.0},
+}
 
 
 class TestMultiIndex:
@@ -35,6 +45,10 @@ class TestMultiIndex:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             MultiIndex((-1, 0))
+
+    def test_index_returned_unchanged(self):
+        p = MultiIndex((2, 1))
+        assert MultiIndex(p) is p
 
 
 class TestApply:
@@ -263,3 +277,26 @@ class TestDiff:
         u = GridFunction.zeros(line64)
         with pytest.raises(ValueError):
             diff(u, (5,))
+        with pytest.raises(ValueError):
+            difference_channels(u, [(1,), (5,)])
+
+    @pytest.mark.parametrize("n, N", [(1, 4), (1, 64), (2, 32), (3, 16)])
+    def test_channels_match_rolled_stencils(self, n, N, bump):
+        # the reference applies each stencil tap as np.roll, axis by axis;
+        # the shared-prefix dictionary reproduces it and diff bit for bit
+        dom = GridDomain(n, N, 1.0)
+        u = bump(dom, 0.35, center=[0.05] * n)
+        u = u * GridFunction.from_callable(dom, lambda *X: 1.0 + 0.7 * X[0] - 0.4 * X[-1] ** 2)
+        orders = multi_indices(n, 4)
+        channels = difference_channels(u, orders)
+        assert list(channels) == orders
+        for p in orders:
+            ref = u.values
+            for axis, k in enumerate(p):
+                if k:
+                    out = np.zeros(dom.shape)
+                    for off, c in STENCILS[k].items():
+                        out += c * np.roll(ref, -off, axis=axis)
+                    ref = out / dom.h**k
+            assert np.array_equal(channels[p].values, ref), p
+            assert np.array_equal(diff(u, p).values, ref), p

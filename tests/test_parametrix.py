@@ -15,6 +15,7 @@ from orlipde import (
     cli,
     config,
     contraction_profile,
+    frozen_operator,
     fundamental_solution,
     kernels,
     laplacian,
@@ -25,7 +26,7 @@ from orlipde import (
 )
 from orlipde.grid import kernel_convolve
 
-from conftest import cap_profile
+from conftest import assert_pinned_outputs, cap_profile
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -38,9 +39,10 @@ def read_table(path):
 class TestPotentialChannels:
     @pytest.mark.parametrize("operator", [laplacian(2), bilaplacian(2)], ids=repr)
     def test_matches_single_channel_potentials(self, operator):
-        # every channel equals the channel computed alone and a fresh
-        # convolution with its sampled kernel, plus the calibrated local
-        # term on the order-m channels
+        # every channel equals the channel computed alone, bit for bit (one
+        # batched inverse transform against the stacked spectra), and a
+        # fresh convolution with its sampled kernel, plus the calibrated
+        # local term on the order-m channels
         J = fundamental_solution(operator)
         dom = GridDomain(2, 32, 1.0)
         dom = dom.with_mask(dom.ball_mask([0.0, 0.0], 0.3))
@@ -56,7 +58,7 @@ class TestPotentialChannels:
                 full = kernel_convolve(J.kernel_array(dom, p, "pv"), psi.restricted())
                 full = full + psi.restricted() * local[p]
             scale = np.max(np.abs(ch.values))
-            assert np.max(np.abs(ch.values - single.values)) <= 1e-12 * scale, p
+            assert np.array_equal(ch.values, single.values), p
             assert np.max(np.abs(ch.values - full.values)) <= 1e-12 * scale, p
 
     def test_order_above_m_rejected(self, square32):
@@ -76,6 +78,66 @@ class TestIdentityDefect:
             defects.append(P.identity_defect(cap_bump(P.domain, 0.15)))
         assert defects[1] <= 0.05
         assert defects[1] <= 0.6 * defects[0]
+
+
+# the variable-coefficient squared Laplacian of the benchmark's biharmonic solve
+BIHARMONIC = """\
+young = power:p=2
+n = 2
+grid.N = 64
+r = 0.2
+x0 = 0,0
+tol = 1e-6
+k_max = 200
+kernel = auto
+radii = 0.4,0.2,0.1,0.05
+probes = 8
+seed = 0
+f = manufactured:exp(-(x1^2+x2^2)/0.00245)
+coeff p=(4,0) expr=1+0.1*x1
+coeff p=(0,4) expr=1+0.1*x1
+coeff p=(2,2) expr=2+0.2*x1
+coeff p=(0,0) expr=0.5
+"""
+
+
+def test_one_calibration_per_lattice(tmp_path, monkeypatch):
+    # the ladder's four grids are one N = 32 lattice scaled by the radius,
+    # so the solve calibrates twice: once for the ladder, once at N = 64
+    calls = []
+    real = kernels._calibrate_local_constants
+
+    def counting(J, domain, *args, **kwargs):
+        calls.append(domain.N)
+        return real(J, domain, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_calibrate_local_constants", counting)
+    cfg = tmp_path / "biharmonic.cfg"
+    cfg.write_text(BIHARMONIC)
+    assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
+    assert sorted(calls) == [32, 64]
+    # each radius's constants match a calibration on its own masked grid
+    L = config.build_operator(config.load_config(cfg, "solve"))
+    J = fundamental_solution(frozen_operator(L, [0.0, 0.0])[0])
+    for r in (0.4, 0.2, 0.1, 0.05):
+        P = ParametrixOperator(L, [0.0, 0.0], r, N=32, M=power(2), J=J)
+        direct = real(J, P.domain).constants
+        for p, c in J.local_constants(P.domain).constants.items():
+            assert c == pytest.approx(direct[p], abs=1e-14), (r, p)
+
+
+def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
+    calls = []
+    real = parametrix._sign_normalized
+    monkeypatch.setattr(
+        parametrix, "_sign_normalized", lambda *args: calls.append(args) or real(*args)
+    )
+    assert cli.run_config("solve", CONFIGS / "perturbed_laplace.cfg", tmp_path) == 0
+    assert len(calls) == 1
+    # an operator built without the pair still checks for itself
+    L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+    P = ParametrixOperator(L.scaled(-1.0), [0.0, 0.0], 0.2, N=32)
+    assert len(calls) == 2 and P.sign_flipped
 
 
 def test_profile_rejects_coarse_grid():
@@ -170,6 +232,9 @@ class TestShippedSolve:
         assert at_r == pytest.approx(alone.sigma_hat[0], rel=1e-11)
         ladder = {float(r): float(s) for r, s in read_table(auto_run[2] / "sigma_profile.csv")}
         assert ladder[0.1] < at_r < ladder[0.2]
+
+    def test_pinned_outputs(self, auto_run):
+        assert_pinned_outputs(auto_run[2], "perturbed_laplace.cfg")
 
     def test_one_kernel_for_auto(self, auto_run):
         _, calls, _ = auto_run
