@@ -15,7 +15,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     EmbeddingWindowError,
-    InvalidKernelError,
     InvalidYoungFunctionError,
     NotEllipticError,
     OrlipdeError,
@@ -30,19 +29,14 @@ from .grid import (
     convolve,
     mollifier_kernel,
     read_grid_function,
-    read_mask,
     shift,
     write_grid_function,
-    write_mask,
 )
 from .kernels import (
     FundamentalSolution,
-    SingularKernel,
     ball_integral,
     fundamental_solution,
     potential_channels,
-    shift_invariance_probe,
-    singular_integral,
     verify_fundamental,
 )
 from .operators import (

@@ -270,6 +270,7 @@ def run_config(command, config_path, out_root, seed=None, force=False):
     try:
         overrides = {} if seed is None else {"seed": seed}
         cfg = load_config(config_path, "solve" if command == "contraction" else command, overrides)
+        cfg.command = command  # contraction reads the solve schema, renders and hashes as itself
         digest = cfg.hash()
         out = Path(out_root) / digest[:12]
         if out.exists() and not force:

@@ -45,10 +45,6 @@ class CalibrationError(OrlipdeError):
     """Singular-kernel local-term calibration left too large a residual."""
 
 
-class InvalidKernelError(OrlipdeError):
-    """A singular kernel failed the zero-mean cancellation requirement."""
-
-
 class DivergenceError(OrlipdeError):
     """The fixed-point iteration diverged; carries the partial report."""
 

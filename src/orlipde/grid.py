@@ -120,10 +120,6 @@ class GridFunction:
     def zeros(cls, domain):
         return cls(domain, np.zeros(domain.shape))
 
-    @classmethod
-    def indicator(cls, domain, mask):
-        return cls(domain, np.where(mask, 1.0, 0.0))
-
     def masked_values(self):
         return self.values[self.domain.mask]
 
@@ -196,11 +192,6 @@ class ShiftVector:
 
     def magnitude(self):
         return float(np.hypot.reduce(np.asarray(self.delta)))
-
-    def reduced(self, domain):
-        """Components reduced modulo the period d of the domain."""
-        d = domain.d
-        return tuple(((c + d / 2) % d) - d / 2 for c in self.delta)
 
     def cell_shifts(self, domain, tol=1e-9):
         """Integer cell counts when on-lattice, else None."""
@@ -292,27 +283,6 @@ def kernel_convolve(kernel_values, f):
     return spectral_convolve(half_spectrum(kernel_values), half_spectrum(f.values), f.domain)
 
 
-def kernel_convolve_direct(kernel_values, f):
-    """Direct fixed-order convolution sum; bit-exact shift equivariance.
-
-    Cost is O(N^(2n)); intended for principal-value kernels on desk-scale
-    grids where exact lattice equivariance matters.
-    """
-    out = np.zeros(f.domain.shape)
-    vals = f.values
-    it = np.ndindex(*f.domain.shape)
-    for m in it:
-        w = kernel_values[m]
-        if w == 0.0:
-            continue
-        rolled = vals
-        for axis, s in enumerate(m):
-            if s:
-                rolled = np.roll(rolled, s, axis=axis)
-        out += w * rolled
-    return GridFunction(f.domain, out * f.domain.cell_volume)
-
-
 def mollifier_kernel(domain, eps):
     """Compactly supported smooth bump on the offset lattice, unit discrete mass.
 
@@ -374,16 +344,3 @@ def read_grid_function(path, mask=None):
     if values.size != N**n:
         raise ConfigError(f"grid file {path} holds {values.size} values, expected {N**n}")
     return GridFunction(domain, values.reshape(domain.shape))
-
-
-def write_mask(domain, path, mask=None):
-    m = domain.mask if mask is None else mask
-    with open(path, "w") as fh:
-        fh.write(f"{domain.n},{domain.N},{float(domain.d)!r}\n")
-        for v in np.asarray(m, dtype=int).ravel(order="C"):
-            fh.write(f"{v}\n")
-
-
-def read_mask(path):
-    g = read_grid_function(path)
-    return g.domain, g.values.astype(bool)

@@ -9,6 +9,9 @@ kernels are sampled on the offset lattice; the singular cell is either
 replaced by its inscribed-ball average (weakly singular regime) or excluded
 symmetrically (principal value), with the local multiple of the identity
 calibrated against the exact inversion identity of the generating operator.
+The order-m channels of ``potential_channels`` are the one singular-integral
+path: Calderon-Zygmund operators (kernels of mean zero over the sphere) as
+FFT convolutions of their principal-value samples.
 
 Since q(t y) = t^2 q(y) and 2a = m - n, the lattice of spacing t is the unit
 lattice scaled: d^p J(t y) = t^(m-n-|p|) (d^p J(y) + 2 log t V_p(y)), where
@@ -30,10 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, CapabilityError, InvalidKernelError, RangeError
-from .grid import GridDomain, GridFunction, half_spectrum, kernel_convolve_direct
+from .errors import CalibrationError, CapabilityError, RangeError
+from .grid import GridDomain, GridFunction, half_spectrum
 from .operators import MultiIndex, diff, multi_indices
-from .space import shift_modulus
 
 
 def unit_ball_volume(n):
@@ -84,12 +86,6 @@ def sphere_points(n, count=None):
     pts = np.column_stack([(s * np.cos(PHI)).ravel(), (s * np.sin(PHI)).ravel(), MU.ravel()])
     W = np.broadcast_to(w_mu[:, None] * (2 * math.pi / k_phi), MU.shape)
     return pts, W.ravel().copy()
-
-
-def sphere_integral(n, fn, count=None):
-    pts, w = sphere_points(n, count)
-    vals = np.asarray(fn(pts), dtype=float)
-    return float(np.dot(w, vals))
 
 
 # -- closed-form families -----------------------------------------------------
@@ -155,9 +151,6 @@ class FundamentalSolution:
                         terms[k][tuple(d - (i == axis) for i, d in enumerate(e))] += e[axis] * v
             self._tables[p] = {k: dict(terms[k]) for k in sorted(terms)}
         return self._tables[p]
-
-    def evaluate(self, *coords):
-        return self.derivative((0,) * self.n, *coords)
 
     def derivative(self, p, *coords):
         """d^p of the kernel at nonzero points; vectorized over arrays.
@@ -476,7 +469,11 @@ def _probe_bumps(domain, count=3):
     return probes
 
 
-def _calibrate_local_constants(J, domain, threshold=0.05):
+CALIBRATION_THRESHOLD = 0.05  # largest held-out identity residual of a calibration
+REPRODUCTION_THRESHOLD = 0.05  # largest error ``verify_fundamental`` passes
+
+
+def _calibrate_local_constants(J, domain):
     """Fit the local identity coefficients of the order-m kernels.
 
     Stage 1 estimates each coefficient from the requirement that the
@@ -532,12 +529,10 @@ def _calibrate_local_constants(J, domain, threshold=0.05):
         pv_total += a0[p] * pv_holdout[p].values
     local = sum(a0[p] * constants[p] for p in a0)
     recon = pv_total + local * holdout.values
-    residual = float(
-        np.max(np.abs(recon - holdout.values)) / np.max(np.abs(holdout.values))
-    )
-    if residual > threshold:
+    residual = float(np.max(np.abs(recon - holdout.values)) / np.max(np.abs(holdout.values)))
+    if residual > CALIBRATION_THRESHOLD:
         raise CalibrationError(
-            f"kernel calibration failed: identity residual {residual:.3g} > {threshold:g}"
+            f"kernel calibration failed: identity residual {residual:.3g} > {CALIBRATION_THRESHOLD}"
         )
     return LocalConstants(constants=constants, residual=residual, gamma=gamma)
 
@@ -564,7 +559,7 @@ class ReproductionReport:
         return max(errs) if errs else 0.0
 
 
-def verify_fundamental(J, phis, threshold=0.05):
+def verify_fundamental(J, phis):
     """Reproduction check: convolving the kernel with L0(phi) returns phi.
 
     The error is the masked sup-norm defect relative to sup|phi|; inputs
@@ -580,75 +575,5 @@ def verify_fundamental(J, phis, threshold=0.05):
         recon = potential_channels(J, J.operator.apply(phi), [origin])[origin]
         err = float(np.max(np.abs((recon.values - phi.values)[phi.domain.mask]))) / sup
         rows.append(ReproductionRow(label=f"phi{i}", error=err))
-    return ReproductionReport(rows=rows, threshold=threshold)
+    return ReproductionReport(rows=rows, threshold=REPRODUCTION_THRESHOLD)
 
-
-# -- singular kernels ---------------------------------------------------------
-
-
-class SingularKernel:
-    """Kernel omega(x/|x|) / |x|^n with smooth zero-mean angular part."""
-
-    def __init__(self, n, omega, name="kernel"):
-        self.n = n
-        self.omega = omega
-        self.name = name
-        self.mean_zero_defect = abs(sphere_integral(n, lambda pts: np.asarray(omega(pts))))
-
-    @classmethod
-    def from_angle(cls, fn, name="kernel2d"):
-        """2d kernel from a function of the polar angle."""
-
-        def omega(pts):
-            th = np.arctan2(pts[..., 1], pts[..., 0])
-            return fn(th)
-
-        return cls(2, omega, name=name)
-
-    @classmethod
-    def from_derivative(cls, J, p):
-        """Angular part of an order-m kernel derivative (degree -n homogeneous)."""
-        p = MultiIndex(p)
-        if p.order != J.m:
-            raise ValueError("critical homogeneity requires |p| = m")
-
-        def omega(pts):
-            X = [pts[..., a] for a in range(J.n)]
-            return J.derivative(p, *X)
-
-        return cls(J.n, omega, name=f"{J.name}:d{''.join(map(str, p))}")
-
-    def evaluate(self, *coords):
-        r = np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in coords))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pts = np.stack([np.asarray(c, dtype=float) / r for c in coords], axis=-1)
-            vals = np.asarray(self.omega(pts)) / r**self.n
-        return vals
-
-    def kernel_array(self, domain):
-        offs = domain.offset_lattice()
-        vals = self.evaluate(*offs)
-        vals[(0,) * domain.n] = 0.0  # symmetric exclusion of the singular cell
-        if not np.all(np.isfinite(vals)):
-            raise InvalidKernelError("kernel samples are not finite off the origin")
-        return vals
-
-
-def singular_integral(k, f, tol=1e-8):
-    """Principal-value convolution of a zero-mean critical kernel with f.
-
-    Uses the direct fixed-order sum, so lattice shifts commute with the
-    operator bit for bit.
-    """
-    if k.mean_zero_defect > tol:
-        raise InvalidKernelError(
-            f"kernel mean over the sphere is {k.mean_zero_defect:.3g}, beyond {tol:g}"
-        )
-    ker = k.kernel_array(f.domain)
-    return kernel_convolve_direct(ker, f.restricted())
-
-
-def shift_invariance_probe(k, f, M, deltas):
-    """Shift modulus of the transformed function: rows (|delta|, modulus)."""
-    kf = singular_integral(k, f)
-    return shift_modulus(kf, M, deltas)

@@ -38,6 +38,7 @@ from .operators import (
 from .space import luxemburg_norm
 
 DEFAULT_RADII = (0.4, 0.2, 0.1, 0.05)
+PAD = 4.0  # cube side over ball radius, so that periodic images stay separated
 
 
 def _sign_normalized(L, x0):
@@ -98,7 +99,7 @@ def cap_bump(domain, radius, center=None, degree=None, rng=None):
 class ParametrixOperator:
     """Frozen-kernel machinery for one ball B_r(x0) inside the padded cube.
 
-    The cube side is pad*r so periodic images stay separated.  When the
+    The cube side is PAD*r so periodic images stay separated.  When the
     characteristic form is uniformly negative, the operator and any data
     are negated together (recorded in ``sign_flipped``), which leaves the
     solution set unchanged.  ``J`` is the fundamental solution of the
@@ -114,7 +115,7 @@ class ParametrixOperator:
     ConfigError naming its index and the first such node.
     """
 
-    def __init__(self, L, x0, r, N=64, M=None, pad=4.0, J=None, normalized=None):
+    def __init__(self, L, x0, r, N=64, M=None, J=None, normalized=None):
         x0 = np.asarray(x0, dtype=float)
         self.L, rep = _sign_normalized(L, x0) if normalized is None else normalized
         self.sign_flipped = rep.sign_flipped
@@ -122,8 +123,7 @@ class ParametrixOperator:
         self.x0 = x0
         self.r = float(r)
         self.M = M
-        d = pad * r
-        dom = GridDomain(L.n, N, d, center=x0)
+        dom = GridDomain(L.n, N, PAD * r, center=x0)
         self.domain = dom.with_mask(dom.ball_mask(x0, r))
         self.L_frozen = freeze_leading(self.L, x0)
         self.J = fundamental_solution(self.L_frozen) if J is None else J
@@ -311,7 +311,7 @@ class ContractionProfile:
 
 
 def contraction_profile(
-    L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, pad=4.0, J=None, normalized=None
+    L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, J=None, normalized=None
 ):
     """Empirical norm profile of the correction operator along a radius ladder.
 
@@ -322,7 +322,7 @@ def contraction_profile(
     the true operator norm.  Every radius shares the one kernel J of the
     frozen operator and the one sign normalization ``normalized`` (both as
     ``frozen_operator`` gives them, computed here when omitted).  Every
-    radius's grid is the same N-lattice scaled by pad*r/N, so J samples and
+    radius's grid is the same N-lattice scaled by PAD*r/N, so J samples and
     calibrates once for the whole ladder and each radius only rescales the
     spectra.  The generator is re-seeded for every radius, so a ladder of
     one radius reproduces that radius's entry of a longer ladder.  Each
@@ -341,7 +341,7 @@ def contraction_profile(
     sigma = []
     for r in radii:
         rng = np.random.default_rng(seed)
-        P = ParametrixOperator(L, x0, r, N=N, M=M, pad=pad, J=J, normalized=normalized)
+        P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
         worst = 0.0
         for j in range(probes):
             if j == 0:

@@ -23,6 +23,12 @@ from .errors import BracketError
 from .grid import GridFunction, ShiftVector, convolve, kernel_convolve, mollifier_kernel, shift
 
 
+RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
+GAUGE_MAX_PASSES = 400  # most modular passes of one gauge solve
+AMEMIYA_MAX_PASSES = 200  # most modular passes of one Amemiya root solve
+MINKOWSKI_TERMS = 6  # shifted copies of f in the triangle check of ``inequality_suite``
+
+
 def _csum(arr):
     # exact (compensated) sum of a float array
     return math.fsum(arr.tolist())
@@ -74,7 +80,7 @@ def pairing(u, v):
     return _csum(prod) * u.domain.cell_volume
 
 
-def gauges(rows, M, domain, rtol=1e-12, max_iter=400):
+def gauges(rows, M, domain):
     """Gauge norms inf{ lam > 0 : rho(u/lam) <= 1 } of several functions at once.
 
     ``rows`` holds |u| on the masked cells of ``domain``, one function per
@@ -107,7 +113,7 @@ def gauges(rows, M, domain, rtol=1e-12, max_iter=400):
             out[i] = float(sups[i]) * rho ** (1.0 / M.degree)
         return out
     measure = domain.measure()
-    solvers = {i: _newton(float(sups[i]), M, measure, rtol, max_iter) for i in live}
+    solvers = {i: _newton(float(sups[i]), M, measure) for i in live}
     ts = {i: next(solver) for i, solver in solvers.items()}
     while ts:
         open_rows = list(ts)
@@ -122,7 +128,7 @@ def gauges(rows, M, domain, rtol=1e-12, max_iter=400):
     return out
 
 
-def _newton(sup, M, measure, rtol, max_iter):
+def _newton(sup, M, measure):
     """One row's gauge solve: yields each t, receives (rho, drho) at e^t u.
 
     Solves log rho(e^t |u|) = 0 in t = -log(lam), whose slope is
@@ -130,36 +136,36 @@ def _newton(sup, M, measure, rtol, max_iter):
     narrows a bracket [a, b] with rho(e^a u) <= 1 < rho(e^b u); a Newton
     step that leaves it, or a pass with a non-finite or zero sum, falls back
     to bisection (or to doubling while one side is open).  Once a step is
-    below rtol it is pushed rtol/4 past the root, so the next pass closes
-    the bracket.  Returns exp(-(a + b) / 2) with b - a <= rtol, tight enough
+    below RTOL it is pushed RTOL/4 past the root, so the next pass closes
+    the bracket.  Returns exp(-(a + b) / 2) with b - a <= RTOL, tight enough
     that the gauge of a power function coincides with the discrete p-norm
     to ~1e-12 relative.
 
     When M's range ends in a jump to +inf (the conjugate of a bounded
     density), the gauge may sit at that jump, where e^t sup = M.domain_cap,
-    instead of at a root.  So after an overflowing pass the jump (rtol/4
+    instead of at a root.  So after an overflowing pass the jump (RTOL/4
     inside it) is tried before bisecting, and when rho <= 1 there the next
-    pass goes rtol/4 past it, which closes the bracket.
+    pass goes RTOL/4 past it, which closes the bracket.
     """
     # modular(e^t u) <= mes * M(e^t sup) <= 1 once e^t sup <= M^{-1}(1/mes)
     t = math.log(M.inverse(1.0 / measure) / sup)
-    t_jump = math.log(M.domain_cap / sup) - 0.25 * rtol
+    t_jump = math.log(M.domain_cap / sup) - 0.25 * RTOL
     a, b = -math.inf, math.inf
-    for _ in range(max_iter):
+    for _ in range(GAUGE_MAX_PASSES):
         rho, drho = yield t
         if rho <= 1.0:
             a = t
         else:
             b = t
-        if b - a <= rtol:
+        if b - a <= RTOL:
             return math.exp(-0.5 * (a + b))
         step = None
         if 0.0 < rho < math.inf and 0.0 < drho < math.inf:
             step = -math.log(rho) * rho / drho
-            if abs(step) < 0.5 * rtol:
-                step += 0.25 * rtol if rho <= 1.0 else -0.25 * rtol
+            if abs(step) < 0.5 * RTOL:
+                step += 0.25 * RTOL if rho <= 1.0 else -0.25 * RTOL
         if a == t_jump:
-            t = a + 0.5 * rtol
+            t = a + 0.5 * RTOL
         elif step is not None and a <= t + step <= b:
             t += step
         elif rho == math.inf and a < t_jump < b:
@@ -178,16 +184,16 @@ def _newton(sup, M, measure, rtol, max_iter):
     return math.exp(-0.5 * (a + b))
 
 
-def luxemburg_norm(u, M, rtol=1e-12, max_iter=400):
+def luxemburg_norm(u, M):
     """Gauge norm inf{ lam > 0 : modular(u/lam) <= 1 }: the one-row ``gauges``.
 
     One pass in closed form when M is homogeneous (``M.degree``), otherwise
     a safeguarded Newton solve in t = -log(lam); see ``gauges``.
     """
-    return gauges(np.abs(u.masked_values())[None, :], M, u.domain, rtol, max_iter)[0]
+    return gauges(np.abs(u.masked_values())[None, :], M, u.domain)[0]
 
 
-def orlicz_norm(u, M, rtol=1e-12, max_iter=200):
+def orlicz_norm(u, M):
     """Dual norm via the Amemiya form inf_{k>0} (1 + modular(k u)) / k.
 
     When M is homogeneous of degree p, rho(k u) = k^p rho(u) and the
@@ -224,11 +230,11 @@ def orlicz_norm(u, M, rtol=1e-12, max_iter=200):
         if support * M.complementary()(bound) <= 1.0:
             return bound * _csum(vals) * cell_volume
     s = math.log(M.inverse(1.0 / u.domain.measure()) / sup)
-    s_jump = math.log(M.domain_cap / sup) - 0.25 * rtol
+    s_jump = math.log(M.domain_cap / sup) - 0.25 * RTOL
     a, b = -math.inf, math.inf
     value = math.inf
     last = None  # (s, log g) of the previous finite pass
-    for _ in range(max_iter):
+    for _ in range(AMEMIYA_MAX_PASSES):
         k = math.exp(s)
         rhos, drhos = modulars((vals * k)[None, :], M, cell_volume, slope=True)
         rho, drho = rhos[0], drhos[0]
@@ -237,7 +243,7 @@ def orlicz_norm(u, M, rtol=1e-12, max_iter=200):
             a, value = s, (1.0 + rho) / k
         else:
             b = s
-        if b - a <= rtol:
+        if b - a <= RTOL:
             return value
         step = None
         if 0.0 < g < math.inf:
@@ -248,11 +254,11 @@ def orlicz_norm(u, M, rtol=1e-12, max_iter=200):
                 slope = drho / rho
             if slope > 0.0:
                 step = -log_g / slope
-                if abs(step) < 0.5 * rtol:
-                    step += 0.25 * rtol if g <= 1.0 else -0.25 * rtol
+                if abs(step) < 0.5 * RTOL:
+                    step += 0.25 * RTOL if g <= 1.0 else -0.25 * RTOL
             last = (s, log_g)
         if a == s_jump:
-            s = a + 0.5 * rtol
+            s = a + 0.5 * RTOL
         elif step is not None and a <= s + step <= b:
             s += step
         elif g == math.inf and a < s_jump < b:
@@ -263,7 +269,7 @@ def orlicz_norm(u, M, rtol=1e-12, max_iter=200):
             s = a + math.log(2.0)
         else:
             s = 0.5 * (a + b)
-    raise BracketError("Amemiya root not bracketed within max_iter passes")
+    raise BracketError(f"Amemiya root not bracketed within {AMEMIYA_MAX_PASSES} passes")
 
 
 def characteristic_norm_value(M, measure):
@@ -363,7 +369,7 @@ class InequalityReport:
         return [r for r in self.rows if r.violated]
 
 
-def inequality_suite(f, g, M, minkowski_terms=6, seed=0):
+def inequality_suite(f, g, M, seed=0):
     """Evaluate both sides of the convolution and embedding inequalities.
 
     Checked with the full cube as the domain: the sup bound for f*g against
@@ -393,8 +399,8 @@ def inequality_suite(f, g, M, minkowski_terms=6, seed=0):
     rep.add("convolution_product_bound", lux_conv, embed_const * lux_f * lux_g)
 
     rng = np.random.default_rng(seed)
-    ks = rng.integers(0, dom.N, size=(minkowski_terms, dom.n))
-    coeffs = rng.uniform(-1.0, 1.0, size=minkowski_terms)
+    ks = rng.integers(0, dom.N, size=(MINKOWSKI_TERMS, dom.n))
+    coeffs = rng.uniform(-1.0, 1.0, size=MINKOWSKI_TERMS)
     acc = GridFunction.zeros(dom)
     rhs = 0.0
     for k_row, c in zip(ks, coeffs):

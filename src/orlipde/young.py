@@ -21,6 +21,9 @@ from .errors import (
     UnstableEstimateError,
 )
 
+INVERSE_RTOL = 1e-10  # relative bracket width of ``YoungFunction.inverse``
+INVERSE_MAX_STEPS = 200  # its most bisection steps
+
 
 class YoungFunction:
     """An N-function with evaluator, density, inverse density and trusted range.
@@ -71,16 +74,16 @@ class YoungFunction:
 
     # -- inversion ---------------------------------------------------------
 
-    def inverse(self, y, rtol=1e-10, max_iter=200):
+    def inverse(self, y):
         """Inverse of M on the positive half line, by bracketing + bisection.
 
-        Vectorized over y; scalar results are memoized per (y, rtol,
-        max_iter), since gauges ask for M^{-1}(1/mes) again and again.
+        Vectorized over y; scalar results are memoized per y, since gauges
+        ask for M^{-1}(1/mes) again and again.
         Raises RangeError when y exceeds M(domain_cap).
         """
         scalar = np.ndim(y) == 0
         if scalar:
-            key = (float(y), rtol, max_iter)
+            key = float(y)
             if key in self._inverse_memo:
                 return self._inverse_memo[key]
         ya = np.atleast_1d(np.asarray(y, dtype=float))
@@ -104,12 +107,12 @@ class YoungFunction:
                     break
                 hi[need] = np.minimum(hi[need] * 2.0, self.domain_cap)
             lo = np.zeros_like(target)
-            for _ in range(max_iter):
+            for _ in range(INVERSE_MAX_STEPS):
                 mid = 0.5 * (lo + hi)
                 below = self(mid) < target
                 lo[below] = mid[below]
                 hi[~below] = mid[~below]
-                if np.all(hi - lo <= rtol * np.maximum(hi, 1e-300)):
+                if np.all(hi - lo <= INVERSE_RTOL * np.maximum(hi, 1e-300)):
                     break
             out[pos] = 0.5 * (lo + hi)
         if scalar:

@@ -188,6 +188,26 @@ class TestReruns:
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
 
+    def test_solve_and_contraction_keep_separate_directories(self, tmp_path, capsys):
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        for key, value in (("grid.N", "64"), ("radii", "0.4,0.2,0.1,0.05"), ("probes", "8")):
+            assert f"{key} = {value}\n" in text
+        text = text.replace("grid.N = 64\n", "grid.N = 32\n")
+        text = text.replace("radii = 0.4,0.2,0.1,0.05\n", "radii = 0.2\n")
+        text = text.replace("probes = 8\n", "probes = 2\n")
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(text)
+        runs = tmp_path / "runs"
+        assert cli.run_config("solve", cfg, runs) == 0, capsys.readouterr().err
+        solved = {p.name: p.read_bytes() for p in next(runs.iterdir()).iterdir()}
+        assert cli.run_config("contraction", cfg, runs) == 0, capsys.readouterr().err
+        (solve_dir,) = [d for d in runs.iterdir() if (d / "summary.csv").exists()]
+        (contraction_dir,) = [d for d in runs.iterdir() if d != solve_dir]
+        assert {p.name: p.read_bytes() for p in solve_dir.iterdir()} == solved
+        assert {"iterations.csv", "solution.grid"} <= set(solved)
+        assert (contraction_dir / "resolved.cfg").read_text().startswith("command = contraction\n")
+        assert (contraction_dir / "sigma_profile.csv").read_bytes() == solved["sigma_profile.csv"]
+
 
 def outputs(root):
     """{path: bytes} of every file a run wrote, less the manifest's timings."""

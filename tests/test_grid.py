@@ -9,10 +9,8 @@ from orlipde import (
     convolve,
     mollifier_kernel,
     read_grid_function,
-    read_mask,
     shift,
     write_grid_function,
-    write_mask,
 )
 
 
@@ -156,14 +154,6 @@ class TestFileFormat:
         assert np.array_equal(g.values, f.values)
         header = path.read_text().splitlines()[0]
         assert header == "2,32,1.0"
-
-    def test_mask_roundtrip(self, tmp_path):
-        dom = GridDomain(2, 16, 1.0)
-        mask = dom.ball_mask([0.0, 0.0], 0.3)
-        path = tmp_path / "mask.grid"
-        write_mask(dom, path, mask)
-        dom2, mask2 = read_mask(path)
-        assert np.array_equal(mask, mask2)
 
     def test_lexicographic_order(self, tmp_path):
         dom = GridDomain(2, 4, 1.0)

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from orlipde import (
+    ContractionProfile,
     GridDomain,
     GridFunction,
     ParametrixOperator,
     ShiftVector,
+    SolveReport,
     bilaplacian,
     bounded_multiplier_check,
     cap_bump,
@@ -78,6 +80,16 @@ class TestIdentityDefect:
             defects.append(P.identity_defect(cap_bump(P.domain, 0.15)))
         assert defects[1] <= 0.05
         assert defects[1] <= 0.6 * defects[0]
+
+
+class TestSolve:
+    def test_converges_with_certificate(self):
+        L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+        P = ParametrixOperator(L, [0.0, 0.0], 0.2, N=32, M=power(2))
+        u, rep = P.solve(cap_bump(P.domain, 0.15), tol=1e-6)
+        assert isinstance(rep, SolveReport)
+        assert rep.converged and rep.certificate <= 2e-6
+        assert u.domain is P.domain and np.all(np.isfinite(u.values))
 
 
 # the variable-coefficient squared Laplacian of the benchmark's biharmonic solve
@@ -215,6 +227,7 @@ class TestShippedSolve:
         assert summary["sigma_hat_at_r"] == ladder["0.2"]
         L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
         alone = parametrix.contraction_profile(L, [0.0, 0.0], radii=[0.2], seed=7, M=power(2))
+        assert isinstance(alone, ContractionProfile)
         assert cli._fmt(alone.sigma_hat[0]) == ladder["0.2"]
 
     def test_sigma_hat_at_r_off_ladder(self, tmp_path, auto_run):

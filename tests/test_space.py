@@ -23,6 +23,7 @@ from orlipde import (
     mollify,
     multi_indices,
     orlicz_norm,
+    pairing,
     power,
     power_log,
     shift,
@@ -55,15 +56,19 @@ def amemiya_oracle(u, M):
 
     The objective is unimodal in log k, so the true minimum lies within one
     grid step of the best node; each level zooms to two steps around it.
+    M is evaluated once per level, on the stack of k|u| over the level's
+    nodes, and each node's modular is one row sum (+inf where M overflows).
     """
-    def objective(s):
-        k = math.exp(s)
-        return (1.0 + modular(u * k, M)) / k
-
+    vals = np.abs(u.masked_values())
     center, half = -math.log(luxemburg_norm(u, M)), 40.0
     while half > 1e-12:
         grid = center + np.linspace(-half, half, 41)
-        values = [objective(s) for s in grid]
+        ks = np.exp(grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = M(ks[:, None] * vals)
+        finite = np.isfinite(stack).all(axis=1)
+        rhos = np.where(finite, stack.sum(axis=1) * u.domain.cell_volume, np.inf)
+        values = (1.0 + rhos) / ks
         center = grid[int(np.argmin(values))]
         half /= 10.0
     return min(values)
@@ -271,6 +276,20 @@ class TestOrlicz:
                 assert abs(got - ref) <= 1e-9 * ref, (M, u, got, ref)
                 lux = luxemburg_norm(u, M)
                 assert lux <= got * (1 + 1e-9) and got <= 2 * lux * (1 + 1e-9), (M, u)
+
+
+class TestPairing:
+    def test_midpoint_sum_and_holder(self, line64):
+        # the pairing is the midpoint rule of u v, and |<u, v>| is bounded
+        # by the Orlicz norm of u times the conjugate gauge of v
+        rng = np.random.default_rng(6)
+        u = GridFunction(line64, rng.standard_normal(64))
+        v = GridFunction(line64, rng.standard_normal(64))
+        assert pairing(u, v) == pytest.approx(np.sum(u.values * v.values) * line64.h, rel=1e-12)
+        assert pairing(u, v) == pairing(v, u)
+        for M in (power(3), power_log(3), exp_young()):
+            bound = orlicz_norm(u, M) * luxemburg_norm(v, M.complementary())
+            assert abs(pairing(u, v)) <= bound * (1 + 1e-12), M
 
 
 class TestDualLowerBound:

@@ -6,9 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlipde import (
+    BoydIndices,
+    Delta2Report,
     EmbeddingWindowError,
     InvalidYoungFunctionError,
     RangeError,
+    UnstableEstimateError,
+    YoungFunction,
     boyd_indices,
     check_delta2,
     complementary,
@@ -154,6 +158,7 @@ class TestComplementary:
         t = np.linspace(0.0, 2.0, 21)
         for M in (power_log(3), exp_young(), from_density(t, t**2)):
             assert M.degree is None
+            assert isinstance(M.complementary(), YoungFunction)
             assert M.complementary().degree is None
 
     def test_power_family_oracle(self):
@@ -191,6 +196,7 @@ class TestInverse:
 class TestBoyd:
     def test_quadratic(self):
         bi = boyd_indices(power(2))
+        assert isinstance(bi, BoydIndices)
         assert bi.alpha == pytest.approx(0.5, abs=0.02)
         assert bi.beta == pytest.approx(0.5, abs=0.02)
 
@@ -212,6 +218,18 @@ class TestBoyd:
 
     def test_residual_reported(self):
         assert boyd_indices(power(2)).fit_residual < 1e-6
+
+    def test_rising_trace_rejected(self, monkeypatch):
+        # h_hat(t) is nonincreasing for every N-function; an M^-1 that drops
+        # by 1e6 on [1e11, 1e15) makes it rise from t = 1e-2 to t = 1e2,
+        # and the estimate is refused with the sorted trace attached
+        M = power(2)
+        monkeypatch.setattr(M, "inverse", lambda y: np.sqrt(y) * np.where(
+            (y >= 1e11) & (y < 1e15), 1e-6, 1.0))
+        with pytest.raises(UnstableEstimateError) as info:
+            boyd_indices(M)
+        trace = info.value.trace
+        assert trace.shape == (10, 2) and np.all(np.diff(trace[:, 0]) > 0)
 
 
 class TestEmbedding:
@@ -239,6 +257,7 @@ class TestDelta2:
     def test_power_doubling_exact(self):
         for p in (1.5, 2.0, 3.0):
             rep = check_delta2(power(p), 1.0, 1e6)
+            assert isinstance(rep, Delta2Report)
             assert rep.satisfied
             assert rep.k_hat == pytest.approx(2.0**p, abs=1e-10)
 
