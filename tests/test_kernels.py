@@ -404,13 +404,34 @@ class TestSingularPotential:
         assert all(math.isfinite(r) for r in ratios)
         assert ratios[1] == pytest.approx(ratios[0], rel=0.2)
 
-    def test_shift_modulus_decays(self, square64):
+
+class TestSingularKernel:
+    def test_constants_annihilated(self, square32):
+        # the cos(2 theta) kernel and its rotation: the pure pv parts of the
+        # (2, 0) and (0, 2) channels sum to zero over the lattice
+        J = fundamental_solution(laplacian(2))
+        c = GridFunction.from_callable(square32, lambda x, y: np.full_like(x, 3.0))
+        for p in ((2, 0), (0, 2)):
+            out = kernel_convolve(J.kernel_array(square32, p, "pv"), c)
+            assert np.max(np.abs(out.values)) < 1e-12, p
+
+
+class TestShiftInvarianceProbe:
+    """L_M modulus of continuity of a Calderon-Zygmund channel under shifts."""
+
+    def test_modulus_decays_with_input(self, square64):
         J = fundamental_solution(laplacian(2))
         M = power(2)
         channel = one_channel(J, cap_profile(square64, 0.25), (1, 1))
-        cells = [24, 16, 8, 4, 2, 1, 0]
+        cells = [24, 16, 8, 4, 2, 1]
         deltas = [ShiftVector.from_cells(square64, [c, 0]) for c in cells]
         mods = [modulus for _, modulus in shift_modulus(channel, M, deltas)]
         assert all(a > b for a, b in zip(mods, mods[1:]))
-        assert mods[-2] < 0.1 * mods[0]
-        assert mods[-1] == 0.0
+        assert mods[-1] < 0.1 * mods[0]
+
+    def test_zero_shift_row(self, square32, bump):
+        J = fundamental_solution(laplacian(2))
+        M = power(2)
+        channel = one_channel(J, bump(square32, 0.2), (1, 1))
+        rows = shift_modulus(channel, M, [ShiftVector.of(0.0, 0.0)])
+        assert rows[0][1] == 0.0
