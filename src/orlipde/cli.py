@@ -22,7 +22,6 @@ Exit codes (each failure prints one line to stderr):
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import sys
@@ -137,6 +136,17 @@ def _write_shift_modulus(cfg, out, M, domain, f):
     _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, deltas))
 
 
+def _is_indicator(values):
+    """Whether the values take at most two values, each 0 or 1 to 12 decimals."""
+    # ufunc tests, not np.unique, which imports numpy.ma on every cold run
+    flat = values.ravel()
+    others = flat[flat != flat[0]]
+    if others.size and not np.all(others == others[0]):
+        return False
+    pair = [flat[0], others[0] if others.size else flat[0]]
+    return set(np.round(pair, 12).tolist()) <= {0.0, 1.0}
+
+
 def _cmd_norms(cfg, out):
     M, domain, f = _grid_data(cfg)
     seed = cfg.get_int("seed")
@@ -150,8 +160,7 @@ def _cmd_norms(cfg, out):
         ("l1", l1_norm(f)),
         ("sup", f.sup_norm()),
     ]
-    values = np.unique(f.values)
-    if values.size <= 2 and set(np.round(values, 12)) <= {0.0, 1.0}:
+    if _is_indicator(f.values):
         mes = float(np.count_nonzero(f.values)) * domain.cell_volume
         formula = characteristic_norm_value(M, mes)
         amemiya = dict(rows)["orlicz"]
@@ -321,6 +330,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     if args.jobs > 1 and len(args.config) > 1:
+        import concurrent.futures  # here only: it also imports logging
+
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
             codes = list(
                 pool.map(

@@ -8,8 +8,11 @@ safeguarded Newton solves otherwise.  ``luxemburg_norm`` is its one-row
 call.  The dual (Orlicz) norm is the Amemiya infimum, in closed form for a
 homogeneous M and at the root of its optimality condition otherwise, and a
 randomized witness search provides certified lower bounds for it.  All
-integrals are midpoint-rule sums over the domain mask with compensated
-summation, one per function.
+integrals are midpoint-rule sums over the domain mask.  Modular integrals
+(every gauge and Amemiya pass) sum nonnegative terms, so numpy's pairwise
+row sum is accurate to O(log n) 2^-53 relative (Higham 1993), far below
+RTOL; the signed sum of ``pairing`` and the sums of ``l1_norm`` and the
+bounded-density Amemiya limit keep the compensated ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -38,10 +41,15 @@ def modulars(rows, M, cell_volume, slope=False):
     """rho_M of every row of a stack, from one evaluation of M on the stack.
 
     ``rows`` is a 2-d array holding |u| on the masked cells, one function
-    per row.  Returns the list of each row's rho, one compensated sum per
-    row, +inf for a row where M overflows.  With ``slope=True`` returns the
-    pair (rhos, integrals of |u| p(|u|)), the latter +inf where they
-    overflow.  This is the one modular pass every gauge takes.
+    per row.  Returns the list of each row's rho, +inf for a row where M
+    overflows.  With ``slope=True`` returns the pair (rhos, integrals of
+    |u| p(|u|)), the latter +inf where they overflow.  This is the one
+    modular pass every gauge takes.
+
+    Each row is one numpy pairwise sum along its contiguous axis, not a
+    compensated ``math.fsum``: the terms are nonnegative, so the relative
+    error is O(log n) 2^-53, far below RTOL, and a row sums alike alone
+    or in a stack, so a batched gauge equals its one-row call bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mv = M(rows)
@@ -54,8 +62,9 @@ def modulars(rows, M, cell_volume, slope=False):
 
 
 def _row_sums(arr, cell_volume):
-    finite = np.isfinite(arr).all(axis=1)
-    return [_csum(row) * cell_volume if ok else math.inf for row, ok in zip(arr, finite)]
+    # a row holding inf or nan sums to a non-finite value, which reads +inf
+    sums = np.ascontiguousarray(arr).sum(axis=1) * cell_volume
+    return np.where(np.isfinite(sums), sums, math.inf).tolist()
 
 
 def modular(u, M, slope=False):

@@ -222,9 +222,64 @@ def outputs(root):
     return tree
 
 
-def test_import_leaves_sympy_out():
-    # a fresh interpreter, since this one may have imported sympy already
+def test_import_leaves_sympy_out(tmp_path):
+    # a fresh interpreter, since this one may have imported these already:
+    # a norms run imports neither sympy nor numpy.ma (np.unique would), and
+    # concurrent.futures only for --jobs > 1
     paths = [str(Path(orlipde.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    code = "import sys, orlipde.cli; sys.exit('sympy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    cfg = tmp_path / "norms.cfg"
+    cfg.write_text("n = 1\ngrid.N = 16\nf = expr:(1+x1/abs(x1))/2\n")
+    code = (
+        "import sys, orlipde.cli\n"
+        f"assert orlipde.cli.run_config('norms', {str(cfg)!r}, {str(tmp_path / 'runs')!r}) == 0\n"
+        "print(*(m for m in ('sympy', 'numpy.ma', 'concurrent.futures') if m in sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "", done.stdout
+    assert len(list((tmp_path / "runs").glob("*/norms.csv"))) == 1
+
+
+def unique_rule(values):
+    """The indicator test of the norms command before it avoided np.unique."""
+    values = np.unique(values)
+    return bool(values.size <= 2 and set(np.round(values, 12)) <= {0.0, 1.0})
+
+
+class TestIndicatorNorms:
+    INDICATOR_ROWS = ["indicator_measure", "characteristic_formula", "formula_vs_amemiya"]
+
+    def norms(self, tmp_path, cfg):
+        assert cli.run_config("norms", cfg, tmp_path / "runs") == 0
+        (table,) = (tmp_path / "runs").glob("*/norms.csv")
+        return [line.split(",")[0] for line in table.read_text().splitlines()[1:]]
+
+    def test_indicator_writes_formula_rows(self, tmp_path):
+        names = self.norms(tmp_path, CONFIGS / "indicator_norms.cfg")
+        assert names[-3:] == self.INDICATOR_ROWS
+
+    def test_three_valued_field_writes_none(self, tmp_path):
+        text = (CONFIGS / "indicator_norms.cfg").read_text()
+        f = "f = expr:(1+x1/abs(x1))/2*(1-(x1-1)/abs(x1-1))/2\n"
+        assert f in text
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(text.replace(f, "f = expr:(1+x1/abs(x1))/2+(1+(x1-0.5)/abs(x1-0.5))/2\n"))
+        names = self.norms(tmp_path, cfg)
+        assert not set(self.INDICATOR_ROWS) & set(names), names
+
+    @pytest.mark.parametrize("values, verdict", [
+        ([-0.0, 1.0, 0.0, -0.0], True),
+        ([0.0, -0.0, 0.0], True),
+        ([1.0, 1.0, 1.0], True),
+        ([1.0 + 1e-13, 0.0, 1.0 + 1e-13], True),
+        ([1.0 + 1e-13, 0.0, 1.0], False),
+        ([1.0 + 1e-11, 0.0], False),
+        ([0.5, 0.5], False),
+        ([-1.0, 0.0, 1.0], False),
+        ([0.0, 1.0, 2.0], False),
+    ], ids=["signed-zeros", "zeros", "ones", "near-one", "near-one-and-one", "off-one", "single-half", "three",
+            "three-positive"])
+    def test_matches_unique_rule(self, values, verdict):
+        values = np.array(values).reshape(-1, 1)
+        assert cli._is_indicator(values) == unique_rule(values) == verdict

@@ -233,6 +233,21 @@ class TestGaugeSolver:
         for M in (power_log(3), exp_young(), from_density(*self.KINKED)):
             alone = sum(0.7 ** sum(p) * luxemburg_norm(ch, M) for p, ch in channels.items())
             assert sobolev_norm(channels, M, d_omega=0.7) == alone, M
+        # under them, the row sums of a modular pass: pairwise over nonnegative
+        # terms, within ceil(log2 n) 2^-53 of the exact sum, alike alone or stacked
+        rng = np.random.default_rng(5)
+        for n in (1, 7, 8, 9, 128, 129, 208, 1024, 2**16):
+            rows = np.exp(rng.uniform(-40.0, 5.0, size=(3, n)))
+            rows[1, n // 2] = math.inf
+            rows[2, 0] = math.nan
+            stacked = np.vstack([rows, rows[:1] * 0.5])
+            got = space._row_sums(stacked, 0.25)
+            assert got[1:3] == [math.inf, math.inf], n
+            for row, g in zip(stacked, got):
+                assert g == space._row_sums(row[None, :], 0.25)[0], n
+                if math.isfinite(g):
+                    exact = 0.25 * math.fsum(row.tolist())
+                    assert abs(g - exact) <= math.ceil(math.log2(n)) * 2.0**-53 * exact, n
 
     def test_non_finite_field_raises(self, line64):
         for bad in (math.nan, math.inf):
