@@ -245,12 +245,26 @@ class FundamentalSolution:
         mode "weak" replaces the zero-offset entry by the inscribed-ball
         average (|p| < m); mode "pv" zeroes it (symmetric exclusion).  With
         ``log_coefficient`` the samples are those of the log-q coefficient.
+        On an even lattice the seam offset -d/2 is also +d/2, so a sample
+        with seam coordinates is the mean of d^p J over its +-d/2 images
+        along those axes: for A = I a kernel odd in an axis then sums to
+        zero over the lattice, and an even kernel is unchanged.
         Sampled afresh on every call; ``kernel_spectrum`` holds the cache.
         """
         p = MultiIndex(p)
-        offs = domain.offset_lattice()
-        vals = self._series(p, offs, log_coefficient)
-        origin = (0,) * domain.n
+        n, N = domain.n, domain.N
+        line = domain.offset_lattice()[0].reshape(N, -1)[:, 0]  # the offsets of one axis
+        seam = N % 2 == 0
+        if seam:
+            line = np.append(line, -line[N // 2])
+        vals = self._series(p, np.meshgrid(*[line] * n, indexing="ij"), log_coefficient)
+        if seam:
+            for axis in range(n):
+                lo = (slice(None),) * axis + (N // 2,)
+                hi = (slice(None),) * axis + (N,)
+                vals[lo] = 0.5 * (vals[lo] + vals[hi])
+            vals = vals[(slice(0, N),) * n]
+        origin = (0,) * n
         if mode == "weak":
             vals[origin] = self.cell_average(p, domain.h, log_coefficient)
         elif mode == "pv":

@@ -415,6 +415,22 @@ class TestSingularKernel:
             out = kernel_convolve(J.kernel_array(square32, p, "pv"), c)
             assert np.max(np.abs(out.values)) < 1e-12, p
 
+    @pytest.mark.parametrize("name", ["laplace2d", "laplace3d", "biharmonic2d", "biharmonic3d"])
+    def test_seam_images_annihilate_constants(self, name):
+        # on an even lattice the seam offset -d/2 is also +d/2; sampling it as
+        # the mean of both images makes a kernel odd in an axis sum to zero,
+        # and the harmonic order-2 kernels sum to zero by the cube's symmetry.
+        # (The even order-4 kernels do not: the lattice sum of a mean-zero
+        # kernel over a cube, not a ball, is not zero.)
+        J = fundamental_solution(FAMILIES[name]())
+        dom = GridDomain(J.n, 32 if J.n == 2 else 16, 1.0)
+        c = GridFunction(dom, np.full(dom.shape, 3.0))
+        for p in multi_indices(J.n, J.m, J.m):
+            if J.m == 2 or any(k % 2 for k in p):
+                K = J.kernel_array(dom, p, "pv")
+                out = kernel_convolve(K, c).values
+                assert np.max(np.abs(out)) <= 1e-12 * 3.0 * dom.cell_volume * np.max(np.abs(K)), p
+
 
 class TestShiftInvarianceProbe:
     """L_M modulus of continuity of a Calderon-Zygmund channel under shifts."""
