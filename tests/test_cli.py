@@ -278,8 +278,8 @@ class TestIndicatorNorms:
         ([0.5, 0.5], False),
         ([-1.0, 0.0, 1.0], False),
         ([0.0, 1.0, 2.0], False),
-    ], ids=["signed-zeros", "zeros", "ones", "near-one", "near-one-and-one", "off-one", "single-half", "three",
-            "three-positive"])
+    ], ids=["signed-zeros", "zeros", "ones", "near-one", "near-one-and-one", "off-one",
+            "single-half", "three", "three-positive"])
     def test_matches_unique_rule(self, values, verdict):
         values = np.array(values).reshape(-1, 1)
         assert cli._is_indicator(values) == unique_rule(values) == verdict
