@@ -150,13 +150,14 @@ def _is_indicator(values):
 def _cmd_norms(cfg, out):
     M, domain, f = _grid_data(cfg)
     seed = cfg.get_int("seed")
+    trials = cfg.get_count("trials")
     g_spec = cfg.get("g")
     g = f if not g_spec else build_field(g_spec, domain, restrict=False)[0]
     rows = [
         ("modular", modular(f, M)),
         ("luxemburg", luxemburg_norm(f, M)),
         ("orlicz", orlicz_norm(f, M)),
-        ("dual_lower_bound", dual_norm_lower_bound(f, M, trials=cfg.get_int("trials"), seed=seed)),
+        ("dual_lower_bound", dual_norm_lower_bound(f, M, trials=trials, seed=seed)),
         ("l1", l1_norm(f)),
         ("sup", f.sup_norm()),
     ]
@@ -189,7 +190,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
     n = cfg.get_int("n")
     x0 = cfg.get_floats("x0") or [0.0] * n
     radii = cfg.get_floats("radii")
-    probes = cfg.get_int("probes")
+    probes = cfg.get_count("probes")
     # one kernel for the frozen operator at x0, and one sign normalization
     # (one ellipticity check), serve every radius and the solve
     L0, normalized = frozen_operator(L, x0)

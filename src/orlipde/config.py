@@ -92,6 +92,13 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key} expects an integer, got {self.values[key]!r}") from exc
 
+    def get_count(self, key):
+        """An integer >= 1, such as a number of probes or trials."""
+        value = self.get_int(key)
+        if value < 1:
+            raise ConfigError(f"key {key} expects an integer >= 1, got {value}")
+        return value
+
     def get_floats(self, key):
         text = self.values[key].strip()
         if not text:

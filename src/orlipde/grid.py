@@ -123,10 +123,9 @@ class GridFunction:
     def masked_values(self):
         return self.values[self.domain.mask]
 
-    def restricted(self, mask=None):
-        """Copy with values zeroed outside the given (or domain) mask."""
-        m = self.domain.mask if mask is None else mask
-        return GridFunction(self.domain, np.where(m, self.values, 0.0))
+    def restricted(self):
+        """Copy with values zeroed outside the domain mask."""
+        return GridFunction(self.domain, np.where(self.domain.mask, self.values, 0.0))
 
     def sup_norm(self, masked=True):
         vals = self.masked_values() if masked else self.values
@@ -315,7 +314,7 @@ def write_grid_function(f, path):
             fh.write(f"{float(v)!r}\n")
 
 
-def read_grid_function(path, mask=None):
+def read_grid_function(path):
     """Read the format of ``write_grid_function``.
 
     A missing file, a bad header, a geometry that ``GridDomain`` rejects, a
@@ -334,7 +333,7 @@ def read_grid_function(path, mask=None):
         except ValueError as exc:
             raise ConfigError(f"grid file {path}: bad header {header!r}") from exc
         try:
-            domain = GridDomain(n, N, d, mask=mask)
+            domain = GridDomain(n, N, d)
             with warnings.catch_warnings():
                 # a file without values is reported by the count check below
                 warnings.simplefilter("ignore", UserWarning)

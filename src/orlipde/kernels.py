@@ -18,9 +18,10 @@ lattice scaled: d^p J(t y) = t^(m-n-|p|) (d^p J(y) + 2 log t V_p(y)), where
 V_p = c d^p(q^a) is the coefficient of log q (zero on the power branch).  So
 a kernel samples each channel, and calibrates its local constants, once per
 lattice size N on the unit lattice, and every grid of that size (a whole
-radius ladder) takes its spectra by that scaling.  ``potential_channels``
-evaluates every derivative channel of a density from one forward transform
-of that density and one batched inverse transform.
+radius ladder) takes its spectra by that scaling.  ``potential_rows``
+evaluates every derivative channel of a stack of densities from one forward
+transform of the stack and batched inverse transforms;
+``potential_channels`` is its one-density call.
 """
 
 from __future__ import annotations
@@ -204,13 +205,13 @@ class FundamentalSolution:
                     out += q_pow * radial * poly
         return float(out) if out.shape == () else out
 
-    def decay_constant(self, orders=None):
-        """Sampled sup of |d^p J(x)| |x|^(n+|p|-m) over the annulus 1e-3 <= |x| <= 1."""
+    def decay_constant(self):
+        """Sampled sup of |d^p J(x)| |x|^(n+|p|-m), |p| <= m, over the annulus 1e-3 <= |x| <= 1."""
         pts, _ = sphere_points(self.n, 64 if self.n == 2 else None)
         radii = np.logspace(-3, 0, 25)
         X = [np.multiply.outer(radii, pts[:, a]) for a in range(self.n)]
         best = 0.0
-        for p in multi_indices(self.n, self.m if orders is None else orders):
+        for p in multi_indices(self.n, self.m):
             sup = np.abs(self.derivative(p, *X)).max(axis=1)
             best = max(best, float(np.max(sup * radii ** (self.n + p.order - self.m))))
         return best
@@ -405,52 +406,81 @@ def fundamental_solution(L0):
 # most grid nodes per batched inverse transform: batching saves the per-call
 # overhead of small grids (15 channels at N = 32 in 2-d run 2.8x faster as
 # one batch than one by one), while one large batch loses cache locality
-# (35 channels at N = 32 in 3-d run 1.5x slower as one batch)
+# (35 channels at N = 32 in 3-d run 1.5x slower as one batch).  The leading
+# axes of a transform are densities (the probes of a contraction profile)
+# times channels: as many whole dictionaries as fit, 4 probes of 15 channels
+# at N = 32 in 2-d, else one density's channels in chunks that fit (one
+# dictionary at 2-d N = 64, 2 channels at a time at 3-d N = 32).
 _BATCH_NODES = 2**16
 
 
-def _convolve_channels(J, psi_hat, domain, orders):
-    """Convolutions of the stacked kernels of orders with one half spectrum.
+def densities_per_transform(domain, channels):
+    """How many densities' dictionaries of ``channels`` channels fit one transform; at least 1."""
+    return max(1, _BATCH_NODES // (channels * domain.N**domain.n))
 
-    Batched inverse transforms of up to ``_BATCH_NODES`` nodes each (one
-    for a whole 2-d dictionary up to N = 64); each row equals
-    ``spectral_convolve`` of its kernel spectrum alone, bit for bit.
+
+def _convolve_channels(J, psi_hats, domain, orders):
+    """Convolutions of the stacked kernels of orders with stacked half spectra.
+
+    ``psi_hats`` holds one half spectrum per density along its leading
+    axis; the result lists one array per channel, of shape (densities,
+    *domain.shape).  Batched inverse transforms of up to ``_BATCH_NODES``
+    nodes each: the whole dictionaries of ``densities_per_transform``
+    densities where they fit, else chunks of one density's channels.  Each
+    entry equals ``spectral_convolve`` of its kernel spectrum and its
+    density alone, bit for bit.
     """
     stack = J.channel_spectra(domain, orders)
-    step = max(1, _BATCH_NODES // domain.N**domain.n)
-    axes = tuple(range(1, domain.n + 1))
-    out = []
-    for i in range(0, len(stack), step):
-        vals = np.fft.irfftn(stack[i : i + step] * psi_hat, s=domain.shape, axes=axes)
-        out.extend(GridFunction(domain, v * domain.cell_volume) for v in vals)
+    per_density = densities_per_transform(domain, len(stack))
+    per_channel = max(1, _BATCH_NODES // domain.N**domain.n)
+    axes = tuple(range(-domain.n, 0))
+    out = [np.empty((len(psi_hats), *domain.shape)) for _ in stack]
+    for i in range(0, len(psi_hats), per_density):
+        for j in range(0, len(stack), per_channel):
+            prod = stack[j : j + per_channel] * psi_hats[i : i + per_density, None]
+            vals = np.fft.irfftn(prod, s=domain.shape, axes=axes)
+            for k in range(vals.shape[1]):
+                out[j + k][i : i + per_density] = vals[:, k] * domain.cell_volume
     return out
 
 
-def potential_channels(J, sigma, orders):
-    """Derivative channels d^p of the potential of sigma, keyed by p.
+def potential_rows(J, rows, domain, orders):
+    """Derivative channels d^p of the potentials of stacked densities, keyed by p.
 
-    sigma is restricted to its domain mask and transformed once; all
-    channels then come from one batched inverse transform against the
-    stacked kernel spectra, cached on J per (orders, N, d).  Channels with
-    |p| < m use the weakly singular kernel, whose singular cell holds the
-    inscribed-ball average.  Order-m channels are the principal value plus
-    the local multiple of the restricted density, with the constants
-    calibrated against the inversion identity of the generating operator.
-    Linear in sigma.
+    ``rows`` holds one density on ``domain`` per row, shape (count,
+    *domain.shape), and each channel is a stack of the same shape.  The
+    densities are restricted to the domain mask and transformed once, all
+    together; all channels then come from batched inverse transforms
+    against the stacked kernel spectra, cached on J per (orders, N, d).
+    Channels with |p| < m use the weakly singular kernel, whose singular
+    cell holds the inscribed-ball average.  Order-m channels are the
+    principal value plus the local multiple of the restricted density, with
+    the constants calibrated against the inversion identity of the
+    generating operator.  Linear in each density; every row equals its
+    one-row call bit for bit.
     """
     orders = tuple(MultiIndex(p) for p in orders)
     for p in orders:
         if p.order > J.m:
             raise ValueError(f"channel {p} exceeds the kernel order {J.m}")
-    dom = sigma.domain
-    psi = sigma.restricted()
-    channels = _convolve_channels(J, half_spectrum(psi.values), dom, orders)
-    out = {}
-    for p, ch in zip(orders, channels):
+    psi = np.where(domain.mask, rows, 0.0)
+    psi_hats = np.fft.rfftn(psi, axes=tuple(range(-domain.n, 0)))
+    channels = dict(zip(orders, _convolve_channels(J, psi_hats, domain, orders)))
+    for p, ch in channels.items():
         if p.order == J.m:
-            ch = ch + psi * J.local_constants(dom).constants[p]
-        out[p] = ch
-    return out
+            ch += psi * J.local_constants(domain).constants[p]
+    return channels
+
+
+def potential_channels(J, sigma, orders):
+    """Derivative channels d^p of the potential of sigma, keyed by p.
+
+    The one-row ``potential_rows``: each channel is a grid function on
+    sigma's domain.  Each stacked channel is released once it is copied,
+    so the dictionary is held about once, not twice.
+    """
+    rows = potential_rows(J, sigma.values[None], sigma.domain, orders)
+    return {p: GridFunction(sigma.domain, rows.pop(p)[0]) for p in list(rows)}
 
 
 @dataclass
@@ -505,8 +535,8 @@ def _calibrate_local_constants(J, domain):
     pv = []
     lower = []
     for psi in fit_probes:
-        pv_psi = _convolve_channels(J, half_spectrum(psi.values), domain, orders)
-        pv.append(dict(zip(orders, pv_psi)))
+        pv_psi = _convolve_channels(J, half_spectrum(psi.values)[None], domain, orders)
+        pv.append({p: v[0] for p, v in zip(orders, pv_psi)})
         lower.append(potential_channels(J, psi, lowers))
     raw = {}
     for p in orders:
@@ -517,7 +547,7 @@ def _calibrate_local_constants(J, domain):
         den = 0.0
         for psi, pv_psi, lower_psi in zip(fit_probes, pv, lower):
             target = diff(lower_psi[q], unit)
-            resid = target.values - pv_psi[p].values
+            resid = target.values - pv_psi[p]
             num += float(np.sum(resid * psi.values))
             den += float(np.sum(psi.values**2))
         raw[p] = num / den
@@ -530,17 +560,17 @@ def _calibrate_local_constants(J, domain):
     for psi, pv_psi in zip(fit_probes, pv):
         pv_total = np.zeros(domain.shape)
         for p in a0:
-            pv_total += a0[p] * pv_psi[p].values
+            pv_total += a0[p] * pv_psi[p]
         num += float(np.sum((psi.values - pv_total) * (csum * psi.values)))
         den += float(np.sum((csum * psi.values) ** 2))
     gamma = num / den
     constants = {p: gamma * raw[p] for p in raw}
     # held-out residual of the inversion identity
-    pv_holdout = _convolve_channels(J, half_spectrum(holdout.values), domain, orders)
-    pv_holdout = dict(zip(orders, pv_holdout))
+    pv_holdout = _convolve_channels(J, half_spectrum(holdout.values)[None], domain, orders)
+    pv_holdout = {p: v[0] for p, v in zip(orders, pv_holdout)}
     pv_total = np.zeros(domain.shape)
     for p in a0:
-        pv_total += a0[p] * pv_holdout[p].values
+        pv_total += a0[p] * pv_holdout[p]
     local = sum(a0[p] * constants[p] for p in a0)
     recon = pv_total + local * holdout.values
     residual = float(np.max(np.abs(recon - holdout.values)) / np.max(np.abs(holdout.values)))

@@ -1,11 +1,13 @@
 """Elliptic operators of even order on the periodic grid.
 
 An operator is a coefficient map {multi-index p: a_p(.)} applied through
-tensor-product second-order central differences; ``difference_channels``
-takes a whole dictionary of them, differencing each shared prefix of the
-multi-indices once.  The module also provides the characteristic form,
+tensor-product second-order central differences; ``difference_rows``
+takes a whole dictionary of them for a stack of functions, differencing each
+shared prefix of the multi-indices once, and ``difference_channels`` is its
+one-function call.  The module also provides the characteristic form,
 ellipticity and coefficient-regularity checks, coefficient freezing at a
-point, and the weighted Orlicz-Sobolev norm.
+point, and the weighted Orlicz-Sobolev norms of stacked channel dictionaries
+(``sobolev_norms``, with ``sobolev_norm`` its one-function call).
 """
 
 from __future__ import annotations
@@ -81,26 +83,35 @@ def diff(u, p):
     return difference_channels(u, [p])[p]
 
 
-def difference_channels(u, orders):
-    """{p: D^p u} for every p in orders, each equal to ``diff(u, p)`` bit for bit.
+def difference_rows(rows, domain, orders):
+    """{p: D^p of every row} for a stack of grid arrays, shape (count, *domain.shape).
 
     The axes are differenced in order, so indices that agree on their first
-    entries share those passes: each distinct prefix is differenced once.
+    entries share those passes: each distinct prefix is differenced once,
+    for the whole stack at a time.  Every row is differenced alone as it
+    would be in a stack of one, so each equals its ``diff`` bit for bit.
     """
-    dom = u.domain
-    partial = {(): u.values}
+    partial = {(): rows}
     out = {}
     for p in orders:
         p = MultiIndex(p)
-        if len(p) != dom.n:
+        if len(p) != domain.n:
             raise ValueError("multi-index dimension mismatch")
         if max(p) > 4:
             raise ValueError("stencils shipped up to fourth order per axis")
         for axis, k in enumerate(p):
             if p[: axis + 1] not in partial:
-                partial[p[: axis + 1]] = _axis_diff(partial[p[:axis]], k, axis, dom.h)
-        out[p] = GridFunction(dom, partial[p])
+                partial[p[: axis + 1]] = _axis_diff(
+                    partial[p[:axis]], k, axis - domain.n, domain.h
+                )
+        out[p] = partial[p]
     return out
+
+
+def difference_channels(u, orders):
+    """{p: D^p u} for every p in orders: the one-row ``difference_rows``."""
+    rows = difference_rows(u.values[None], u.domain, orders)
+    return {p: GridFunction(u.domain, v[0]) for p, v in rows.items()}
 
 
 class EllipticOperator:
@@ -247,7 +258,7 @@ def characteristic_form(L, x, eta):
     return total
 
 
-def unit_directions(n, count=64, seed=0):
+def unit_directions(n, count=64):
     """Quasi-uniform unit vectors: endpoints (1d), circle, or Fibonacci sphere."""
     if n == 1:
         return np.array([[1.0], [-1.0]])
@@ -384,15 +395,32 @@ def coefficient_continuity_check(L, x0, radii, samples=256, seed=0):
     return RegularityReport(rows=rows, passed=passed, note=note)
 
 
-def sobolev_norm(channels, M, d_omega):
-    """Weighted Orlicz-Sobolev norm sum_p d_omega^|p| ||channels[p]||_M.
+def sobolev_norms(channels, M, d_omega, domain):
+    """Weighted Orlicz-Sobolev norms sum_p d_omega^|p| ||channels[p][i]||_M of stacked rows.
 
-    Sums over any dictionary {multi-index p: grid function on one domain}
-    in its order; d_omega is the diameter of the working domain.  The
-    gauges of all channels are taken together, one evaluation of M per
-    pass, and each reads only the masked nodes of its channel, so the
-    channels need no restriction.
+    ``channels`` maps each multi-index p to a stack of grid arrays on
+    ``domain``, shape (count, *domain.shape), row i belonging to function
+    i; the result lists the count norms, each summed over the dictionary in
+    its order.  d_omega is the diameter of the working domain.  The gauges
+    of all rows of all channels are one ``gauges`` call, one evaluation of
+    M per pass, and each reads only the masked nodes, so the channels need
+    no restriction.
+    """
+    orders = list(channels)
+    stack = np.abs(np.stack([channels[p][:, domain.mask] for p in orders], axis=1))
+    count, width = stack.shape[:2]
+    norms = gauges(stack.reshape(count * width, -1), M, domain)
+    weights = [d_omega ** MultiIndex(p).order for p in orders]
+    return [
+        sum(w * g for w, g in zip(weights, norms[i * width : (i + 1) * width]))
+        for i in range(count)
+    ]
+
+
+def sobolev_norm(channels, M, d_omega):
+    """Weighted Orlicz-Sobolev norm of one dictionary {p: grid function on one domain}.
+
+    The one-row ``sobolev_norms``, summed over the dictionary in its order.
     """
     domain = next(iter(channels.values())).domain
-    norms = gauges([np.abs(ch.masked_values()) for ch in channels.values()], M, domain)
-    return sum(d_omega ** MultiIndex(p).order * g for p, g in zip(channels, norms))
+    return sobolev_norms({p: ch.values[None] for p, ch in channels.items()}, M, d_omega, domain)[0]

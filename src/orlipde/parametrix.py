@@ -15,6 +15,14 @@ as one dictionary of derivative channels {p: d^p S sigma}, computed from one
 forward transform of the density.  The correction density and the residual
 are coefficient combinations over that dictionary, and every weighted norm
 (probe, correction, iterate, step, error) is ``sobolev_norm`` of one.
+
+The contraction profile builds each radius's probes as one stack with a
+leading probe axis (``probe_family``) and runs them in batches of as many
+probes as fit one inverse transform of their channels: each batch is
+differenced, normed, combined and taken through its potentials as one stack.
+The one-function calls of the solve (``difference_channels``,
+``sobolev_norm``, ``potential_channels``, ``combine``) are the one-row case
+of those stacked routines, so both take the same arithmetic.
 """
 
 from __future__ import annotations
@@ -27,13 +35,20 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .grid import GridDomain, GridFunction
-from .kernels import fundamental_solution, potential_channels
+from .kernels import (
+    densities_per_transform,
+    fundamental_solution,
+    potential_channels,
+    potential_rows,
+)
 from .operators import (
     difference_channels,
+    difference_rows,
     ellipticity_check,
     freeze_leading,
     multi_indices,
     sobolev_norm,
+    sobolev_norms,
 )
 from .space import luxemburg_norm
 
@@ -75,25 +90,56 @@ def frozen_operator(L, x0):
     return freeze_leading(normalized[0], x0), normalized
 
 
-def cap_bump(domain, radius, center=None, degree=None, rng=None):
-    """Smooth compactly supported probe: a cap bump times a low-degree polynomial."""
-    grids = domain.node_grids()
-    c = np.asarray(domain.center if center is None else center, dtype=float)
-    r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
+def cap_bump(domain, radius, center=None):
+    """Smooth compactly supported probe exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho."""
+    c = domain.center if center is None else center
+    return GridFunction(domain, _cap(domain, radius, np.asarray(c, dtype=float)))
+
+
+def _cap(domain, radius, c):
+    r2 = sum((g - ci) ** 2 for g, ci in zip(domain.node_grids(), c))
     vals = np.zeros(domain.shape)
     inside = r2 < radius**2
     with np.errstate(over="ignore"):
         vals[inside] = np.exp(-(radius**2) / (radius**2 - r2[inside]))
-    if degree is not None and rng is not None:
-        poly = np.zeros(domain.shape)
-        for _ in range(degree + 1):
-            term = np.ones(domain.shape)
-            for g, ci in zip(grids, c):
-                k = rng.integers(0, degree + 1)
-                term = term * ((g - ci) / radius) ** k
-            poly += rng.uniform(-1.0, 1.0) * term
-        vals = vals * (1.0 + poly)
-    return GridFunction(domain, vals)
+    return vals
+
+
+PROBE_DEGREE = 3  # highest power per axis in a probe's random polynomial factor
+
+
+def probe_family(domain, radius, center, count, rng, batch):
+    """The profile's count probes, as stacks of at most ``batch`` grid arrays.
+
+    Yields the stacks in order, one probe per row.  Probe 0 is the cap bump
+    of ``cap_bump``; every further probe is that bump times 1 + a random
+    polynomial, a sum of PROBE_DEGREE + 1 terms, each a coefficient uniform
+    in [-1, 1) times prod_i ((x_i - c_i) / radius)^k_i with k_i drawn from
+    {0, ..., PROBE_DEGREE}, drawn from rng in the order k_1, ..., k_n,
+    coefficient.  The bump and the powers are computed once for the whole
+    family, the powers along their axis only.
+    """
+    c = np.asarray(center, dtype=float)
+    bump = _cap(domain, radius, c)
+    powers = []
+    for axis in range(domain.n):
+        x = domain.axis_coords(axis).reshape([-1 if a == axis else 1 for a in range(domain.n)])
+        powers.append([((x - c[axis]) / radius) ** k for k in np.arange(PROBE_DEGREE + 1)])
+    for start in range(0, count, batch):
+        yield np.stack([
+            bump if j == 0 else bump * (1.0 + _random_polynomial(powers, domain.shape, rng))
+            for j in range(start, min(start + batch, count))
+        ])
+
+
+def _random_polynomial(powers, shape, rng):
+    poly = np.zeros(shape)
+    for _ in range(PROBE_DEGREE + 1):
+        term = np.ones(shape)
+        for axis_powers in powers:
+            term = term * axis_powers[rng.integers(0, PROBE_DEGREE + 1)]
+        poly += rng.uniform(-1.0, 1.0) * term
+    return poly
 
 
 class ParametrixOperator:
@@ -148,18 +194,24 @@ class ParametrixOperator:
 
     # -- operator pieces -----------------------------------------------------
 
-    def combine(self, coeffs, channels):
-        """sum_p coeffs[p] * channels[p] on the whole cube.
+    def combine_rows(self, coeffs, channels):
+        """sum_p coeffs[p] * channels[p] on the whole cube, for stacked rows.
 
-        With ``remainder_coeffs`` over the channels of u this is the
-        (frozen - full) operator applied to u; with ``operator_coeffs`` it
-        is L u.  Only its values in the ball matter: potentials restrict
-        their density and gauges read the masked nodes.
+        ``channels`` maps p to a stack of grid arrays, one function per row;
+        so does the result.  With ``remainder_coeffs`` over the channels of
+        u this is the (frozen - full) operator applied to u; with
+        ``operator_coeffs`` it is L u.  Only its values in the ball matter:
+        potentials restrict their density and gauges read the masked nodes.
         """
-        out = np.zeros(self.domain.shape)
+        out = np.zeros(next(iter(channels.values())).shape)
         for p, c in coeffs.items():
-            out += c * channels[p].values
-        return GridFunction(self.domain, out)
+            out += c * channels[p]
+        return out
+
+    def combine(self, coeffs, channels):
+        """The one-row ``combine_rows`` over a dictionary of grid functions."""
+        rows = {p: ch.values[None] for p, ch in channels.items()}
+        return GridFunction(self.domain, self.combine_rows(coeffs, rows)[0])
 
     def channels(self, sigma):
         """Every derivative channel d^p, |p| <= m, of the potential of sigma.
@@ -318,16 +370,25 @@ def contraction_profile(
     For every radius the ratio of weighted-Sobolev norms correction(phi) to
     phi is maximized over a seeded family of probe functions (cap bumps
     times random polynomials of degree at most three, supported inside the
-    ball).  Deterministic for equal seeds; the estimate is a lower bound on
-    the true operator norm.  Every radius shares the one kernel J of the
-    frozen operator and the one sign normalization ``normalized`` (both as
-    ``frozen_operator`` gives them, computed here when omitted).  Every
-    radius's grid is the same N-lattice scaled by PAD*r/N, so J samples and
-    calibrates once for the whole ladder and each radius only rescales the
-    spectra.  The generator is re-seeded for every radius, so a ladder of
-    one radius reproduces that radius's entry of a longer ladder.  Each
-    probe is differenced once, by ``difference_channels``; that one
-    dictionary gives both its norm and the remainder applied to it.
+    ball; ``probe_family``).  Deterministic for equal seeds; the estimate is
+    a lower bound on the true operator norm.  Every radius shares the one
+    kernel J of the frozen operator and the one sign normalization
+    ``normalized`` (both as ``frozen_operator`` gives them, computed here
+    when omitted).  Every radius's grid is the same N-lattice scaled by
+    PAD*r/N, so J samples and calibrates once for the whole ladder and each
+    radius only rescales the spectra.  The generator is re-seeded for every
+    radius, so a ladder of one radius reproduces that radius's entry of a
+    longer ladder.
+
+    The probes run as stacks with a leading probe axis, chunked so that one
+    batch's potentials fit one inverse transform
+    (``densities_per_transform``: 4 probes of the 15 biharmonic channels at
+    N = 32 in 2-d, one probe at a time on a 3-d N = 32 ladder).  A batch is
+    differenced once (``difference_rows``), which gives both the probes'
+    norms and the remainder applied to them; the norms of all probes and
+    channels are one ``gauges`` call, and the potentials of all remainders
+    one ``potential_rows`` call.  Every ratio equals that of the probe run
+    alone, bit for bit.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
@@ -340,20 +401,21 @@ def contraction_profile(
     radii = list(radii)
     sigma = []
     for r in radii:
-        rng = np.random.default_rng(seed)
         P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
+        dom = P.domain
+        rng = np.random.default_rng(seed)
+        batch = densities_per_transform(dom, len(P.orders))
         worst = 0.0
-        for j in range(probes):
-            if j == 0:
-                phi = cap_bump(P.domain, 0.75 * r, center=x0)
-            else:
-                phi = cap_bump(P.domain, 0.75 * r, center=x0, degree=3, rng=rng)
-            differences = difference_channels(phi, P.orders)
-            norm = P.channel_norm(differences)
-            if norm == 0.0:
-                continue
-            remainder = P.combine(P.remainder_coeffs, differences)
-            worst = max(worst, P.channel_norm(P.channels(remainder)) / norm)
+        for rows in probe_family(dom, 0.75 * r, x0, probes, rng, batch):
+            differences = difference_rows(rows, dom, P.orders)
+            norms = sobolev_norms(differences, M, P.d_omega, dom)
+            remainders = P.combine_rows(P.remainder_coeffs, differences)
+            potentials = potential_rows(J, remainders, dom, P.orders)
+            corrected = sobolev_norms(potentials, M, P.d_omega, dom)
+            del potentials  # freed before the next batch's potentials are taken
+            for norm, c in zip(norms, corrected):
+                if norm != 0.0:
+                    worst = max(worst, c / norm)
         sigma.append(worst)
     return ContractionProfile(radii=radii, sigma_hat=sigma, probe_count=probes, seed=seed)
 

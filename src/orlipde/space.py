@@ -67,16 +67,13 @@ def _row_sums(arr, cell_volume):
     return np.where(np.isfinite(sums), sums, math.inf).tolist()
 
 
-def modular(u, M, slope=False):
+def modular(u, M):
     """rho_M(u) = integral of M(u(x)) over the masked cells.
 
     Returns +inf when M overflows at some node (the function then lies
-    outside the Orlicz class).  With ``slope=True`` returns the pair
-    (rho, integral of |u| p(|u|)), the second +inf when it overflows; their
-    ratio is the derivative of log rho(e^t u) in t.
+    outside the Orlicz class).
     """
-    out = modulars(np.abs(u.masked_values())[None, :], M, u.domain.cell_volume, slope)
-    return (out[0][0], out[1][0]) if slope else out[0]
+    return modulars(np.abs(u.masked_values())[None, :], M, u.domain.cell_volume)[0]
 
 
 def l1_norm(u):

@@ -152,6 +152,24 @@ class TestExitCodes:
             f"got {N}"
         ], err
 
+    @pytest.mark.parametrize("command, key, value", [
+        ("solve", "probes", "0"),
+        ("contraction", "probes", "-3"),
+        ("norms", "trials", "0"),
+    ])
+    def test_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, command, key, value):
+        # checked before any kernel is built
+        monkeypatch.setattr(cli, "build_kernel", lambda *args: pytest.fail("kernel built"))
+        name = "indicator_norms.cfg" if command == "norms" else "perturbed_laplace.cfg"
+        lines = (CONFIGS / name).read_text().splitlines(keepends=True)
+        text = "".join(line for line in lines if not line.startswith(f"{key} ="))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run(tmp_path, command, f"{text}{key} = {value}\n", capsys)
+        assert code == 2
+        assert err == [f"config error: key {key} expects an integer >= 1, got {value}"], err
+        assert not caught, [str(w.message) for w in caught]
+
     def test_short_trusted_range_exits_5_without_tables(self, tmp_path, capsys):
         # power:p=1e6 trusts M only up to 10^(250/p), so the Delta2 test
         # from u0 = 1 has no range left

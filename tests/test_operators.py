@@ -15,6 +15,7 @@ from orlipde import (
     diff,
     difference_channels,
     ellipticity_check,
+    exp_young,
     freeze_leading,
     laplacian,
     luxemburg_norm,
@@ -22,6 +23,7 @@ from orlipde import (
     power,
     sobolev_norm,
 )
+from orlipde.operators import difference_rows, sobolev_norms
 
 
 # second-order central stencils {offset: coefficient} for d^k/dx^k
@@ -300,3 +302,23 @@ class TestDiff:
                     ref = out / dom.h**k
             assert np.array_equal(channels[p].values, ref), p
             assert np.array_equal(diff(u, p).values, ref), p
+
+    @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
+    def test_stacked_rows_match_one_function_calls(self, n, N, bump):
+        # every row of a stacked call, differences and weighted norms, equals
+        # the one-function call on that row alone, bit for bit
+        dom = GridDomain(n, N, 1.0)
+        dom = dom.with_mask(dom.ball_mask([0.0] * n, 0.4))
+        funcs = [1e-3 * (1.0 + k) * bump(dom, 0.3, center=[0.02 * k] * n) for k in range(3)]
+        funcs.append(GridFunction.zeros(dom))
+        orders = multi_indices(n, 4)
+        rows = difference_rows(np.stack([u.values for u in funcs]), dom, orders)
+        assert list(rows) == orders
+        for M in (power(2), exp_young()):
+            norms = sobolev_norms(rows, M, 0.7, dom)
+            for i, u in enumerate(funcs):
+                channels = difference_channels(u, orders)
+                for p in orders:
+                    assert np.array_equal(rows[p][i], channels[p].values), (i, p)
+                assert norms[i] == sobolev_norm(channels, M, 0.7), (M, i)
+        assert norms[-1] == 0.0

@@ -17,6 +17,7 @@ from orlipde import (
     cli,
     config,
     contraction_profile,
+    difference_channels,
     frozen_operator,
     fundamental_solution,
     kernels,
@@ -27,6 +28,7 @@ from orlipde import (
     power,
 )
 from orlipde.grid import kernel_convolve
+from orlipde.kernels import potential_rows
 
 from conftest import assert_pinned_outputs, cap_profile
 
@@ -62,6 +64,32 @@ class TestPotentialChannels:
             scale = np.max(np.abs(ch.values))
             assert np.array_equal(ch.values, single.values), p
             assert np.max(np.abs(ch.values - full.values)) <= 1e-12 * scale, p
+
+    @pytest.mark.parametrize("operator, N, count", [
+        (laplacian(2), 32, 3),
+        (bilaplacian(2), 32, 6),  # 4 densities per transform, then 2
+        (bilaplacian(2), 64, 2),  # one density per transform
+        (laplacian(3), 32, 2),  # 2 channels per transform
+    ], ids=["laplace2d-32", "biharmonic2d-32", "biharmonic2d-64", "laplace3d-32"])
+    def test_stacked_rows_match_one_row_calls(self, operator, N, count):
+        # each row of a stacked call equals the one-density call, bit for bit,
+        # however the densities and channels are chunked into transforms
+        J = fundamental_solution(operator)
+        n = operator.n
+        dom = GridDomain(n, N, 1.0)
+        dom = dom.with_mask(dom.ball_mask([0.0] * n, 0.3))
+        rows = np.stack([
+            (1.0 + k) * cap_profile(dom, 0.35, center=[0.03 * k] * n).values for k in range(count)
+        ])
+        rows[-1] = 0.0
+        orders = multi_indices(n, J.m)
+        stacked = potential_rows(J, rows, dom, orders)
+        assert list(stacked) == orders
+        for i in range(count):
+            single = potential_channels(J, GridFunction(dom, rows[i]), orders)
+            for p in orders:
+                assert stacked[p].shape == (count, *dom.shape)
+                assert np.array_equal(stacked[p][i], single[p].values), (i, p)
 
     def test_order_above_m_rejected(self, square32):
         J = fundamental_solution(laplacian(2))
@@ -150,6 +178,102 @@ def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
     L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
     P = ParametrixOperator(L.scaled(-1.0), [0.0, 0.0], 0.2, N=32)
     assert len(calls) == 2 and P.sign_flipped
+
+
+def _reference_probe(domain, radius, center, degree=None, rng=None):
+    """The probe of the per-probe profile: a cap bump, times 1 + a random polynomial."""
+    grids = domain.node_grids()
+    c = np.asarray(center, dtype=float)
+    r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
+    vals = np.zeros(domain.shape)
+    inside = r2 < radius**2
+    vals[inside] = np.exp(-(radius**2) / (radius**2 - r2[inside]))
+    if degree is not None:
+        poly = np.zeros(domain.shape)
+        for _ in range(degree + 1):
+            term = np.ones(domain.shape)
+            for g, ci in zip(grids, c):
+                k = rng.integers(0, degree + 1)
+                term = term * ((g - ci) / radius) ** k
+            poly += rng.uniform(-1.0, 1.0) * term
+        vals = vals * (1.0 + poly)
+    return GridFunction(domain, vals)
+
+
+def _per_probe_profile(L, x0, radii, probes, seed, N, M):
+    """Reference: every probe built, differenced and normed on its own."""
+    L0, normalized = frozen_operator(L, x0)
+    J = fundamental_solution(L0)
+    sigma = []
+    for r in radii:
+        rng = np.random.default_rng(seed)
+        P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
+        worst = 0.0
+        for j in range(probes):
+            if j == 0:
+                phi = _reference_probe(P.domain, 0.75 * r, x0)
+            else:
+                phi = _reference_probe(P.domain, 0.75 * r, x0, degree=3, rng=rng)
+            differences = difference_channels(phi, P.orders)
+            norm = P.channel_norm(differences)
+            if norm == 0.0:
+                continue
+            remainder = P.combine(P.remainder_coeffs, differences)
+            worst = max(worst, P.channel_norm(P.channels(remainder)) / norm)
+        sigma.append(worst)
+    return sigma
+
+
+class TestBatchedProfile:
+    @pytest.mark.parametrize("young", ["power:p=2", "exp", "power-log:p=3"])
+    @pytest.mark.parametrize("family", ["laplace2d", "biharmonic2d"])
+    def test_matches_per_probe_loop(self, family, young):
+        # 9 probes: one batch of 6 laplace2d channels, batches of 4, 4 and 1
+        # for the 15 biharmonic2d channels
+        if family == "laplace2d":
+            text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        else:
+            text = BIHARMONIC
+        L = config.build_operator(config.parse_config(text, "solve"))
+        M = config.build_young(young)
+        x0, radii = [0.0, 0.0], [0.2, 0.05]
+        L0, normalized = frozen_operator(L, x0)
+        J = fundamental_solution(L0)
+        batched = contraction_profile(
+            L, x0, radii=radii, probes=9, seed=3, N=32, M=M, J=J, normalized=normalized
+        )
+        assert batched.sigma_hat == _per_probe_profile(L, x0, radii, 9, 3, 32, M)
+
+    def test_potentials_batched_by_probe(self, monkeypatch):
+        # 8 probes of 15 channels on the N = 32 ladder: at most 2 stacked
+        # potential calls per radius, not one per probe
+        calls = []
+        real = parametrix.potential_rows
+
+        def counting(J, rows, *args):
+            calls.append(len(rows))
+            return real(J, rows, *args)
+
+        monkeypatch.setattr(parametrix, "potential_rows", counting)
+        L = config.build_operator(config.parse_config(BIHARMONIC, "solve"))
+        prof = contraction_profile(L, [0.0, 0.0], probes=8, seed=0, N=32, M=power(2))
+        assert len(prof.radii) == 4
+        assert len(calls) <= 2 * 4 and sum(calls) == 8 * 4, calls
+
+
+def test_manufactured_error_is_second_order():
+    # halving the grid spacing divides the error by about 4 (3.87 measured)
+    cfg = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve")
+    L = config.build_operator(cfg)
+    M = config.build_young(cfg.get("young"))
+    errors = []
+    for N in (64, 128):
+        P = ParametrixOperator(L, cfg.get_floats("x0"), cfg.get_float("r"), N=N, M=M)
+        f, reference = config.build_field(cfg.get("f"), P.domain, operator=L)
+        _, rep = P.solve(f, tol=cfg.get_float("tol"), k_max=cfg.get_int("k_max"))
+        errors.append(P.solution_error(rep.sigma, reference))
+    assert errors == pytest.approx([8.504e-3, 2.196e-3], rel=1e-3)
+    assert errors[0] / errors[1] >= 3.5
 
 
 def test_profile_rejects_coarse_grid():
