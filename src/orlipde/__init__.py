@@ -34,9 +34,8 @@ from .grid import (
 )
 from .kernels import (
     FundamentalSolution,
-    ball_integral,
     fundamental_solution,
-    potential_channels,
+    potential_rows,
     verify_fundamental,
 )
 from .operators import (
@@ -46,20 +45,19 @@ from .operators import (
     characteristic_form,
     coefficient_continuity_check,
     diff,
-    difference_channels,
+    difference_rows,
     ellipticity_check,
     freeze_leading,
     laplacian,
     multi_indices,
     second_order,
-    sobolev_norm,
+    sobolev_norms,
 )
 from .parametrix import (
     ContractionProfile,
     ParametrixOperator,
     SolveReport,
     bounded_multiplier_check,
-    cap_bump,
     contraction_profile,
     frozen_operator,
 )

@@ -189,8 +189,14 @@ def _cmd_solve(cfg, out, contraction_only=False):
     seed = cfg.get_int("seed")
     n = cfg.get_int("n")
     x0 = cfg.get_floats("x0") or [0.0] * n
-    radii = cfg.get_floats("radii")
+    if len(x0) != n:
+        raise ConfigError(f"key x0 expects {n} coordinates, got {len(x0)}")
+    radii = cfg.get_sizes("radii")
     probes = cfg.get_count("probes")
+    if not contraction_only:
+        r = cfg.get_size("r")
+        tol = cfg.get_float("tol")
+        k_max = cfg.get_count("k_max")
     # one kernel for the frozen operator at x0, and one sign normalization
     # (one ellipticity check), serve every radius and the solve
     L0, normalized = frozen_operator(L, x0)
@@ -204,8 +210,6 @@ def _cmd_solve(cfg, out, contraction_only=False):
     )
     if contraction_only:
         return 0
-    r = cfg.get_float("r")
-    tol = cfg.get_float("tol")
     P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
     f, reference = build_field(cfg.get("f"), P.domain, operator=L)
     # sigma_hat at r: the ladder's entry, or a ladder of r alone with the same seed
@@ -213,13 +217,11 @@ def _cmd_solve(cfg, out, contraction_only=False):
     sigma_r = at_r.sigma_hat[at_r.radii.index(r)]
     if sigma_r >= 1.0:
         print(f"warning: contraction estimate {sigma_r:.3g} >= 1 at r={r:g}", file=sys.stderr)
-    code = 0
+    failure = None
     try:
-        u, rep = P.solve(f, tol=tol, k_max=cfg.get_int("k_max"))
+        u, rep = P.solve(f, tol=tol, k_max=k_max)
     except DivergenceError as exc:
-        rep = exc.report
-        u = None
-        code = 3
+        rep, u, failure = exc.report, None, str(exc)
     _write_csv(
         out / "iterations.csv",
         ["k", "weighted_norm", "step_norm", "residual"],
@@ -235,13 +237,18 @@ def _cmd_solve(cfg, out, contraction_only=False):
         ("sigma_hat_at_r", sigma_r),
     ]
     if reference is not None and u is not None:
-        summary.append(("manufactured_error", P.solution_error(rep.sigma, reference)))
+        summary.append(("manufactured_error", P.solution_error(rep.channels, reference)))
     _write_csv(out / "summary.csv", ["name", "value"], summary)
     if u is not None:
         write_grid_function(u, out / "solution.grid")
-    if code == 0 and not (rep.converged and rep.certificate <= 2 * tol):
-        code = 3
-    return code
+    if failure is None and not rep.converged:
+        failure = f"no convergence within k_max = {k_max} iterations"
+    elif failure is None and not rep.certificate <= 2 * tol:
+        failure = f"certificate {_fmt(rep.certificate)} exceeds 2*tol = {_fmt(2 * tol)}"
+    if failure is None:
+        return 0
+    print(f"divergence: {failure}", file=sys.stderr)
+    return 3
 
 
 def _cmd_mollify(cfg, out):

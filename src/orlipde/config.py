@@ -108,6 +108,20 @@ class ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"key {key} expects comma-separated numbers") from exc
 
+    def get_size(self, key):
+        """A finite number > 0, such as a radius."""
+        value = self.get_float(key)
+        if not 0.0 < value < np.inf:
+            raise ConfigError(f"key {key} expects a finite number > 0, got {self.values[key]}")
+        return value
+
+    def get_sizes(self, key):
+        """Comma-separated finite numbers > 0, such as radii."""
+        values = self.get_floats(key)
+        if not all(0.0 < v < np.inf for v in values):
+            raise ConfigError(f"key {key} expects finite numbers > 0, got {self.values[key]}")
+        return values
+
     def render(self):
         """Canonical text: sorted keys, then coefficient lines in input order."""
         lines = [f"command = {self.command}"]

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import ConfigError, ResolutionError
 
+ON_LATTICE_TOL = 1e-9  # largest distance, in cells, of a lattice shift from an integer count
+
 
 class GridDomain:
     """Periodized cube [center - d/2, center + d/2)^n sampled by N^n cells.
@@ -185,20 +187,16 @@ class ShiftVector:
             raise ValueError("one shift entry per axis required")
         return cls(tuple(float(c) * domain.h for c in cells))
 
-    @classmethod
-    def of(cls, *components):
-        return cls(tuple(float(c) for c in components))
-
     def magnitude(self):
         return float(np.hypot.reduce(np.asarray(self.delta)))
 
-    def cell_shifts(self, domain, tol=1e-9):
+    def cell_shifts(self, domain):
         """Integer cell counts when on-lattice, else None."""
         out = []
         for c in self.delta:
             s = c / domain.h
             si = round(s)
-            if abs(s - si) > tol:
+            if abs(s - si) > ON_LATTICE_TOL:
                 return None
             out.append(int(si) % domain.N)
         return tuple(out)

@@ -9,7 +9,7 @@ kernels are sampled on the offset lattice; the singular cell is either
 replaced by its inscribed-ball average (weakly singular regime) or excluded
 symmetrically (principal value), with the local multiple of the identity
 calibrated against the exact inversion identity of the generating operator.
-The order-m channels of ``potential_channels`` are the one singular-integral
+The order-m channels of ``potential_rows`` are the one singular-integral
 path: Calderon-Zygmund operators (kernels of mean zero over the sphere) as
 FFT convolutions of their principal-value samples.
 
@@ -19,9 +19,9 @@ V_p = c d^p(q^a) is the coefficient of log q (zero on the power branch).  So
 a kernel samples each channel, and calibrates its local constants, once per
 lattice size N on the unit lattice, and every grid of that size (a whole
 radius ladder) takes its spectra by that scaling.  ``potential_rows``
-evaluates every derivative channel of a stack of densities from one forward
-transform of the stack and batched inverse transforms;
-``potential_channels`` is its one-density call.
+evaluates every derivative channel of a stack of densities, one density per
+row (a single density is a stack of one), from one forward transform of the
+stack and batched inverse transforms.
 """
 
 from __future__ import annotations
@@ -34,52 +34,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, CapabilityError, RangeError
-from .grid import GridDomain, GridFunction, half_spectrum
-from .operators import MultiIndex, diff, multi_indices
-
-
-def unit_ball_volume(n):
-    return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
-
-
-def sphere_area(n):
-    return n * unit_ball_volume(n)
-
-
-def ball_integral(alpha, r, n):
-    """Integral of |y|^(-alpha) over the ball of radius r in n dimensions.
-
-    Closed form n*|B1| * r^(n-alpha) / (n-alpha); the constant is pinned by
-    direct polar-coordinate quadrature (surface area times the radial
-    integral).  Diverges for alpha >= n.
-    """
-    if alpha >= n:
-        raise RangeError(f"ball integral diverges for alpha={alpha:g} >= n={n}")
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    return sphere_area(n) * r ** (n - alpha) / (n - alpha)
+from .errors import CalibrationError, CapabilityError
+from .grid import GridDomain, half_spectrum
+from .operators import MultiIndex, difference_rows, multi_indices
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], memoized; callers must not mutate them
 _gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-def sphere_points(n, count=None):
+def sphere_points(n):
     """Quadrature nodes and weights integrating over the unit sphere.
 
-    1d: two endpoints.  2d: trapezoid on the circle (spectrally accurate).
-    3d: Gauss-Legendre in the polar cosine times trapezoid in azimuth.
+    1d: two endpoints.  2d: trapezoid on the circle (spectrally accurate),
+    256 nodes.  3d: 32 Gauss-Legendre nodes in the polar cosine times a
+    64-node trapezoid in azimuth.
     """
     if n == 1:
         return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
-        k = count or 256
+        k = 256
         th = np.linspace(0.0, 2 * math.pi, k, endpoint=False)
         pts = np.column_stack([np.cos(th), np.sin(th)])
         return pts, np.full(k, 2 * math.pi / k)
     k_mu = 32
-    k_phi = count or 64
+    k_phi = 64
     mu, w_mu = _gauss_legendre(k_mu)
     phi = np.linspace(0.0, 2 * math.pi, k_phi, endpoint=False)
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")
@@ -153,15 +132,6 @@ class FundamentalSolution:
             self._tables[p] = {k: dict(terms[k]) for k in sorted(terms)}
         return self._tables[p]
 
-    def derivative(self, p, *coords):
-        """d^p of the kernel at nonzero points; vectorized over arrays.
-
-        g^(k)(q) = q^(a-k) (alpha_k log q + beta_k), alpha_(k+1) = (a-k) alpha_k,
-        beta_(k+1) = (a-k) beta_k + alpha_k.  Every factor is a product of q^a,
-        1/q, log q and powers of the coordinates, each computed once per call.
-        """
-        return self._series(p, coords, log_coefficient=False)
-
     def _carries_log(self, p):
         """Whether d^p J has a log q part: b = 1 and some term with alpha_k != 0.
 
@@ -171,11 +141,15 @@ class FundamentalSolution:
             math.prod(self.a - j for j in range(k)) for k in self._table(MultiIndex(p))
         )
 
-    def _series(self, p, coords, log_coefficient):
-        """d^p J at the coords, or with ``log_coefficient`` its log-q coefficient.
+    def derivative(self, p, coords, log_coefficient):
+        """d^p J at nonzero points, or with ``log_coefficient`` its log-q coefficient.
 
-        The log-q coefficient c d^p(q^a) is the same term table with alpha_k
-        as the radial factor.
+        ``coords`` holds one array per axis; the result is vectorized over
+        them.  g^(k)(q) = q^(a-k) (alpha_k log q + beta_k), alpha_(k+1) =
+        (a-k) alpha_k, beta_(k+1) = (a-k) beta_k + alpha_k.  Every factor is
+        a product of q^a, 1/q, log q and powers of the coordinates, each
+        computed once per call.  The log-q coefficient c d^p(q^a) is the same
+        term table with alpha_k as the radial factor.
         """
         table = self._table(MultiIndex(p))
         xs = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
@@ -205,17 +179,6 @@ class FundamentalSolution:
                     out += q_pow * radial * poly
         return float(out) if out.shape == () else out
 
-    def decay_constant(self):
-        """Sampled sup of |d^p J(x)| |x|^(n+|p|-m), |p| <= m, over the annulus 1e-3 <= |x| <= 1."""
-        pts, _ = sphere_points(self.n, 64 if self.n == 2 else None)
-        radii = np.logspace(-3, 0, 25)
-        X = [np.multiply.outer(radii, pts[:, a]) for a in range(self.n)]
-        best = 0.0
-        for p in multi_indices(self.n, self.m):
-            sup = np.abs(self.derivative(p, *X)).max(axis=1)
-            best = max(best, float(np.max(sup * radii ** (self.n + p.order - self.m))))
-        return best
-
     def cell_average(self, p, h, log_coefficient=False):
         """Mean of d^p J, or of its log-q coefficient, over the singular cell's inscribed ball.
 
@@ -236,7 +199,7 @@ class FundamentalSolution:
         w_s = 0.5 * rho * w_r
         pts, w_th = sphere_points(self.n)
         coords = [np.multiply.outer(s, pts[:, a]) for a in range(self.n)]
-        vals = self._series(p, coords, log_coefficient)
+        vals = self.derivative(p, coords, log_coefficient)
         total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals @ w_th))
         return total / h**self.n
 
@@ -258,7 +221,7 @@ class FundamentalSolution:
         seam = N % 2 == 0
         if seam:
             line = np.append(line, -line[N // 2])
-        vals = self._series(p, np.meshgrid(*[line] * n, indexing="ij"), log_coefficient)
+        vals = self.derivative(p, np.meshgrid(*[line] * n, indexing="ij"), log_coefficient)
         if seam:
             for axis in range(n):
                 lo = (slice(None),) * axis + (N // 2,)
@@ -456,8 +419,8 @@ def potential_rows(J, rows, domain, orders):
     cell holds the inscribed-ball average.  Order-m channels are the
     principal value plus the local multiple of the restricted density, with
     the constants calibrated against the inversion identity of the
-    generating operator.  Linear in each density; every row equals its
-    one-row call bit for bit.
+    generating operator.  Linear in each density; every row equals that
+    density's stack of one, bit for bit.
     """
     orders = tuple(MultiIndex(p) for p in orders)
     for p in orders:
@@ -472,17 +435,6 @@ def potential_rows(J, rows, domain, orders):
     return channels
 
 
-def potential_channels(J, sigma, orders):
-    """Derivative channels d^p of the potential of sigma, keyed by p.
-
-    The one-row ``potential_rows``: each channel is a grid function on
-    sigma's domain.  Each stacked channel is released once it is copied,
-    so the dictionary is held about once, not twice.
-    """
-    rows = potential_rows(J, sigma.values[None], sigma.domain, orders)
-    return {p: GridFunction(sigma.domain, rows.pop(p)[0]) for p in list(rows)}
-
-
 @dataclass
 class LocalConstants:
     constants: dict
@@ -490,13 +442,12 @@ class LocalConstants:
     gamma: float
 
 
-def _probe_bumps(domain, count=3):
+def _probe_bumps(domain):
+    """Three calibration probes, stacked: two to fit, the last held out."""
     probes = []
     widths = [domain.d / 5.0, domain.d / 6.5, domain.d / 5.5]
-    shifts = [(0,) * domain.n, None, None]
     grids = domain.node_grids()
-    for i in range(count):
-        eps = widths[i % len(widths)]
+    for i, eps in enumerate(widths):
         center = np.array(domain.center, dtype=float)
         if i == 1:
             center = center + domain.h * 3
@@ -509,8 +460,8 @@ def _probe_bumps(domain, count=3):
             vals[inside] = np.exp(-(eps**2) / (eps**2 - r2[inside]))
         if i == 2 and domain.n >= 1:
             vals *= 1.0 + 0.5 * np.sin(2 * np.pi * grids[0] / domain.d)
-        probes.append(GridFunction(domain, vals))
-    return probes
+        probes.append(vals)
+    return np.stack(probes)
 
 
 CALIBRATION_THRESHOLD = 0.05  # largest held-out identity residual of a calibration
@@ -526,54 +477,39 @@ def _calibrate_local_constants(J, domain):
     least squares so the operator applied to its own potential reproduces
     the density, and reports the held-out relative residual.
     """
-    probes = _probe_bumps(domain, 3)
-    fit_probes, holdout = probes[:2], probes[2]
+    probes = _probe_bumps(domain)
+    fit, holdout = probes[:2], probes[2]
     orders = multi_indices(J.n, J.m, J.m)
     lowers = multi_indices(J.n, J.m - 1, J.m - 1)
-    # principal values act on the probe as it is, the lower potentials on
-    # its restriction to the mask
-    pv = []
-    lower = []
-    for psi in fit_probes:
-        pv_psi = _convolve_channels(J, half_spectrum(psi.values)[None], domain, orders)
-        pv.append({p: v[0] for p, v in zip(orders, pv_psi)})
-        lower.append(potential_channels(J, psi, lowers))
+    # principal values act on the probes as they are, the lower potentials on
+    # their restriction to the mask
+    probe_hats = np.fft.rfftn(probes, axes=tuple(range(-J.n, 0)))
+    pv = dict(zip(orders, _convolve_channels(J, probe_hats, domain, orders)))
+    lower = potential_rows(J, fit, domain, lowers)
     raw = {}
     for p in orders:
         axis = next(i for i, e in enumerate(p) if e)
-        unit = tuple(1 if a == axis else 0 for a in range(J.n))
+        unit = MultiIndex(1 if a == axis else 0 for a in range(J.n))
         q = MultiIndex(e - u for e, u in zip(p, unit))
-        num = 0.0
-        den = 0.0
-        for psi, pv_psi, lower_psi in zip(fit_probes, pv, lower):
-            target = diff(lower_psi[q], unit)
-            resid = target.values - pv_psi[p]
-            num += float(np.sum(resid * psi.values))
-            den += float(np.sum(psi.values**2))
+        resid = difference_rows(lower[q], domain, [unit])[unit] - pv[p][:2]
+        num = sum(float(np.sum(r * psi)) for r, psi in zip(resid, fit))
+        den = sum(float(np.sum(psi**2)) for psi in fit)
         raw[p] = num / den
     # joint rescale against the inversion identity on the fit probes; the
     # identity involves only the operator's own leading indices
     a0 = {p: J.operator.coeff_at(p, np.zeros(J.n)) for p in J.operator.leading_indices()}
     csum = sum(a0[p] * raw[p] for p in a0)
-    num = 0.0
-    den = 0.0
-    for psi, pv_psi in zip(fit_probes, pv):
-        pv_total = np.zeros(domain.shape)
-        for p in a0:
-            pv_total += a0[p] * pv_psi[p]
-        num += float(np.sum((psi.values - pv_total) * (csum * psi.values)))
-        den += float(np.sum((csum * psi.values) ** 2))
+    pv_total = np.zeros(probes.shape)
+    for p in a0:
+        pv_total += a0[p] * pv[p]
+    num = sum(float(np.sum((psi - t) * (csum * psi))) for psi, t in zip(fit, pv_total))
+    den = sum(float(np.sum((csum * psi) ** 2)) for psi in fit)
     gamma = num / den
     constants = {p: gamma * raw[p] for p in raw}
     # held-out residual of the inversion identity
-    pv_holdout = _convolve_channels(J, half_spectrum(holdout.values)[None], domain, orders)
-    pv_holdout = {p: v[0] for p, v in zip(orders, pv_holdout)}
-    pv_total = np.zeros(domain.shape)
-    for p in a0:
-        pv_total += a0[p] * pv_holdout[p]
     local = sum(a0[p] * constants[p] for p in a0)
-    recon = pv_total + local * holdout.values
-    residual = float(np.max(np.abs(recon - holdout.values)) / np.max(np.abs(holdout.values)))
+    recon = pv_total[2] + local * holdout
+    residual = float(np.max(np.abs(recon - holdout)) / np.max(np.abs(holdout)))
     if residual > CALIBRATION_THRESHOLD:
         raise CalibrationError(
             f"kernel calibration failed: identity residual {residual:.3g} > {CALIBRATION_THRESHOLD}"
@@ -616,8 +552,9 @@ def verify_fundamental(J, phis):
             rows.append(ReproductionRow(label=f"phi{i}", error=math.nan, trivial=True))
             continue
         origin = (0,) * J.n
-        recon = potential_channels(J, J.operator.apply(phi), [origin])[origin]
-        err = float(np.max(np.abs((recon.values - phi.values)[phi.domain.mask]))) / sup
+        density = J.operator.apply(phi).values[None]
+        recon = potential_rows(J, density, phi.domain, [origin])[origin][0]
+        err = float(np.max(np.abs((recon - phi.values)[phi.domain.mask]))) / sup
         rows.append(ReproductionRow(label=f"phi{i}", error=err))
     return ReproductionReport(rows=rows, threshold=REPRODUCTION_THRESHOLD)
 

@@ -3,11 +3,12 @@
 An operator is a coefficient map {multi-index p: a_p(.)} applied through
 tensor-product second-order central differences; ``difference_rows``
 takes a whole dictionary of them for a stack of functions, differencing each
-shared prefix of the multi-indices once, and ``difference_channels`` is its
-one-function call.  The module also provides the characteristic form,
-ellipticity and coefficient-regularity checks, coefficient freezing at a
-point, and the weighted Orlicz-Sobolev norms of stacked channel dictionaries
-(``sobolev_norms``, with ``sobolev_norm`` its one-function call).
+shared prefix of the multi-indices once.  A channel dictionary maps each
+multi-index p to such a stack, shape (count, *domain.shape), one function
+per row; a single function is a stack of one.  The module also provides the
+characteristic form, ellipticity and coefficient-regularity checks,
+coefficient freezing at a point, and the weighted Orlicz-Sobolev norms of
+channel dictionaries (``sobolev_norms``).
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _axis_diff(values, k, axis, h):
 def diff(u, p):
     """Central-difference derivative D^p u on the periodic lattice."""
     p = MultiIndex(p)
-    return difference_channels(u, [p])[p]
+    return GridFunction(u.domain, difference_rows(u.values[None], u.domain, [p])[p][0])
 
 
 def difference_rows(rows, domain, orders):
@@ -106,12 +107,6 @@ def difference_rows(rows, domain, orders):
                 )
         out[p] = partial[p]
     return out
-
-
-def difference_channels(u, orders):
-    """{p: D^p u} for every p in orders: the one-row ``difference_rows``."""
-    rows = difference_rows(u.values[None], u.domain, orders)
-    return {p: GridFunction(u.domain, v[0]) for p, v in rows.items()}
 
 
 class EllipticOperator:
@@ -250,11 +245,15 @@ def second_order(matrix):
 
 
 def characteristic_form(L, x, eta):
-    """Leading-symbol polynomial sum over |p| = m of a_p(x) eta^p."""
+    """Leading-symbol polynomial sum over |p| = m of a_p(x) eta^p, summed in index order.
+
+    eta is one direction or an array of them along its last axis; each
+    leading coefficient is evaluated once.
+    """
     eta = np.asarray(eta, dtype=float)
     total = 0.0
     for p in L.leading_indices():
-        total += L.coeff_at(p, x) * float(np.prod(eta**np.asarray(p)))
+        total = total + L.coeff_at(p, x) * np.prod(eta ** np.asarray(p), axis=-1)
     return total
 
 
@@ -287,24 +286,17 @@ def ellipticity_check(L, x_samples, eta_samples=None):
 
     A uniformly negative form passes with the sign-flip flag set (the solver
     then negates operator and data together); a sign change raises
-    NotEllipticError.  Reports the ellipticity ratio min|Q|/max|Q|.  Each
-    leading coefficient is evaluated once per sample point, and Q over all
-    directions is one array sum in ``leading_indices`` order, the order of
-    ``characteristic_form``.
+    NotEllipticError.  Reports the ellipticity ratio min|Q|/max|Q|.  Q over
+    all directions at one sample point is one ``characteristic_form`` call.
     """
     if eta_samples is None:
         eta_samples = unit_directions(L.n, max(64, 2 * L.n))
     eta_samples = np.atleast_2d(np.asarray(eta_samples, dtype=float))
     sgn = (-1.0) ** L.half_order
-    lead = L.leading_indices()
-    monomials = [np.prod(eta_samples ** np.asarray(p), axis=1) for p in lead]
-    vals = []
-    for x in np.atleast_2d(np.asarray(x_samples, dtype=float)):
-        total = np.zeros(len(eta_samples))
-        for p, mono in zip(lead, monomials):
-            total = total + L.coeff_at(p, x) * mono
-        vals.append(sgn * total)
-    vals = np.concatenate(vals)
+    vals = np.concatenate([
+        sgn * characteristic_form(L, x, eta_samples)
+        for x in np.atleast_2d(np.asarray(x_samples, dtype=float))
+    ])
     if np.all(vals > 0):
         flipped = False
     elif np.all(vals < 0):
@@ -353,7 +345,11 @@ class RegularityReport:
     note: str = ""
 
 
-def coefficient_continuity_check(L, x0, radii, samples=256, seed=0):
+CONTINUITY_SAMPLES = 256  # seeded sample points per ball
+CONTINUITY_SEED = 0
+
+
+def coefficient_continuity_check(L, x0, radii):
     """Boundedness of all coefficients near x0 and continuity of the leading ones.
 
     For each radius the report records the sampled sup of |a_p| over the
@@ -365,7 +361,7 @@ def coefficient_continuity_check(L, x0, radii, samples=256, seed=0):
     radii = list(radii)
     if any(r2 >= r1 for r1, r2 in zip(radii, radii[1:])):
         raise ValueError("radii must decrease")
-    base = _ball_points(L.n, samples, seed)
+    base = _ball_points(L.n, CONTINUITY_SAMPLES, CONTINUITY_SEED)
     rows = []
     all_p = sorted(L.coeffs)
     lead = L.leading_indices()
@@ -415,12 +411,3 @@ def sobolev_norms(channels, M, d_omega, domain):
         sum(w * g for w, g in zip(weights, norms[i * width : (i + 1) * width]))
         for i in range(count)
     ]
-
-
-def sobolev_norm(channels, M, d_omega):
-    """Weighted Orlicz-Sobolev norm of one dictionary {p: grid function on one domain}.
-
-    The one-row ``sobolev_norms``, summed over the dictionary in its order.
-    """
-    domain = next(iter(channels.values())).domain
-    return sobolev_norms({p: ch.values[None] for p, ch in channels.items()}, M, d_omega, domain)[0]

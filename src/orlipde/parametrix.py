@@ -12,42 +12,35 @@ check at x0 serves every ``ParametrixOperator``.  The ladder's grids are one
 lattice scaled by the radius, so the kernel samples and calibrates once per
 lattice size, not once per radius.  The potential of a density is carried
 as one dictionary of derivative channels {p: d^p S sigma}, computed from one
-forward transform of the density.  The correction density and the residual
-are coefficient combinations over that dictionary, and every weighted norm
-(probe, correction, iterate, step, error) is ``sobolev_norm`` of one.
+forward transform of the density (``potential_rows``).  The correction
+density and the residual are coefficient combinations over that dictionary
+(``ParametrixOperator.combine``), and every weighted norm (probe,
+correction, iterate, step, error) is ``sobolev_norms`` of one.
 
-The contraction profile builds each radius's probes as one stack with a
-leading probe axis (``probe_family``) and runs them in batches of as many
-probes as fit one inverse transform of their channels: each batch is
-differenced, normed, combined and taken through its potentials as one stack.
-The one-function calls of the solve (``difference_channels``,
-``sobolev_norm``, ``potential_channels``, ``combine``) are the one-row case
-of those stacked routines, so both take the same arithmetic.
+Every channel dictionary is stacked: each channel holds one function per row
+along a leading axis.  The contraction profile builds each radius's probes
+as one stack (``probe_family``) and runs them in batches of as many probes
+as fit one inverse transform of their channels: each batch is differenced,
+normed, combined and taken through its potentials as one stack.  The solve
+carries its density and its iterate's channels as stacks of one row through
+the same routines, so both take the same arithmetic.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .grid import GridDomain, GridFunction
-from .kernels import (
-    densities_per_transform,
-    fundamental_solution,
-    potential_channels,
-    potential_rows,
-)
+from .kernels import densities_per_transform, fundamental_solution, potential_rows
 from .operators import (
-    difference_channels,
     difference_rows,
     ellipticity_check,
     freeze_leading,
     multi_indices,
-    sobolev_norm,
     sobolev_norms,
 )
 from .space import luxemburg_norm
@@ -90,13 +83,8 @@ def frozen_operator(L, x0):
     return freeze_leading(normalized[0], x0), normalized
 
 
-def cap_bump(domain, radius, center=None):
-    """Smooth compactly supported probe exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho."""
-    c = domain.center if center is None else center
-    return GridFunction(domain, _cap(domain, radius, np.asarray(c, dtype=float)))
-
-
 def _cap(domain, radius, c):
+    """The cap bump exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho, zero elsewhere."""
     r2 = sum((g - ci) ** 2 for g, ci in zip(domain.node_grids(), c))
     vals = np.zeros(domain.shape)
     inside = r2 < radius**2
@@ -112,7 +100,8 @@ def probe_family(domain, radius, center, count, rng, batch):
     """The profile's count probes, as stacks of at most ``batch`` grid arrays.
 
     Yields the stacks in order, one probe per row.  Probe 0 is the cap bump
-    of ``cap_bump``; every further probe is that bump times 1 + a random
+    exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho with rho = radius;
+    every further probe is that bump times 1 + a random
     polynomial, a sum of PROBE_DEGREE + 1 terms, each a coefficient uniform
     in [-1, 1) times prod_i ((x_i - c_i) / radius)^k_i with k_i drawn from
     {0, ..., PROBE_DEGREE}, drawn from rng in the order k_1, ..., k_n,
@@ -194,7 +183,7 @@ class ParametrixOperator:
 
     # -- operator pieces -----------------------------------------------------
 
-    def combine_rows(self, coeffs, channels):
+    def combine(self, coeffs, channels):
         """sum_p coeffs[p] * channels[p] on the whole cube, for stacked rows.
 
         ``channels`` maps p to a stack of grid arrays, one function per row;
@@ -208,87 +197,54 @@ class ParametrixOperator:
             out += c * channels[p]
         return out
 
-    def combine(self, coeffs, channels):
-        """The one-row ``combine_rows`` over a dictionary of grid functions."""
-        rows = {p: ch.values[None] for p, ch in channels.items()}
-        return GridFunction(self.domain, self.combine_rows(coeffs, rows)[0])
+    def solution_error(self, channels, reference):
+        """Weighted-norm distance between the potential of a channel dictionary and a reference.
 
-    def channels(self, sigma):
-        """Every derivative channel d^p, |p| <= m, of the potential of sigma.
-
-        Order-m channels go through the calibrated principal-value kernels,
-        so differentiation never amplifies cell-level quadrature noise.
-        """
-        return potential_channels(self.J, sigma, self.orders)
-
-    def channel_norm(self, channels):
-        """Weighted Sobolev norm of a channel dictionary over the ball."""
-        return sobolev_norm(channels, self.M, self.d_omega)
-
-    def identity_defect(self, phi):
-        """Relative sup defect of phi = correction(phi) + potential(L phi).
-
-        The correction is the potential of the remainder applied to phi by
-        central differences; both potentials are taken at once, as channel 0
-        of the potential of the summed density.  phi is truncated to the
-        ball mask first (with a warning when that loses mass beyond
-        rounding).  Returns the masked sup-norm defect divided by sup|phi|;
-        NaN for a vanishing probe.
-        """
-        sup = phi.sup_norm(masked=False)
-        if sup == 0.0:
-            return math.nan
-        outside = np.abs(phi.values[~phi.domain.mask])
-        if outside.size and outside.max() > 1e-12 * sup:
-            warnings.warn("probe support exceeds the working ball; truncating", stacklevel=2)
-            phi = phi.restricted()
-        differences = difference_channels(phi, self.remainder_coeffs)
-        density = self.combine(self.remainder_coeffs, differences) + self.L.apply(phi)
-        origin = (0,) * self.L.n
-        rec = potential_channels(self.J, density, [origin])[origin]
-        defect = np.abs((rec - phi).values[self.domain.mask])
-        return float(np.max(defect)) / sup
-
-    def solution_error(self, sigma, reference):
-        """Weighted-norm distance between the potential of sigma and a reference.
-
-        The potential side uses kernel derivative channels; the reference is
+        ``channels`` is a one-row channel dictionary of a potential, such as
+        the solve's final ``SolveReport.channels``; the reference is
         differenced directly (it is expected to be a smooth grid function).
         """
-        channels = self.channels(sigma)
-        refs = difference_channels(reference, self.orders)
-        error = self.channel_norm({p: channels[p] - refs[p] for p in self.orders})
-        ref_norm = self.channel_norm(refs)
+        dom = self.domain
+        refs = difference_rows(reference.values[None], dom, self.orders)
+        diffs = {p: channels[p] - refs[p] for p in self.orders}
+        (error,) = sobolev_norms(diffs, self.M, self.d_omega, dom)
+        (ref_norm,) = sobolev_norms(refs, self.M, self.d_omega, dom)
         return error / ref_norm if ref_norm > 0 else error
 
     def solve(self, f, tol=1e-6, k_max=200):
         """Fixed-point iteration on source densities.
 
         The iterate is the potential of sigma_k with sigma_{k+1} =
-        remainder(S0 sigma_k) + f.  Each iterate's channels are computed
-        once and serve its correction density, its norm and its residual;
-        the step norm is that of the difference of consecutive channel
-        dictionaries.  Stops when the weighted-Sobolev step norm drops
-        below tol times the iterate norm; three consecutive step-norm
+        remainder(S0 sigma_k) + f, where sigma and the channels of its
+        potential are stacks of one row.  Each iterate's channels are
+        computed once and serve its correction density, its norm and its
+        residual; the step norm is that of the difference of consecutive
+        channel dictionaries.  Stops when the weighted-Sobolev step norm
+        drops below tol times the iterate norm; three consecutive step-norm
         increases raise DivergenceError carrying the partial report.
+        Returns the solution u = S0 sigma as a grid function and the report,
+        which holds the final channel dictionary.
         """
         if self.sign_flipped:
             f = -f
         f = f.restricted()
+        J, dom, orders, M, d_omega = self.J, self.domain, self.orders, self.M, self.d_omega
         rows = []
-        sigma = f
-        channels = self.channels(sigma)
+        sigma = f.values[None]
+        channels = potential_rows(J, sigma, dom, orders)
         prev_step = math.inf
         increases = 0
         converged = False
-        den_f = luxemburg_norm(f, self.M)
+        den_f = luxemburg_norm(f, M)
         for k in range(1, k_max + 1):
-            sigma_next = self.combine(self.remainder_coeffs, channels) + f
-            channels_next = self.channels(sigma_next)
-            step = self.channel_norm({p: channels_next[p] - channels[p] for p in self.orders})
-            u_norm = self.channel_norm(channels)
+            sigma_next = self.combine(self.remainder_coeffs, channels) + f.values
+            channels_next = potential_rows(J, sigma_next, dom, orders)
+            steps = {p: channels_next[p] - channels[p] for p in orders}
+            (step,) = sobolev_norms(steps, M, d_omega, dom)
+            (u_norm,) = sobolev_norms(channels, M, d_omega, dom)
             # L u - f with L applied through the kernel channels
-            r = luxemburg_norm(self.combine(self.operator_coeffs, channels) - f, self.M)
+            Lu = self.combine(self.operator_coeffs, channels)[0]
+            r = luxemburg_norm(GridFunction(dom, Lu - f.values), M)
             residual = r / den_f if den_f > 0 else r
             rows.append(IterationRow(k=k, norm=u_norm, step=step, residual=residual))
             if step > prev_step:
@@ -309,12 +265,13 @@ class ParametrixOperator:
         # fixed-point certificate: one more half-step of the density map,
         # normed through the channels of the density defect itself, since
         # the difference of two channel dictionaries cancels here
-        sigma_next = self.combine(self.remainder_coeffs, channels) + f
-        defect = self.channel_norm(self.channels(sigma_next - sigma))
-        norm = self.channel_norm(channels)
+        sigma_next = self.combine(self.remainder_coeffs, channels) + f.values
+        defects = potential_rows(J, sigma_next - sigma, dom, orders)
+        (defect,) = sobolev_norms(defects, M, d_omega, dom)
+        (norm,) = sobolev_norms(channels, M, d_omega, dom)
         report.certificate = defect / norm if norm > 0 else defect
-        report.sigma = sigma
-        return channels[(0,) * self.L.n], report
+        report.channels = channels
+        return GridFunction(dom, channels[(0,) * self.L.n][0]), report
 
     def _report(self, rows, converged):
         ratios = [
@@ -349,9 +306,9 @@ class SolveReport:
     final_residual: float
     sign_flipped: bool
     certificate: float = math.nan
-    # final source density; the solution is its potential, so only its
-    # values in the ball count
-    sigma: object = None
+    # the final iterate's channel dictionary {p: d^p S0 sigma}, each a stack
+    # of one row; channel 0 is the solution
+    channels: dict = None
 
 
 @dataclass
@@ -409,7 +366,7 @@ def contraction_profile(
         for rows in probe_family(dom, 0.75 * r, x0, probes, rng, batch):
             differences = difference_rows(rows, dom, P.orders)
             norms = sobolev_norms(differences, M, P.d_omega, dom)
-            remainders = P.combine_rows(P.remainder_coeffs, differences)
+            remainders = P.combine(P.remainder_coeffs, differences)
             potentials = potential_rows(J, remainders, dom, P.orders)
             corrected = sobolev_norms(potentials, M, P.d_omega, dom)
             del potentials  # freed before the next batch's potentials are taken

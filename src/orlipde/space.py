@@ -30,6 +30,7 @@ RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
 GAUGE_MAX_PASSES = 400  # most modular passes of one gauge solve
 AMEMIYA_MAX_PASSES = 200  # most modular passes of one Amemiya root solve
 MINKOWSKI_TERMS = 6  # shifted copies of f in the triangle check of ``inequality_suite``
+INEQUALITY_SLACK = 1e-6  # relative slack before an inequality row counts as violated
 
 
 def _csum(arr):
@@ -364,15 +365,9 @@ class InequalityRow:
 class InequalityReport:
     rows: list = field(default_factory=list)
 
-    def add(self, name, lhs, rhs, slack=1e-6):
-        self.rows.append(InequalityRow(name, lhs, rhs, lhs > rhs + slack * (1.0 + rhs)))
-
-    @property
-    def all_pass(self):
-        return not any(r.violated for r in self.rows)
-
-    def violations(self):
-        return [r for r in self.rows if r.violated]
+    def add(self, name, lhs, rhs):
+        violated = lhs > rhs + INEQUALITY_SLACK * (1.0 + rhs)
+        self.rows.append(InequalityRow(name, lhs, rhs, violated))
 
 
 def inequality_suite(f, g, M, seed=0):

@@ -23,6 +23,11 @@ from .errors import (
 
 INVERSE_RTOL = 1e-10  # relative bracket width of ``YoungFunction.inverse``
 INVERSE_MAX_STEPS = 200  # its most bisection steps
+DELTA2_SAMPLES = 240  # log-spaced points of the doubling trace of ``check_delta2``
+BOYD_X_WINDOW = (1e3, 1e9)  # x range of the limsup in ``boyd_indices``
+BOYD_X_SAMPLES = 25  # its log-spaced points
+BOYD_MONOTONE_TOL = 0.05  # largest relative rise of the dilation trace before it is unstable
+EMBEDDING_MARGIN = 0.05  # least distance of the Boyd indices from 0 and from 1
 
 
 class YoungFunction:
@@ -322,13 +327,8 @@ class Delta2Report:
     u0_used: float
     worst_ratio_trace: np.ndarray  # columns (u, M(2u)/M(u))
 
-    def ratio_near(self, u):
-        """Trace ratio at the sample point closest to u."""
-        idx = int(np.argmin(np.abs(self.worst_ratio_trace[:, 0] - u)))
-        return float(self.worst_ratio_trace[idx, 1])
 
-
-def check_delta2(M, u0=1.0, u_max=1e6, samples=240):
+def check_delta2(M, u0=1.0, u_max=1e6):
     """Classify doubling behaviour of M for large arguments.
 
     k_hat is the sampled sup of M(2u)/M(u) on log-spaced points of
@@ -342,7 +342,7 @@ def check_delta2(M, u0=1.0, u_max=1e6, samples=240):
         raise ValueError("need 0 < u0 < u_max")
     if 2 * u_max > M.domain_cap:
         raise ValueError("u_max exceeds half the trusted range of M")
-    us = np.logspace(math.log10(u0), math.log10(u_max), samples)
+    us = np.logspace(math.log10(u0), math.log10(u_max), DELTA2_SAMPLES)
     m1 = M(us)
     if np.any(m1 == 0):
         raise InvalidYoungFunctionError("M vanishes at a positive sample point")
@@ -375,7 +375,7 @@ class BoydIndices:
     fit_residual: float
 
 
-def boyd_indices(M, x_window=(1e3, 1e9), x_samples=25, monotone_tol=0.05):
+def boyd_indices(M):
     """Estimate the Boyd indices of the Orlicz space generated by M.
 
     h_hat(t) approximates limsup_x M^{-1}(x) / M^{-1}(t x) by a max over a
@@ -384,7 +384,7 @@ def boyd_indices(M, x_window=(1e3, 1e9), x_samples=25, monotone_tol=0.05):
     upper index, 1e-6..1e-2 for the lower one).  The fit residual is
     reported rather than asserting that the defining limits exist.
     """
-    xs = np.logspace(math.log10(x_window[0]), math.log10(x_window[1]), x_samples)
+    xs = np.logspace(math.log10(BOYD_X_WINDOW[0]), math.log10(BOYD_X_WINDOW[1]), BOYD_X_SAMPLES)
     inv_x = M.inverse(xs)
     t_upper = np.logspace(2, 6, 5)
     t_lower = np.logspace(-6, -2, 5)
@@ -398,7 +398,7 @@ def boyd_indices(M, x_window=(1e3, 1e9), x_samples=25, monotone_tol=0.05):
     h_sorted = hs[order]
     # h is nonincreasing in t; reject noisy traces
     rel_increase = np.diff(h_sorted) / h_sorted[:-1]
-    if np.any(rel_increase > monotone_tol):
+    if np.any(rel_increase > BOYD_MONOTONE_TOL):
         raise UnstableEstimateError(
             "unstable limsup estimate: non-monotone dilation trace",
             trace=np.column_stack([all_t[order], h_sorted]),
@@ -425,13 +425,14 @@ def boyd_indices(M, x_window=(1e3, 1e9), x_samples=25, monotone_tol=0.05):
     )
 
 
-def embedding_exponents(M, margin=0.05, indices=None):
+def embedding_exponents(M, indices=None):
     """Lebesgue exponents (p, q) with L_q inside L_M inside L_p, from Boyd indices.
 
     Raises EmbeddingWindowError in the non-reflexive regime (lower index
     estimate near 0 or upper estimate near 1), where no such window exists.
     """
     bi = indices if indices is not None else boyd_indices(M)
+    margin = EMBEDDING_MARGIN
     if bi.alpha < margin or bi.beta > 1.0 - margin:
         raise EmbeddingWindowError(
             f"no reflexive embedding window: index estimates "

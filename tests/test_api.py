@@ -31,3 +31,51 @@ def test_every_export_has_a_caller():
     uncalled = [name for name in names if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not uncalled, f"exported without a caller: {uncalled}"
     assert all(hasattr(orlipde, name) for name in names)
+
+
+# the stand-alone checks of the paper's hypotheses and their report types;
+# each waits for a row in the solve's own report
+AWAITING_A_ROW = {
+    "verify_fundamental",
+    "ReproductionReport",
+    "coefficient_continuity_check",
+    "RegularityReport",
+    "bounded_multiplier_check",
+    "MultiplierRow",
+    "embedding_exponents",
+}
+
+
+def public_definitions(tree):
+    """(qualified name, node) of every public module function and public class method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    # a caller is a name or attribute read in a package module outside the
+    # definition's own body; an export from __init__.py is no caller
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    reads = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    uncalled = []
+    for module, tree in trees.items():
+        for name, node in public_definitions(tree):
+            if name.split(".")[0] in AWAITING_A_ROW:
+                continue
+            short = name.split(".")[-1]
+            if not any(
+                read == short and not (m == module and node.lineno <= line <= node.end_lineno)
+                for m, line, read in reads
+            ):
+                uncalled.append(f"{module}:{name}")
+    assert not uncalled, f"defined without a caller in the package: {uncalled}"

@@ -24,6 +24,12 @@ def run(tmp_path, command, text, capsys):
     return code, capsys.readouterr().err.splitlines()
 
 
+def with_key(text, key, value):
+    """A config text with one key set to value."""
+    lines = text.splitlines(keepends=True)
+    return "".join(line for line in lines if not line.startswith(f"{key} =")) + f"{key} = {value}\n"
+
+
 class TestExitCodes:
     def test_range_error_exits_5(self, tmp_path, capsys):
         # the conjugate of a density bounded on [0, 2] ends its range at 2,
@@ -161,14 +167,58 @@ class TestExitCodes:
         # checked before any kernel is built
         monkeypatch.setattr(cli, "build_kernel", lambda *args: pytest.fail("kernel built"))
         name = "indicator_norms.cfg" if command == "norms" else "perturbed_laplace.cfg"
-        lines = (CONFIGS / name).read_text().splitlines(keepends=True)
-        text = "".join(line for line in lines if not line.startswith(f"{key} ="))
+        text = with_key((CONFIGS / name).read_text(), key, value)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, err = run(tmp_path, command, f"{text}{key} = {value}\n", capsys)
+            code, err = run(tmp_path, command, text, capsys)
         assert code == 2
         assert err == [f"config error: key {key} expects an integer >= 1, got {value}"], err
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("x0", "0", "key x0 expects 2 coordinates, got 1"),
+        ("r", "-0.2", "key r expects a finite number > 0, got -0.2"),
+        ("radii", "-0.1,0.2", "key radii expects finite numbers > 0, got -0.1,0.2"),
+        ("k_max", "0", "key k_max expects an integer >= 1, got 0"),
+    ], ids=["x0", "r", "radii", "k_max"])
+    def test_bad_solve_key_exits_2(self, tmp_path, capsys, monkeypatch, key, value, message):
+        # checked before any kernel is built, so no table is written
+        monkeypatch.setattr(cli, "build_kernel", lambda *args: pytest.fail("kernel built"))
+        text = with_key((CONFIGS / "perturbed_laplace.cfg").read_text(), key, value)
+        code, err = run(tmp_path, "solve", text, capsys)
+        assert code == 2
+        assert err == [f"config error: {message}"], err
+        assert not list((tmp_path / "runs").rglob("*.csv"))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"tol": "0", "k_max": "3"}, "divergence: no convergence within k_max = 3 iterations"),
+        ({"r": "5"}, "divergence: step norms increased three times in a row at k=4"),
+    ], ids=["k_max", "step_norms_rose"])
+    def test_unconverged_solve_exits_3_with_one_line(self, tmp_path, capsys, changes, message):
+        # the run still writes its tables and manifest
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        for key, value in changes.items():
+            text = with_key(text, key, value)
+        code, err = run(tmp_path, "solve", text, capsys)
+        assert code == 3
+        assert err == [message], err
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        written = {p.name for p in run_dir.iterdir()}
+        assert {"iterations.csv", "summary.csv", "manifest.json"} <= written
+
+    def test_loose_certificate_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
+        # a converged solve whose certificate exceeds 2*tol names both
+        real = cli.ParametrixOperator.solve
+
+        def loose(self, f, tol, k_max):
+            u, rep = real(self, f, tol=tol, k_max=k_max)
+            rep.certificate = 3 * tol
+            return u, rep
+
+        monkeypatch.setattr(cli.ParametrixOperator, "solve", loose)
+        code, err = run(tmp_path, "solve", (CONFIGS / "perturbed_laplace.cfg").read_text(), capsys)
+        assert code == 3
+        assert err == ["divergence: certificate 3e-06 exceeds 2*tol = 2e-06"], err
 
     def test_short_trusted_range_exits_5_without_tables(self, tmp_path, capsys):
         # power:p=1e6 trusts M only up to 10^(250/p), so the Delta2 test

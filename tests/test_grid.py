@@ -55,12 +55,12 @@ class TestDomain:
 class TestShift:
     def test_zero_shift_identity(self, line64):
         f = GridFunction(line64, np.random.default_rng(0).standard_normal(64))
-        out = shift(f, ShiftVector.of(0.0))
+        out = shift(f, ShiftVector((0.0,)))
         assert np.array_equal(out.values, f.values)
 
     def test_full_period_identity(self, line64):
         f = GridFunction(line64, np.random.default_rng(1).standard_normal(64))
-        out = shift(f, ShiftVector.of(line64.d))
+        out = shift(f, ShiftVector((line64.d,)))
         assert np.array_equal(out.values, f.values)
 
     def test_lattice_shift_is_roll(self, line64):
@@ -71,7 +71,7 @@ class TestShift:
     def test_off_lattice_warns_and_interpolates(self, line64):
         f = GridFunction.from_callable(line64, lambda x: np.sin(np.pi * x))
         with pytest.warns(UserWarning, match="off-lattice"):
-            out = shift(f, ShiftVector.of(0.5 * line64.h))
+            out = shift(f, ShiftVector((0.5 * line64.h,)))
         mid = 0.5 * (f.values + np.roll(f.values, -1))
         assert np.allclose(out.values, mid)
 

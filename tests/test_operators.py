@@ -13,7 +13,7 @@ from orlipde import (
     characteristic_form,
     coefficient_continuity_check,
     diff,
-    difference_channels,
+    difference_rows,
     ellipticity_check,
     exp_young,
     freeze_leading,
@@ -21,9 +21,8 @@ from orlipde import (
     luxemburg_norm,
     multi_indices,
     power,
-    sobolev_norm,
+    sobolev_norms,
 )
-from orlipde.operators import difference_rows, sobolev_norms
 
 
 # second-order central stencils {offset: coefficient} for d^k/dx^k
@@ -218,6 +217,13 @@ def differences(u, m):
     return {p: diff(u, p) for p in multi_indices(u.domain.n, m)}
 
 
+def sobolev_norm(channels, M, d_omega):
+    """``sobolev_norms`` of one dictionary {p: grid function}, as a stack of one."""
+    domain = next(iter(channels.values())).domain
+    (norm,) = sobolev_norms({p: ch.values[None] for p, ch in channels.items()}, M, d_omega, domain)
+    return norm
+
+
 class TestSobolevNorms:
     def test_constant_function(self, square32):
         u = GridFunction.from_callable(square32, lambda x, y: np.full_like(x, 2.0))
@@ -280,7 +286,7 @@ class TestDiff:
         with pytest.raises(ValueError):
             diff(u, (5,))
         with pytest.raises(ValueError):
-            difference_channels(u, [(1,), (5,)])
+            difference_rows(u.values[None], line64, [(1,), (5,)])
 
     @pytest.mark.parametrize("n, N", [(1, 4), (1, 64), (2, 32), (3, 16)])
     def test_channels_match_rolled_stencils(self, n, N, bump):
@@ -290,7 +296,7 @@ class TestDiff:
         u = bump(dom, 0.35, center=[0.05] * n)
         u = u * GridFunction.from_callable(dom, lambda *X: 1.0 + 0.7 * X[0] - 0.4 * X[-1] ** 2)
         orders = multi_indices(n, 4)
-        channels = difference_channels(u, orders)
+        channels = difference_rows(u.values[None], dom, orders)
         assert list(channels) == orders
         for p in orders:
             ref = u.values
@@ -300,13 +306,13 @@ class TestDiff:
                     for off, c in STENCILS[k].items():
                         out += c * np.roll(ref, -off, axis=axis)
                     ref = out / dom.h**k
-            assert np.array_equal(channels[p].values, ref), p
+            assert np.array_equal(channels[p][0], ref), p
             assert np.array_equal(diff(u, p).values, ref), p
 
     @pytest.mark.parametrize("n, N", [(1, 64), (2, 32), (3, 16)])
     def test_stacked_rows_match_one_function_calls(self, n, N, bump):
         # every row of a stacked call, differences and weighted norms, equals
-        # the one-function call on that row alone, bit for bit
+        # that function's stack of one, bit for bit
         dom = GridDomain(n, N, 1.0)
         dom = dom.with_mask(dom.ball_mask([0.0] * n, 0.4))
         funcs = [1e-3 * (1.0 + k) * bump(dom, 0.3, center=[0.02 * k] * n) for k in range(3)]
@@ -317,8 +323,8 @@ class TestDiff:
         for M in (power(2), exp_young()):
             norms = sobolev_norms(rows, M, 0.7, dom)
             for i, u in enumerate(funcs):
-                channels = difference_channels(u, orders)
+                channels = difference_rows(u.values[None], dom, orders)
                 for p in orders:
-                    assert np.array_equal(rows[p][i], channels[p].values), (i, p)
-                assert norms[i] == sobolev_norm(channels, M, 0.7), (M, i)
+                    assert np.array_equal(rows[p][i], channels[p][0]), (i, p)
+                assert norms[i] == sobolev_norms(channels, M, 0.7, dom)[0], (M, i)
         assert norms[-1] == 0.0

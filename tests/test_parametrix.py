@@ -13,22 +13,21 @@ from orlipde import (
     SolveReport,
     bilaplacian,
     bounded_multiplier_check,
-    cap_bump,
     cli,
     config,
     contraction_profile,
-    difference_channels,
+    difference_rows,
     frozen_operator,
     fundamental_solution,
     kernels,
     laplacian,
     multi_indices,
     parametrix,
-    potential_channels,
+    potential_rows,
     power,
+    sobolev_norms,
 )
 from orlipde.grid import kernel_convolve
-from orlipde.kernels import potential_rows
 
 from conftest import assert_pinned_outputs, cap_profile
 
@@ -51,19 +50,19 @@ class TestPotentialChannels:
         dom = GridDomain(2, 32, 1.0)
         dom = dom.with_mask(dom.ball_mask([0.0, 0.0], 0.3))
         psi = cap_profile(dom, 0.25, center=[0.03, -0.02])
-        channels = potential_channels(J, psi, multi_indices(2, J.m))
+        channels = potential_rows(J, psi.values[None], dom, multi_indices(2, J.m))
         assert len(channels) == len(multi_indices(2, J.m))
         local = J.local_constants(dom).constants
-        for p, ch in channels.items():
-            single = potential_channels(J, psi, [p])[p]
+        for p, (ch,) in channels.items():
+            (single,) = potential_rows(J, psi.values[None], dom, [p])[p]
             if p.order < J.m:
                 full = kernel_convolve(J.kernel_array(dom, p, "weak"), psi.restricted())
             else:
                 full = kernel_convolve(J.kernel_array(dom, p, "pv"), psi.restricted())
                 full = full + psi.restricted() * local[p]
-            scale = np.max(np.abs(ch.values))
-            assert np.array_equal(ch.values, single.values), p
-            assert np.max(np.abs(ch.values - full.values)) <= 1e-12 * scale, p
+            scale = np.max(np.abs(ch))
+            assert np.array_equal(ch, single), p
+            assert np.max(np.abs(ch - full.values)) <= 1e-12 * scale, p
 
     @pytest.mark.parametrize("operator, N, count", [
         (laplacian(2), 32, 3),
@@ -72,8 +71,8 @@ class TestPotentialChannels:
         (laplacian(3), 32, 2),  # 2 channels per transform
     ], ids=["laplace2d-32", "biharmonic2d-32", "biharmonic2d-64", "laplace3d-32"])
     def test_stacked_rows_match_one_row_calls(self, operator, N, count):
-        # each row of a stacked call equals the one-density call, bit for bit,
-        # however the densities and channels are chunked into transforms
+        # each row of a stacked call equals that density's stack of one, bit
+        # for bit, however the densities and channels are chunked into transforms
         J = fundamental_solution(operator)
         n = operator.n
         dom = GridDomain(n, N, 1.0)
@@ -86,15 +85,31 @@ class TestPotentialChannels:
         stacked = potential_rows(J, rows, dom, orders)
         assert list(stacked) == orders
         for i in range(count):
-            single = potential_channels(J, GridFunction(dom, rows[i]), orders)
+            single = potential_rows(J, rows[i : i + 1], dom, orders)
             for p in orders:
                 assert stacked[p].shape == (count, *dom.shape)
-                assert np.array_equal(stacked[p][i], single[p].values), (i, p)
+                assert np.array_equal(stacked[p][i], single[p][0]), (i, p)
 
     def test_order_above_m_rejected(self, square32):
         J = fundamental_solution(laplacian(2))
         with pytest.raises(ValueError):
-            potential_channels(J, cap_profile(square32, 0.2), [(2, 1)])
+            potential_rows(J, cap_profile(square32, 0.2).values[None], square32, [(2, 1)])
+
+
+def identity_defect(P, phi):
+    """Relative sup defect of phi = correction(phi) + potential(L phi) over the ball.
+
+    phi must vanish outside the ball.  The correction is the potential of
+    the remainder applied to phi by central differences; both potentials
+    are taken at once, as channel 0 of the potential of the summed density.
+    """
+    assert not np.any(phi.values[~P.domain.mask])
+    differences = difference_rows(phi.values[None], P.domain, P.remainder_coeffs)
+    density = P.combine(P.remainder_coeffs, differences) + P.L.apply(phi).values
+    origin = (0,) * P.L.n
+    (rec,) = potential_rows(P.J, density, P.domain, [origin])[origin]
+    defect = np.abs((rec - phi.values)[P.domain.mask])
+    return float(np.max(defect)) / phi.sup_norm(masked=False)
 
 
 class TestIdentityDefect:
@@ -105,7 +120,7 @@ class TestIdentityDefect:
         defects = []
         for N in (32, 64):
             P = ParametrixOperator(L, [0.0, 0.0], 0.2, N=N, M=power(2))
-            defects.append(P.identity_defect(cap_bump(P.domain, 0.15)))
+            defects.append(identity_defect(P, cap_profile(P.domain, 0.15)))
         assert defects[1] <= 0.05
         assert defects[1] <= 0.6 * defects[0]
 
@@ -114,10 +129,13 @@ class TestSolve:
     def test_converges_with_certificate(self):
         L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
         P = ParametrixOperator(L, [0.0, 0.0], 0.2, N=32, M=power(2))
-        u, rep = P.solve(cap_bump(P.domain, 0.15), tol=1e-6)
+        u, rep = P.solve(cap_profile(P.domain, 0.15), tol=1e-6)
         assert isinstance(rep, SolveReport)
         assert rep.converged and rep.certificate <= 2e-6
         assert u.domain is P.domain and np.all(np.isfinite(u.values))
+        # the report holds the final channel dictionary, channel 0 the solution
+        assert list(rep.channels) == P.orders
+        assert np.array_equal(rep.channels[(0, 0)][0], u.values)
 
 
 # the variable-coefficient squared Laplacian of the benchmark's biharmonic solve
@@ -214,12 +232,14 @@ def _per_probe_profile(L, x0, radii, probes, seed, N, M):
                 phi = _reference_probe(P.domain, 0.75 * r, x0)
             else:
                 phi = _reference_probe(P.domain, 0.75 * r, x0, degree=3, rng=rng)
-            differences = difference_channels(phi, P.orders)
-            norm = P.channel_norm(differences)
+            differences = difference_rows(phi.values[None], P.domain, P.orders)
+            (norm,) = sobolev_norms(differences, M, P.d_omega, P.domain)
             if norm == 0.0:
                 continue
             remainder = P.combine(P.remainder_coeffs, differences)
-            worst = max(worst, P.channel_norm(P.channels(remainder)) / norm)
+            potentials = potential_rows(J, remainder, P.domain, P.orders)
+            (corrected,) = sobolev_norms(potentials, M, P.d_omega, P.domain)
+            worst = max(worst, corrected / norm)
         sigma.append(worst)
     return sigma
 
@@ -271,7 +291,7 @@ def test_manufactured_error_is_second_order():
         P = ParametrixOperator(L, cfg.get_floats("x0"), cfg.get_float("r"), N=N, M=M)
         f, reference = config.build_field(cfg.get("f"), P.domain, operator=L)
         _, rep = P.solve(f, tol=cfg.get_float("tol"), k_max=cfg.get_int("k_max"))
-        errors.append(P.solution_error(rep.sigma, reference))
+        errors.append(P.solution_error(rep.channels, reference))
     assert errors == pytest.approx([8.504e-3, 2.196e-3], rel=1e-3)
     assert errors[0] / errors[1] >= 3.5
 

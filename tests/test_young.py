@@ -264,7 +264,9 @@ class TestDelta2:
     def test_exponential_fails(self):
         rep = check_delta2(exp_young(), 1.0, 100.0)
         assert not rep.satisfied
-        assert rep.ratio_near(50.0) > 1e6
+        # the doubling ratio at the trace point nearest u = 50
+        trace = rep.worst_ratio_trace
+        assert trace[np.argmin(np.abs(trace[:, 0] - 50.0)), 1] > 1e6
 
     def test_power_log_passes(self):
         rep = check_delta2(power_log(2), 1.0, 1e6)
