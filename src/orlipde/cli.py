@@ -120,7 +120,7 @@ def _grid_data(cfg):
     """The N-function, the unmasked cube and the data f of a grid command."""
     M = build_young(cfg.get("young"))
     try:
-        domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_float("d"))
+        domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_size("d"))
     except ValueError as exc:
         raise ConfigError(f"grid: {exc}") from exc
     f, _ = build_field(cfg.get("f"), domain, restrict=False)
@@ -157,19 +157,19 @@ def _cmd_norms(cfg, out):
         ("modular", modular(f, M)),
         ("luxemburg", luxemburg_norm(f, M)),
         ("orlicz", orlicz_norm(f, M)),
-        ("dual_lower_bound", dual_norm_lower_bound(f, M, trials=trials, seed=seed)),
+        ("dual_lower_bound", dual_norm_lower_bound(f, M, trials, seed)),
         ("l1", l1_norm(f)),
         ("sup", f.sup_norm()),
     ]
-    if _is_indicator(f.values):
-        mes = float(np.count_nonzero(f.values)) * domain.cell_volume
+    mes = float(np.count_nonzero(f.values)) * domain.cell_volume
+    if mes > 0 and _is_indicator(f.values):
         formula = characteristic_norm_value(M, mes)
         amemiya = dict(rows)["orlicz"]
         rows.append(("indicator_measure", mes))
         rows.append(("characteristic_formula", formula))
         rows.append(("formula_vs_amemiya", abs(formula - amemiya) / amemiya))
     _write_csv(out / "norms.csv", ["name", "value"], rows)
-    rep = inequality_suite(f, g, M, seed=seed)
+    rep = inequality_suite(f, g, M, seed)
     _write_csv(
         out / "inequalities.csv",
         ["name", "lhs", "rhs", "violated"],
@@ -196,13 +196,14 @@ def _cmd_solve(cfg, out, contraction_only=False):
     if not contraction_only:
         r = cfg.get_size("r")
         tol = cfg.get_float("tol")
+        if not 0.0 <= tol < np.inf:
+            raise ConfigError(f"key tol expects a finite number >= 0, got {cfg.get('tol')}")
         k_max = cfg.get_count("k_max")
-    # one kernel for the frozen operator at x0, and one sign normalization
-    # (one ellipticity check), serve every radius and the solve
-    L0, normalized = frozen_operator(L, x0)
-    J = build_kernel(cfg.get("kernel"), L0)
-    ladder = dict(probes=probes, seed=seed, N=32, M=M, J=J, normalized=normalized)
-    prof = contraction_profile(L, x0, radii=radii, **ladder)
+    # one frozen point at x0, and one kernel of its frozen operator, serve
+    # every radius and the solve
+    point = frozen_operator(L, x0)
+    J = build_kernel(cfg.get("kernel"), point.L0)
+    prof = contraction_profile(point, J, radii, probes, seed, N=32, M=M)
     _write_csv(
         out / "sigma_profile.csv",
         ["r", "sigma_hat"],
@@ -210,16 +211,15 @@ def _cmd_solve(cfg, out, contraction_only=False):
     )
     if contraction_only:
         return 0
-    P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
+    P = ParametrixOperator(point, J, r, N, M)
     f, reference = build_field(cfg.get("f"), P.domain, operator=L)
     # sigma_hat at r: the ladder's entry, or a ladder of r alone with the same seed
-    at_r = prof if r in radii else contraction_profile(L, x0, radii=[r], **ladder)
+    at_r = prof if r in radii else contraction_profile(point, J, [r], probes, seed, N=32, M=M)
     sigma_r = at_r.sigma_hat[at_r.radii.index(r)]
-    if sigma_r >= 1.0:
-        print(f"warning: contraction estimate {sigma_r:.3g} >= 1 at r={r:g}", file=sys.stderr)
+    estimate = f"contraction estimate {sigma_r:.3g} >= 1 at r={r:g}" if sigma_r >= 1.0 else None
     failure = None
     try:
-        u, rep = P.solve(f, tol=tol, k_max=k_max)
+        u, rep = P.solve(f, tol, k_max)
     except DivergenceError as exc:
         rep, u, failure = exc.report, None, str(exc)
     _write_csv(
@@ -246,8 +246,10 @@ def _cmd_solve(cfg, out, contraction_only=False):
     elif failure is None and not rep.certificate <= 2 * tol:
         failure = f"certificate {_fmt(rep.certificate)} exceeds 2*tol = {_fmt(2 * tol)}"
     if failure is None:
+        if estimate:
+            print(f"warning: {estimate}", file=sys.stderr)
         return 0
-    print(f"divergence: {failure}", file=sys.stderr)
+    print(f"divergence: {failure}" + (f"; {estimate}" if estimate else ""), file=sys.stderr)
     return 3
 
 

@@ -284,11 +284,11 @@ def build_field(spec, domain, operator=None, restrict=True):
     raise ConfigError(f"cannot parse data spec {spec!r}")
 
 
-def build_kernel(spec, L_frozen):
+def build_kernel(spec, L0):
     """kernel = auto | laplace{1,2,3}d | biharmonic{2,3}d | aniso2:<entries>."""
     spec = spec.strip()
     if spec == "auto":
-        return fundamental_solution(L_frozen)
+        return fundamental_solution(L0)
     named = {
         "laplace1d": lambda: laplacian(1),
         "laplace2d": lambda: laplacian(2),

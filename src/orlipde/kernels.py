@@ -91,12 +91,12 @@ class FundamentalSolution:
     is carried as a term table {k: P_{p,k}} of polynomials {exponent tuple:
     coefficient}, derived once from the cached table of p - e_last (e_last
     the last axis with a nonzero entry) by d_i[g^(k) P] = g^(k+1) 2(Ax)_i P +
-    g^(k) d_i P.  One instance serves every grid.  It samples each (p, mode)
-    once per N on the unit lattice (h = 1), keeping the half spectra of d^p J
-    and of its log-q coefficient, and calibrates the local constants once per
-    (N, mask) there; ``kernel_spectrum`` scales them to the grid spacing.
-    The stacked spectra of a channel dictionary are cached per (orders, N,
-    d), so one frozen operator shares one kernel across all radii and
+    g^(k) d_i P.  One instance serves every grid.  It keeps one spectra
+    store: the half spectra of d^p J and of its log-q coefficient, sampled
+    once per (p, N) on the unit lattice (h = 1), from which
+    ``channel_spectra`` scales the stack of a grid, keeping only the last
+    stack it scaled.  The local constants are calibrated once per (N, mask)
+    there.  So one frozen operator shares one kernel across all radii and
     iterates.
     """
 
@@ -111,7 +111,7 @@ class FundamentalSolution:
         self.name = name
         self._tables = {MultiIndex((0,) * self.n): {0: {(0,) * self.n: 1.0}}}
         self._spectra = {}
-        self._stacks = {}
+        self._scaled = None  # (key, stack) of the last channel_spectra call
         self._cell_means = {}
         self._local_cache = {}
 
@@ -213,7 +213,7 @@ class FundamentalSolution:
         with seam coordinates is the mean of d^p J over its +-d/2 images
         along those axes: for A = I a kernel odd in an axis then sums to
         zero over the lattice, and an even kernel is unchanged.
-        Sampled afresh on every call; ``kernel_spectrum`` holds the cache.
+        Sampled afresh on every call; ``channel_spectra`` holds the cache.
         """
         p = MultiIndex(p)
         n, N = domain.n, domain.N
@@ -243,42 +243,35 @@ class FundamentalSolution:
         """The N^n lattice of spacing 1 centred at 0."""
         return GridDomain(self.n, N, float(N), mask=mask)
 
-    def kernel_spectrum(self, domain, p, mode):
-        """Half spectrum of ``kernel_array(domain, p, mode)``, scaled from the unit lattice.
-
-        t^(m-n-|p|) (U + 2 log t V) with t = domain.h, where U and V are the
-        half spectra of d^p J and of its log-q coefficient on the unit
-        lattice, sampled once per (p, mode, N).
-        """
-        p = MultiIndex(p)
-        key = (p, mode, domain.N)
-        if key not in self._spectra:
-            unit = self._unit_domain(domain.N)
-            U = half_spectrum(self.kernel_array(unit, p, mode))
-            V = None
-            if self._carries_log(p):
-                V = half_spectrum(self.kernel_array(unit, p, mode, log_coefficient=True))
-            self._spectra[key] = U, V
-        U, V = self._spectra[key]
-        t = domain.h
-        scale = t ** (self.m - self.n - p.order)
-        return scale * U if V is None else scale * (U + 2.0 * math.log(t) * V)
-
     def channel_spectra(self, domain, orders):
-        """Stacked ``kernel_spectrum`` of the channels in orders, cached per (orders, N, d).
+        """Stacked half spectra of ``kernel_array(domain, p, mode)`` for p in orders.
 
         Order-m channels take the principal-value kernel, lower ones the
-        weakly singular kernel.
+        weakly singular kernel.  Row p is t^(m-n-|p|) (U + 2 log t V) with
+        t = domain.h, where U and V are the half spectra of d^p J and of its
+        log-q coefficient on the unit lattice, sampled once per (p, N).  The
+        stack is read-only and kept until a call with other (orders, N, d).
         """
         key = (tuple(orders), domain.N, round(domain.d, 12))
-        if key not in self._stacks:
-            stack = np.stack([
-                self.kernel_spectrum(domain, p, "pv" if p.order == self.m else "weak")
-                for p in orders
-            ])
+        if self._scaled is None or self._scaled[0] != key:
+            t = domain.h
+            rows = []
+            for p in orders:
+                if (p, domain.N) not in self._spectra:
+                    unit = self._unit_domain(domain.N)
+                    mode = "pv" if p.order == self.m else "weak"
+                    U = half_spectrum(self.kernel_array(unit, p, mode))
+                    V = None
+                    if self._carries_log(p):
+                        V = half_spectrum(self.kernel_array(unit, p, mode, log_coefficient=True))
+                    self._spectra[p, domain.N] = U, V
+                U, V = self._spectra[p, domain.N]
+                scale = t ** (self.m - self.n - p.order)
+                rows.append(scale * U if V is None else scale * (U + 2.0 * math.log(t) * V))
+            stack = np.stack(rows)
             stack.flags.writeable = False
-            self._stacks[key] = stack
-        return self._stacks[key]
+            self._scaled = key, stack
+        return self._scaled[1]
 
     def local_constants(self, domain):
         """Calibrated identity coefficients for the order-m derivative kernels.
@@ -414,7 +407,7 @@ def potential_rows(J, rows, domain, orders):
     *domain.shape), and each channel is a stack of the same shape.  The
     densities are restricted to the domain mask and transformed once, all
     together; all channels then come from batched inverse transforms
-    against the stacked kernel spectra, cached on J per (orders, N, d).
+    against the stacked kernel spectra of ``J.channel_spectra``.
     Channels with |p| < m use the weakly singular kernel, whose singular
     cell holds the inscribed-ball average.  Order-m channels are the
     principal value plus the local multiple of the restricted density, with

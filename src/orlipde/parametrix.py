@@ -6,16 +6,19 @@ correction operator whose weighted-Sobolev norm shrinks with the ball
 radius.  The fixed-point iteration u <- correction(u) + potential(f) then
 converges to a local solution of the original equation for small radii.
 
-The frozen operator does not depend on the radius, so one fundamental
-solution serves the whole radius ladder and the solve, and one ellipticity
-check at x0 serves every ``ParametrixOperator``.  The ladder's grids are one
-lattice scaled by the radius, so the kernel samples and calibrates once per
-lattice size, not once per radius.  The potential of a density is carried
-as one dictionary of derivative channels {p: d^p S sigma}, computed from one
-forward transform of the density (``potential_rows``).  The correction
-density and the residual are coefficient combinations over that dictionary
-(``ParametrixOperator.combine``), and every weighted norm (probe,
-correction, iterate, step, error) is ``sobolev_norms`` of one.
+The frozen operator does not depend on the radius.  ``frozen_operator``
+freezes L at x0 once: its record holds the sign-normalized L, x0, the
+frozen leading part L0 and the one ellipticity report, and every
+``ParametrixOperator`` and ``contraction_profile`` at x0 takes that record
+and the one fundamental solution of L0, whatever the radius.  The ladder's
+grids are one lattice scaled by the radius, so the kernel samples and
+calibrates once per lattice size, not once per radius.  The potential of a
+density is carried as one dictionary of derivative channels
+{p: d^p S sigma}, computed from one forward transform of the density
+(``potential_rows``).  The correction density and the residual are
+coefficient combinations over that dictionary (``ParametrixOperator.combine``),
+and every weighted norm (probe, correction, iterate, step, error) is
+``sobolev_norms`` of one.
 
 Every channel dictionary is stacked: each channel holds one function per row
 along a leading axis.  The contraction profile builds each radius's probes
@@ -35,8 +38,10 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .grid import GridDomain, GridFunction
-from .kernels import densities_per_transform, fundamental_solution, potential_rows
+from .kernels import densities_per_transform, potential_rows
 from .operators import (
+    EllipticityReport,
+    EllipticOperator,
     difference_rows,
     ellipticity_check,
     freeze_leading,
@@ -45,23 +50,7 @@ from .operators import (
 )
 from .space import luxemburg_norm
 
-DEFAULT_RADII = (0.4, 0.2, 0.1, 0.05)
 PAD = 4.0  # cube side over ball radius, so that periodic images stay separated
-
-
-def _sign_normalized(L, x0):
-    """L, negated when its characteristic form is negative at x0, and the report.
-
-    Every coefficient must be finite at x0, where the form is evaluated;
-    otherwise ConfigError names the first one that is not.
-    """
-    with np.errstate(all="ignore"):
-        for p in sorted(L.coeffs):
-            if not math.isfinite(L.coeff_at(p, x0)):
-                at = ", ".join(f"{float(c):.6g}" for c in x0)
-                raise ConfigError(f"coefficient p={_index(p)} is not finite at x0 = ({at})")
-    rep = ellipticity_check(L, [x0])
-    return (L.scaled(-1.0) if rep.sign_flipped else L), rep
 
 
 def _index(p):
@@ -69,18 +58,36 @@ def _index(p):
     return f"({','.join(map(str, p))})"
 
 
-def frozen_operator(L, x0):
-    """Leading part of the sign-normalized L frozen at x0, and that normalization.
+@dataclass(frozen=True)
+class FrozenPoint:
+    """An operator frozen at x0: what every radius of a solve at x0 shares.
 
-    Returns (L0, normalized) with normalized = (sign-normalized L, its
-    ellipticity report).  L0 is the operator every ``ParametrixOperator``
-    centred at x0 inverts, whatever its radius, so one kernel built for it
-    serves them all; passing ``normalized`` to each of them checks
-    ellipticity once.
+    ``L`` is the operator, negated when its characteristic form is negative
+    at x0 (``ellipticity.sign_flipped``); ``L0`` is its leading part frozen
+    at x0, the operator the kernel inverts.
+    """
+
+    L: EllipticOperator
+    x0: np.ndarray
+    L0: EllipticOperator
+    ellipticity: EllipticityReport
+
+
+def frozen_operator(L, x0):
+    """The one frozen point of L at x0, after its one ellipticity check.
+
+    Every coefficient must be finite at x0, where the characteristic form
+    is evaluated; otherwise ConfigError names the first one that is not.
     """
     x0 = np.asarray(x0, dtype=float)
-    normalized = _sign_normalized(L, x0)
-    return freeze_leading(normalized[0], x0), normalized
+    with np.errstate(all="ignore"):
+        for p in sorted(L.coeffs):
+            if not math.isfinite(L.coeff_at(p, x0)):
+                at = ", ".join(f"{float(c):.6g}" for c in x0)
+                raise ConfigError(f"coefficient p={_index(p)} is not finite at x0 = ({at})")
+    rep = ellipticity_check(L, [x0])
+    L = L.scaled(-1.0) if rep.sign_flipped else L
+    return FrozenPoint(L=L, x0=x0, L0=freeze_leading(L, x0), ellipticity=rep)
 
 
 def _cap(domain, radius, c):
@@ -134,14 +141,12 @@ def _random_polynomial(powers, shape, rng):
 class ParametrixOperator:
     """Frozen-kernel machinery for one ball B_r(x0) inside the padded cube.
 
-    The cube side is PAD*r so periodic images stay separated.  When the
-    characteristic form is uniformly negative, the operator and any data
-    are negated together (recorded in ``sign_flipped``), which leaves the
-    solution set unchanged.  ``J`` is the fundamental solution of the
-    frozen operator of ``frozen_operator(L, x0)`` (or a kernel chosen in its
-    place), and ``normalized`` the pair that call returns alongside it; pass
-    them in to share one kernel, its caches and one ellipticity check
-    across radii.  Each is computed here when omitted.
+    ``point`` is the ``frozen_operator`` record of L at x0 and ``J`` the
+    fundamental solution of its L0 (or a kernel chosen in its place); both
+    are shared by every radius.  The cube side is PAD*r so periodic images
+    stay separated.  When the characteristic form is uniformly negative,
+    the operator and any data are negated together (recorded in
+    ``sign_flipped``), which leaves the solution set unchanged.
 
     Two coefficient tables drive everything: ``remainder_coeffs`` of the
     (frozen - full) operator and ``operator_coeffs`` of L itself, each
@@ -150,23 +155,18 @@ class ParametrixOperator:
     ConfigError naming its index and the first such node.
     """
 
-    def __init__(self, L, x0, r, N=64, M=None, J=None, normalized=None):
-        x0 = np.asarray(x0, dtype=float)
-        self.L, rep = _sign_normalized(L, x0) if normalized is None else normalized
-        self.sign_flipped = rep.sign_flipped
-        self.ellipticity = rep
-        self.x0 = x0
-        self.r = float(r)
+    def __init__(self, point, J, r, N, M):
+        self.L, x0 = point.L, point.x0
+        self.sign_flipped = point.ellipticity.sign_flipped
         self.M = M
-        dom = GridDomain(L.n, N, PAD * r, center=x0)
+        self.J = J
+        dom = GridDomain(self.L.n, N, PAD * r, center=x0)
         self.domain = dom.with_mask(dom.ball_mask(x0, r))
-        self.L_frozen = freeze_leading(self.L, x0)
-        self.J = fundamental_solution(self.L_frozen) if J is None else J
-        self.d_omega = 2.0 * self.r
-        self.orders = multi_indices(L.n, L.m)
+        self.d_omega = 2.0 * float(r)
+        self.orders = multi_indices(self.L.n, self.L.m)
         self.operator_coeffs = {p: self._coeff_values(p) for p in sorted(self.L.coeffs)}
         self.remainder_coeffs = {
-            p: self.L_frozen.coeff_at(p, x0) - self.operator_coeffs[p]
+            p: self.L.coeff_at(p, x0) - self.operator_coeffs[p]
             for p in self.L.leading_indices()
         }
         self.remainder_coeffs.update(
@@ -211,7 +211,7 @@ class ParametrixOperator:
         (ref_norm,) = sobolev_norms(refs, self.M, self.d_omega, dom)
         return error / ref_norm if ref_norm > 0 else error
 
-    def solve(self, f, tol=1e-6, k_max=200):
+    def solve(self, f, tol, k_max):
         """Fixed-point iteration on source densities.
 
         The iterate is the potential of sigma_k with sigma_{k+1} =
@@ -315,13 +315,9 @@ class SolveReport:
 class ContractionProfile:
     radii: list
     sigma_hat: list
-    probe_count: int
-    seed: int
 
 
-def contraction_profile(
-    L, x0, radii=DEFAULT_RADII, probes=8, seed=0, N=32, M=None, J=None, normalized=None
-):
+def contraction_profile(point, J, radii, probes, seed, N, M):
     """Empirical norm profile of the correction operator along a radius ladder.
 
     For every radius the ratio of weighted-Sobolev norms correction(phi) to
@@ -329,13 +325,11 @@ def contraction_profile(
     times random polynomials of degree at most three, supported inside the
     ball; ``probe_family``).  Deterministic for equal seeds; the estimate is
     a lower bound on the true operator norm.  Every radius shares the one
-    kernel J of the frozen operator and the one sign normalization
-    ``normalized`` (both as ``frozen_operator`` gives them, computed here
-    when omitted).  Every radius's grid is the same N-lattice scaled by
-    PAD*r/N, so J samples and calibrates once for the whole ladder and each
-    radius only rescales the spectra.  The generator is re-seeded for every
-    radius, so a ladder of one radius reproduces that radius's entry of a
-    longer ladder.
+    frozen point and its one kernel J.  Every radius's grid is the same
+    N-lattice scaled by PAD*r/N, so J samples and calibrates once for the
+    whole ladder and each radius only rescales the spectra.  The generator
+    is re-seeded for every radius, so a ladder of one radius reproduces that
+    radius's entry of a longer ladder.
 
     The probes run as stacks with a leading probe axis, chunked so that one
     batch's potentials fit one inverse transform
@@ -349,21 +343,17 @@ def contraction_profile(
     """
     if probes < 1:
         raise ValueError("need at least one probe")
-    if N < 4 * L.m:
+    if N < 4 * point.L.m:
         raise ValueError("grid too coarse for the difference stencils")
-    if normalized is None:
-        normalized = _sign_normalized(L, np.asarray(x0, dtype=float))
-    if J is None:
-        J = fundamental_solution(freeze_leading(normalized[0], x0))
     radii = list(radii)
     sigma = []
     for r in radii:
-        P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
+        P = ParametrixOperator(point, J, r, N, M)
         dom = P.domain
         rng = np.random.default_rng(seed)
         batch = densities_per_transform(dom, len(P.orders))
         worst = 0.0
-        for rows in probe_family(dom, 0.75 * r, x0, probes, rng, batch):
+        for rows in probe_family(dom, 0.75 * r, point.x0, probes, rng, batch):
             differences = difference_rows(rows, dom, P.orders)
             norms = sobolev_norms(differences, M, P.d_omega, dom)
             remainders = P.combine(P.remainder_coeffs, differences)
@@ -374,7 +364,7 @@ def contraction_profile(
                 if norm != 0.0:
                     worst = max(worst, c / norm)
         sigma.append(worst)
-    return ContractionProfile(radii=radii, sigma_hat=sigma, probe_count=probes, seed=seed)
+    return ContractionProfile(radii=radii, sigma_hat=sigma)
 
 
 def bounded_multiplier_check(a, f, M, deltas):

@@ -285,7 +285,7 @@ def characteristic_norm_value(M, measure):
     return measure * N.inverse(1.0 / measure)
 
 
-def dual_norm_lower_bound(u, M, trials=16, seed=0):
+def dual_norm_lower_bound(u, M, trials, seed):
     """Certified lower bound for the dual norm from witness candidates.
 
     Candidates are normalized to unit complementary modular, so each pairing
@@ -370,7 +370,7 @@ class InequalityReport:
         self.rows.append(InequalityRow(name, lhs, rhs, violated))
 
 
-def inequality_suite(f, g, M, seed=0):
+def inequality_suite(f, g, M, seed):
     """Evaluate both sides of the convolution and embedding inequalities.
 
     Checked with the full cube as the domain: the sup bound for f*g against

@@ -33,9 +33,9 @@ EMBEDDING_MARGIN = 0.05  # least distance of the Boyd indices from 0 and from 1
 class YoungFunction:
     """An N-function with evaluator, density, inverse density and trusted range.
 
-    ``kind`` is one of ``power``, ``power-log``, ``exp``, ``density-sampled``
-    or ``conjugate``.  ``density`` is the right-continuous nondecreasing
-    derivative p with M(u) = int_0^|u| p(t) dt.  ``inverse_density`` is its
+    ``name`` is the family and its parameters, as ``repr`` shows them.
+    ``density`` is the right-continuous nondecreasing derivative p with
+    M(u) = int_0^|u| p(t) dt.  ``inverse_density`` is its
     right-continuous inverse q(s) = sup{ t : p(t) <= s }, which is the
     density of the complementary function.  ``domain_cap`` is the largest
     |u| at which evaluation is numerically trusted.  ``degree`` is the
@@ -44,15 +44,12 @@ class YoungFunction:
     family; gauge and Amemiya norms take a closed form when it is set.
     """
 
-    def __init__(self, kind, evaluate, density, inverse_density, domain_cap,
-                 params=None, name=None, degree=None):
-        self.kind = kind
+    def __init__(self, evaluate, density, inverse_density, domain_cap, name, degree=None):
         self._evaluate = evaluate
         self._density = density
         self._inverse_density = inverse_density
         self.domain_cap = float(domain_cap)
-        self.params = dict(params or {})
-        self.name = name or kind
+        self.name = name
         self.degree = degree
         self._conjugate = None
         self._inverse_memo = {}
@@ -151,12 +148,10 @@ def power(p, coeff=1.0):
         raise InvalidYoungFunctionError("power family requires p > 1")
     cap = (1e300 / coeff) ** (1.0 / p)
     return YoungFunction(
-        kind="power",
         evaluate=lambda u: coeff * u**p,
         density=lambda t: coeff * p * t ** (p - 1.0),
         inverse_density=lambda s: (s / (coeff * p)) ** (1.0 / (p - 1.0)),
         domain_cap=cap,
-        params={"p": p, "coeff": coeff},
         name=f"power(p={p:g}" + (f",c={coeff:g})" if coeff != 1.0 else ")"),
         degree=p,
     )
@@ -189,12 +184,10 @@ def power_log(p):
         return lo
 
     return YoungFunction(
-        kind="power-log",
         evaluate=evaluate,
         density=density,
         inverse_density=inverse_density,
         domain_cap=10.0 ** (250.0 / p),
-        params={"p": p},
         name=f"power-log(p={p:g})",
     )
 
@@ -202,12 +195,10 @@ def power_log(p):
 def exp_young():
     """M(u) = exp(|u|) - |u| - 1."""
     return YoungFunction(
-        kind="exp",
         evaluate=lambda u: np.expm1(u) - u,
         density=lambda t: np.expm1(t),
         inverse_density=lambda s: np.log1p(s),
         domain_cap=700.0,
-        params={},
         name="exp",
     )
 
@@ -272,12 +263,10 @@ def from_density(ts, ps, name="table"):
         return np.where(u > ts[-1], tail, inside)
 
     return YoungFunction(
-        kind="density-sampled",
         evaluate=evaluate,
         density=density,
         inverse_density=inverse_density,
         domain_cap=float(ts[-1]),
-        params={"samples": ts.size},
         name=name,
     )
 
@@ -304,12 +293,10 @@ def complementary(M):
         return np.where(np.isinf(t), np.inf, out)
 
     return YoungFunction(
-        kind="conjugate",
         evaluate=evaluate,
         density=M.inverse_density,
         inverse_density=M.density,
         domain_cap=M.density(M.domain_cap),
-        params={"conjugate_of": M.name},
         name=f"conjugate[{M.name}]",
         degree=None if M.degree is None else M.degree / (M.degree - 1.0),
     )

@@ -146,6 +146,14 @@ class TestExitCodes:
         assert not caught, [str(w.message) for w in caught]
 
 
+    @pytest.mark.parametrize("command", ["norms", "mollify", "shift"])
+    @pytest.mark.parametrize("d", ["0", "-1"])
+    def test_bad_cube_size_exits_2(self, tmp_path, capsys, command, d):
+        text = f"n = 1\ngrid.N = 16\nd = {d}\nf = expr:x1\n"
+        code, err = run(tmp_path, command, text, capsys)
+        assert code == 2
+        assert err == [f"config error: key d expects a finite number > 0, got {d}"], err
+
     @pytest.mark.parametrize("N", [2, 7])
     def test_coarse_solve_grid_exits_2(self, tmp_path, capsys, N):
         # the second-order stencils need N >= 4m = 8
@@ -180,7 +188,10 @@ class TestExitCodes:
         ("r", "-0.2", "key r expects a finite number > 0, got -0.2"),
         ("radii", "-0.1,0.2", "key radii expects finite numbers > 0, got -0.1,0.2"),
         ("k_max", "0", "key k_max expects an integer >= 1, got 0"),
-    ], ids=["x0", "r", "radii", "k_max"])
+        ("tol", "nan", "key tol expects a finite number >= 0, got nan"),
+        ("tol", "inf", "key tol expects a finite number >= 0, got inf"),
+        ("tol", "-1e-6", "key tol expects a finite number >= 0, got -1e-6"),
+    ], ids=["x0", "r", "radii", "k_max", "tol_nan", "tol_inf", "tol_negative"])
     def test_bad_solve_key_exits_2(self, tmp_path, capsys, monkeypatch, key, value, message):
         # checked before any kernel is built, so no table is written
         monkeypatch.setattr(cli, "build_kernel", lambda *args: pytest.fail("kernel built"))
@@ -205,6 +216,16 @@ class TestExitCodes:
         (run_dir,) = (tmp_path / "runs").iterdir()
         written = {p.name for p in run_dir.iterdir()}
         assert {"iterations.csv", "summary.csv", "manifest.json"} <= written
+
+    def test_divergence_names_the_contraction_estimate(self, tmp_path, capsys):
+        # sigma_hat(20) = 11.2 >= 1, and the solve diverges: one line names both
+        text = with_key((CONFIGS / "perturbed_laplace.cfg").read_text(), "r", "20")
+        code, err = run(tmp_path, "solve", text, capsys)
+        assert code == 3
+        assert err == [
+            "divergence: step norms increased three times in a row at k=4; "
+            "contraction estimate 11.2 >= 1 at r=20"
+        ], err
 
     def test_loose_certificate_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         # a converged solve whose certificate exceeds 2*tol names both
@@ -326,6 +347,14 @@ class TestIndicatorNorms:
     def test_indicator_writes_formula_rows(self, tmp_path):
         names = self.norms(tmp_path, CONFIGS / "indicator_norms.cfg")
         assert names[-3:] == self.INDICATOR_ROWS
+
+    def test_zero_field_writes_none(self, tmp_path):
+        # the zero field takes only the value 0, but its support has measure 0
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("n = 1\ngrid.N = 16\nf = expr:0*x1\n")
+        names = self.norms(tmp_path, cfg)
+        assert not set(self.INDICATOR_ROWS) & set(names), names
+        assert "dual_lower_bound" in names
 
     def test_three_valued_field_writes_none(self, tmp_path):
         text = (CONFIGS / "indicator_norms.cfg").read_text()

@@ -50,6 +50,20 @@ FAMILIES = {
 }
 
 
+def held_arrays(obj):
+    """Every array an object's attributes hold, through dicts, lists and tuples."""
+    found, todo = [], list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            todo.extend(item)
+    return found
+
+
 def random_points(rng, n, count):
     """Seeded points of the cube [-1, 1]^n with 0.1 <= |x|, as an (n, count) array."""
     X = rng.uniform(-1.0, 1.0, size=(n, 4 * count))
@@ -219,14 +233,15 @@ class TestScaledSpectra:
         for N in (16,) if J.n == 3 else (32, 64):
             for d in (1.6, 0.8, 0.3, 0.05, 7.0):
                 dom = GridDomain(J.n, N, d)
-                scaled, direct = {}, {}
-                for p in multi_indices(J.n, J.m):
-                    mode = "pv" if p.order == J.m else "weak"
-                    scaled[p] = J.kernel_spectrum(dom, p, mode)
-                    direct[p] = half_spectrum(J.kernel_array(dom, p, mode))
-                scale = max(np.max(np.abs(v)) for v in direct.values())
-                for p in direct:
-                    assert np.max(np.abs(scaled[p] - direct[p])) <= 1e-13 * scale, (N, d, p)
+                orders = multi_indices(J.n, J.m)
+                scaled = J.channel_spectra(dom, orders)
+                direct = [
+                    half_spectrum(J.kernel_array(dom, p, "pv" if p.order == J.m else "weak"))
+                    for p in orders
+                ]
+                scale = max(np.max(np.abs(v)) for v in direct)
+                for p, row, ref in zip(orders, scaled, direct):
+                    assert np.max(np.abs(row - ref)) <= 1e-13 * scale, (N, d, p)
 
     @pytest.mark.parametrize("name, logs", [
         ("laplace2d", [(0, 0)]),
@@ -252,6 +267,10 @@ class TestScaledSpectra:
         # 15 channels, 5 of which carry a log part
         assert len(calls) == 15 + 5
         assert {dom.h for dom, *_ in calls} == {1.0}
+        # of the four radii's stacks, the kernel holds only the last
+        stacks = [a for a in held_arrays(J) if a.shape == (15, 32, 17)]
+        assert len(stacks) == 1
+        assert stacks[0] is J.channel_spectra(GridDomain(2, 32, 0.2), orders)
 
 
 class TestReproduction:

@@ -39,6 +39,18 @@ def read_table(path):
     return [line.split(",") for line in path.read_text().splitlines()[1:]]
 
 
+def operator_at(L, x0, r, N, M):
+    """The ParametrixOperator of L on B_r(x0), with its own frozen point and kernel."""
+    point = frozen_operator(L, x0)
+    return ParametrixOperator(point, fundamental_solution(point.L0), r, N, M)
+
+
+def profile(L, x0, radii, probes, seed, N, M):
+    """The contraction profile of L at x0, with its own frozen point and kernel."""
+    point = frozen_operator(L, x0)
+    return contraction_profile(point, fundamental_solution(point.L0), radii, probes, seed, N, M)
+
+
 class TestPotentialChannels:
     @pytest.mark.parametrize("operator", [laplacian(2), bilaplacian(2)], ids=repr)
     def test_matches_single_channel_potentials(self, operator):
@@ -119,7 +131,7 @@ class TestIdentityDefect:
         L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
         defects = []
         for N in (32, 64):
-            P = ParametrixOperator(L, [0.0, 0.0], 0.2, N=N, M=power(2))
+            P = operator_at(L, [0.0, 0.0], 0.2, N, power(2))
             defects.append(identity_defect(P, cap_profile(P.domain, 0.15)))
         assert defects[1] <= 0.05
         assert defects[1] <= 0.6 * defects[0]
@@ -128,8 +140,8 @@ class TestIdentityDefect:
 class TestSolve:
     def test_converges_with_certificate(self):
         L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
-        P = ParametrixOperator(L, [0.0, 0.0], 0.2, N=32, M=power(2))
-        u, rep = P.solve(cap_profile(P.domain, 0.15), tol=1e-6)
+        P = operator_at(L, [0.0, 0.0], 0.2, 32, power(2))
+        u, rep = P.solve(cap_profile(P.domain, 0.15), tol=1e-6, k_max=200)
         assert isinstance(rep, SolveReport)
         assert rep.converged and rep.certificate <= 2e-6
         assert u.domain is P.domain and np.all(np.isfinite(u.values))
@@ -176,26 +188,34 @@ def test_one_calibration_per_lattice(tmp_path, monkeypatch):
     assert sorted(calls) == [32, 64]
     # each radius's constants match a calibration on its own masked grid
     L = config.build_operator(config.load_config(cfg, "solve"))
-    J = fundamental_solution(frozen_operator(L, [0.0, 0.0])[0])
+    point = frozen_operator(L, [0.0, 0.0])
+    J = fundamental_solution(point.L0)
     for r in (0.4, 0.2, 0.1, 0.05):
-        P = ParametrixOperator(L, [0.0, 0.0], r, N=32, M=power(2), J=J)
+        P = ParametrixOperator(point, J, r, 32, power(2))
         direct = real(J, P.domain).constants
         for p, c in J.local_constants(P.domain).constants.items():
             assert c == pytest.approx(direct[p], abs=1e-14), (r, p)
 
 
 def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
+    # the frozen point's one check serves the ladder, the solve and, for an r
+    # off the ladder, the profile of r alone
     calls = []
-    real = parametrix._sign_normalized
+    real = parametrix.ellipticity_check
     monkeypatch.setattr(
-        parametrix, "_sign_normalized", lambda *args: calls.append(args) or real(*args)
+        parametrix, "ellipticity_check", lambda *args: calls.append(args) or real(*args)
     )
-    assert cli.run_config("solve", CONFIGS / "perturbed_laplace.cfg", tmp_path) == 0
-    assert len(calls) == 1
-    # an operator built without the pair still checks for itself
+    text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+    assert "r = 0.2\n" in text
+    for r in ("0.2", "0.15"):
+        cfg = tmp_path / f"r{r}.cfg"
+        cfg.write_text(text.replace("r = 0.2\n", f"r = {r}\n"))
+        calls.clear()
+        assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
+        assert len(calls) == 1, r
+    # the point of -L records the flip that every operator built on it reads
     L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
-    P = ParametrixOperator(L.scaled(-1.0), [0.0, 0.0], 0.2, N=32)
-    assert len(calls) == 2 and P.sign_flipped
+    assert operator_at(L.scaled(-1.0), [0.0, 0.0], 0.2, 32, power(2)).sign_flipped
 
 
 def _reference_probe(domain, radius, center, degree=None, rng=None):
@@ -220,12 +240,12 @@ def _reference_probe(domain, radius, center, degree=None, rng=None):
 
 def _per_probe_profile(L, x0, radii, probes, seed, N, M):
     """Reference: every probe built, differenced and normed on its own."""
-    L0, normalized = frozen_operator(L, x0)
-    J = fundamental_solution(L0)
+    point = frozen_operator(L, x0)
+    J = fundamental_solution(point.L0)
     sigma = []
     for r in radii:
         rng = np.random.default_rng(seed)
-        P = ParametrixOperator(L, x0, r, N=N, M=M, J=J, normalized=normalized)
+        P = ParametrixOperator(point, J, r, N, M)
         worst = 0.0
         for j in range(probes):
             if j == 0:
@@ -257,11 +277,7 @@ class TestBatchedProfile:
         L = config.build_operator(config.parse_config(text, "solve"))
         M = config.build_young(young)
         x0, radii = [0.0, 0.0], [0.2, 0.05]
-        L0, normalized = frozen_operator(L, x0)
-        J = fundamental_solution(L0)
-        batched = contraction_profile(
-            L, x0, radii=radii, probes=9, seed=3, N=32, M=M, J=J, normalized=normalized
-        )
+        batched = profile(L, x0, radii, 9, 3, 32, M)
         assert batched.sigma_hat == _per_probe_profile(L, x0, radii, 9, 3, 32, M)
 
     def test_potentials_batched_by_probe(self, monkeypatch):
@@ -276,7 +292,7 @@ class TestBatchedProfile:
 
         monkeypatch.setattr(parametrix, "potential_rows", counting)
         L = config.build_operator(config.parse_config(BIHARMONIC, "solve"))
-        prof = contraction_profile(L, [0.0, 0.0], probes=8, seed=0, N=32, M=power(2))
+        prof = profile(L, [0.0, 0.0], [0.4, 0.2, 0.1, 0.05], 8, 0, 32, power(2))
         assert len(prof.radii) == 4
         assert len(calls) <= 2 * 4 and sum(calls) == 8 * 4, calls
 
@@ -288,9 +304,9 @@ def test_manufactured_error_is_second_order():
     M = config.build_young(cfg.get("young"))
     errors = []
     for N in (64, 128):
-        P = ParametrixOperator(L, cfg.get_floats("x0"), cfg.get_float("r"), N=N, M=M)
+        P = operator_at(L, cfg.get_floats("x0"), cfg.get_float("r"), N, M)
         f, reference = config.build_field(cfg.get("f"), P.domain, operator=L)
-        _, rep = P.solve(f, tol=cfg.get_float("tol"), k_max=cfg.get_int("k_max"))
+        _, rep = P.solve(f, cfg.get_float("tol"), cfg.get_int("k_max"))
         errors.append(P.solution_error(rep.channels, reference))
     assert errors == pytest.approx([8.504e-3, 2.196e-3], rel=1e-3)
     assert errors[0] / errors[1] >= 3.5
@@ -299,7 +315,7 @@ def test_manufactured_error_is_second_order():
 def test_profile_rejects_coarse_grid():
     # the fourth-order difference stencils need N >= 4m = 16
     with pytest.raises(ValueError, match="grid too coarse"):
-        contraction_profile(bilaplacian(2), [0.0, 0.0], radii=[0.2], N=12, M=power(2))
+        profile(bilaplacian(2), [0.0, 0.0], [0.2], 8, 0, 12, power(2))
 
 
 class TestBoundedMultiplier:
@@ -328,7 +344,7 @@ def _run(tmp_path, command, kernel, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (kernels, config, parametrix):
+    for module in (kernels, config):
         monkeypatch.setattr(module, "fundamental_solution", counting)
     text = (CONFIGS / "perturbed_laplace.cfg").read_text()
     assert "kernel = auto" in text
@@ -370,7 +386,7 @@ class TestShippedSolve:
         ladder = dict(read_table(run_dir / "sigma_profile.csv"))
         assert summary["sigma_hat_at_r"] == ladder["0.2"]
         L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
-        alone = parametrix.contraction_profile(L, [0.0, 0.0], radii=[0.2], seed=7, M=power(2))
+        alone = profile(L, [0.0, 0.0], [0.2], 8, 7, 32, power(2))
         assert isinstance(alone, ContractionProfile)
         assert cli._fmt(alone.sigma_hat[0]) == ladder["0.2"]
 
@@ -385,7 +401,7 @@ class TestShippedSolve:
         (run_dir,) = (tmp_path / "runs").iterdir()
         at_r = float(dict(read_table(run_dir / "summary.csv"))["sigma_hat_at_r"])
         L = config.build_operator(config.load_config(cfg, "solve"))
-        alone = parametrix.contraction_profile(L, [0.0, 0.0], radii=[0.15], seed=7, M=power(2))
+        alone = profile(L, [0.0, 0.0], [0.15], 8, 7, 32, power(2))
         assert at_r == pytest.approx(alone.sigma_hat[0], rel=1e-11)
         ladder = {float(r): float(s) for r, s in read_table(auto_run[2] / "sigma_profile.csv")}
         assert ladder[0.1] < at_r < ladder[0.2]
@@ -396,6 +412,8 @@ class TestShippedSolve:
     def test_one_kernel_for_auto(self, auto_run):
         _, calls, _ = auto_run
         assert calls == 1
+        # the solver takes its kernel from the caller and builds none
+        assert not hasattr(parametrix, "fundamental_solution")
 
     def test_one_kernel_for_named(self, tmp_path, monkeypatch):
         code, calls, _ = _run(tmp_path, "solve", "laplace2d", monkeypatch)

@@ -324,7 +324,7 @@ class TestDualLowerBound:
         assert bound == pytest.approx(orlicz_norm(u, M), rel=1e-6)
 
     def test_zero(self, line64):
-        assert dual_norm_lower_bound(GridFunction.zeros(line64), power(2), 3) == 0.0
+        assert dual_norm_lower_bound(GridFunction.zeros(line64), power(2), 3, 0) == 0.0
 
 
 class TestShiftDiagnostics:
@@ -391,7 +391,7 @@ def violations(rep):
 
 class TestInequalitySuite:
     def test_zero_input(self, line64):
-        rep = inequality_suite(GridFunction.zeros(line64), GridFunction.zeros(line64), power(2))
+        rep = inequality_suite(GridFunction.zeros(line64), GridFunction.zeros(line64), power(2), 0)
         assert not violations(rep)
         assert all(r.lhs == 0.0 for r in rep.rows)
 
@@ -406,7 +406,7 @@ class TestInequalitySuite:
 
     def test_indicator_pair(self, line64):
         chi = interval_indicator(line64, 0.0, 1.0)
-        rep = inequality_suite(chi, chi, power(2))
+        rep = inequality_suite(chi, chi, power(2), 0)
         assert not violations(rep)
         row = {r.name: r for r in rep.rows}["holder_sup_bound"]
         assert row.lhs == pytest.approx(1.0, abs=1e-12)
