@@ -41,16 +41,13 @@ from .kernels import (
 from .operators import (
     EllipticOperator,
     MultiIndex,
-    bilaplacian,
     characteristic_form,
     coefficient_continuity_check,
     diff,
     difference_rows,
     ellipticity_check,
     freeze_leading,
-    laplacian,
     multi_indices,
-    second_order,
     sobolev_norms,
 )
 from .parametrix import (

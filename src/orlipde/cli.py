@@ -31,9 +31,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_field, build_kernel, build_operator, build_young, load_config
+from .config import build_field, build_operator, build_young, load_config
 from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError, RangeError
 from .grid import GridDomain, ShiftVector, write_grid_function
+from .kernels import fundamental_solution
 from .parametrix import ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
     characteristic_norm_value,
@@ -127,12 +128,9 @@ def _grid_data(cfg):
     return M, domain, f
 
 
-def _write_shift_modulus(cfg, out, M, domain, f):
-    """shift_modulus.csv: the modulus of f under shifts along the first axis."""
-    deltas = [
-        ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1))
-        for c in cfg.get_floats("deltas")
-    ]
+def _write_shift_modulus(out, M, domain, f, cells):
+    """shift_modulus.csv: the modulus of f under shifts by ``cells`` cells along the first axis."""
+    deltas = [ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1)) for c in cells]
     _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, deltas))
 
 
@@ -151,6 +149,7 @@ def _cmd_norms(cfg, out):
     M, domain, f = _grid_data(cfg)
     seed = cfg.get_int("seed")
     trials = cfg.get_count("trials")
+    cells = cfg.get_floats("deltas")
     g_spec = cfg.get("g")
     g = f if not g_spec else build_field(g_spec, domain, restrict=False)[0]
     rows = [
@@ -175,7 +174,7 @@ def _cmd_norms(cfg, out):
         ["name", "lhs", "rhs", "violated"],
         [(r.name, r.lhs, r.rhs, r.violated) for r in rep.rows],
     )
-    _write_shift_modulus(cfg, out, M, domain, f)
+    _write_shift_modulus(out, M, domain, f, cells)
 
 
 def _cmd_solve(cfg, out, contraction_only=False):
@@ -193,6 +192,8 @@ def _cmd_solve(cfg, out, contraction_only=False):
         raise ConfigError(f"key x0 expects {n} coordinates, got {len(x0)}")
     radii = cfg.get_sizes("radii")
     probes = cfg.get_count("probes")
+    if cfg.get("kernel") != "auto":
+        raise ConfigError(f"key kernel expects auto, got {cfg.get('kernel')}")
     if not contraction_only:
         r = cfg.get_size("r")
         tol = cfg.get_float("tol")
@@ -202,7 +203,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
     # one frozen point at x0, and one kernel of its frozen operator, serve
     # every radius and the solve
     point = frozen_operator(L, x0)
-    J = build_kernel(cfg.get("kernel"), point.L0)
+    J = fundamental_solution(point.L0)
     prof = contraction_profile(point, J, radii, probes, seed, N=32, M=M)
     _write_csv(
         out / "sigma_profile.csv",
@@ -255,7 +256,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
 
 def _cmd_mollify(cfg, out):
     M, _, f = _grid_data(cfg)
-    eps = cfg.get_float("eps")
+    eps = cfg.get_size("eps")
     smoothed = mollify(f, eps)
     write_grid_function(smoothed, out / "mollified.grid")
     _write_csv(
@@ -270,7 +271,8 @@ def _cmd_mollify(cfg, out):
 
 
 def _cmd_shift(cfg, out):
-    _write_shift_modulus(cfg, out, *_grid_data(cfg))
+    M, domain, f = _grid_data(cfg)
+    _write_shift_modulus(out, M, domain, f, cfg.get_floats("deltas"))
 
 
 _HANDLERS = {

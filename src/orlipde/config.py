@@ -17,11 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import young as young_mod
-from .errors import CapabilityError, ConfigError, InvalidYoungFunctionError
+from .errors import ConfigError, InvalidYoungFunctionError
 from .expressions import compile_expression
 from .grid import GridFunction, read_grid_function
-from .kernels import fundamental_solution
-from .operators import EllipticOperator, bilaplacian, laplacian, second_order
+from .operators import EllipticOperator
 
 # defaults per command; a None default marks a required key
 _COMMON = {"seed": "0", "young": "power:p=2"}
@@ -45,6 +44,8 @@ _SCHEMAS = {
         "x0": "",
         "tol": "1e-6",
         "k_max": "200",
+        # the only value, the fundamental solution of the frozen L0; the key
+        # stays so that configs which set it keep their hash
         "kernel": "auto",
         "f": None,
         "radii": "0.4,0.2,0.1,0.05",
@@ -100,13 +101,17 @@ class ExperimentConfig:
         return value
 
     def get_floats(self, key):
+        """Comma-separated finite numbers, such as shifts; none for an empty value."""
         text = self.values[key].strip()
         if not text:
             return []
         try:
-            return [float(t) for t in text.split(",")]
+            values = [float(t) for t in text.split(",")]
         except ValueError as exc:
             raise ConfigError(f"key {key} expects comma-separated numbers") from exc
+        if not np.all(np.isfinite(values)):
+            raise ConfigError(f"key {key} expects finite numbers, got {text}")
+        return values
 
     def get_size(self, key):
         """A finite number > 0, such as a radius."""
@@ -118,7 +123,7 @@ class ExperimentConfig:
     def get_sizes(self, key):
         """Comma-separated finite numbers > 0, such as radii."""
         values = self.get_floats(key)
-        if not all(0.0 < v < np.inf for v in values):
+        if not all(v > 0.0 for v in values):
             raise ConfigError(f"key {key} expects finite numbers > 0, got {self.values[key]}")
         return values
 
@@ -282,31 +287,3 @@ def build_field(spec, domain, operator=None, restrict=True):
         f = operator.apply(reference).restricted()
         return f.require_finite(f"the operator applied to {spec!r}"), reference
     raise ConfigError(f"cannot parse data spec {spec!r}")
-
-
-def build_kernel(spec, L0):
-    """kernel = auto | laplace{1,2,3}d | biharmonic{2,3}d | aniso2:<entries>."""
-    spec = spec.strip()
-    if spec == "auto":
-        return fundamental_solution(L0)
-    named = {
-        "laplace1d": lambda: laplacian(1),
-        "laplace2d": lambda: laplacian(2),
-        "laplace3d": lambda: laplacian(3),
-        "biharmonic2d": lambda: bilaplacian(2),
-        "biharmonic3d": lambda: bilaplacian(3),
-    }
-    if spec in named:
-        return fundamental_solution(named[spec]())
-    if spec.startswith("aniso2:"):
-        entries = [float(t) for t in spec.split(":", 1)[1].split(",")]
-        if len(entries) == 3:
-            a, b, c = entries
-            B = [[a, b], [b, c]]
-        elif len(entries) == 6:
-            a, b, c, d, e, f = entries
-            B = [[a, b, c], [b, d, e], [c, e, f]]
-        else:
-            raise ConfigError("aniso2 expects 3 (2d) or 6 (3d) matrix entries")
-        return fundamental_solution(second_order(B))
-    raise CapabilityError(f"unknown kernel spec {spec!r}")

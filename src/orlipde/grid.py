@@ -255,48 +255,47 @@ def convolve(f, g):
     return GridFunction(f.domain, vals * f.domain.cell_volume)
 
 
-def half_spectrum(values):
-    """Real-input spectrum (``rfftn`` over every axis) of a grid array."""
-    return np.fft.rfftn(values)
-
-
-def spectral_convolve(kernel_hat, f_hat, domain):
-    """Convolution from the half spectra of an offset-lattice kernel and a function.
-
-    One inverse transform; the output lives on the original nodes and is
-    scaled by the cell volume.  Callers that apply many kernels to one
-    function transform the function once and reuse ``f_hat``.
-    """
-    vals = np.fft.irfftn(kernel_hat * f_hat, s=domain.shape, axes=tuple(range(domain.n)))
-    return GridFunction(domain, vals * domain.cell_volume)
-
-
 def kernel_convolve(kernel_values, f):
     """Convolve an offset-lattice kernel array with a grid function.
 
     ``kernel_values[m]`` must hold the kernel at the wrapped difference
-    m*h, so the output lives on the original nodes.
+    m*h, so the output lives on the original nodes; it is scaled by the
+    cell volume.
     """
-    return spectral_convolve(half_spectrum(kernel_values), half_spectrum(f.values), f.domain)
+    domain = f.domain
+    axes = tuple(range(domain.n))
+    prod = np.fft.rfftn(kernel_values, axes=axes) * np.fft.rfftn(f.values, axes=axes)
+    vals = np.fft.irfftn(prod, s=domain.shape, axes=axes)
+    return GridFunction(domain, vals * domain.cell_volume)
+
+
+def cap_bump(grids, center, radius):
+    """The cap bump exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho, zero elsewhere.
+
+    ``grids`` holds one coordinate array per axis, such as
+    ``GridDomain.node_grids`` or ``GridDomain.offset_lattice``; rho is
+    ``radius`` and c is ``center``.
+    """
+    r2 = sum((g - c) ** 2 for g, c in zip(grids, center))
+    vals = np.zeros(r2.shape)
+    inside = r2 < radius**2
+    with np.errstate(over="ignore"):
+        vals[inside] = np.exp(-(radius**2) / (radius**2 - r2[inside]))
+    return vals
 
 
 def mollifier_kernel(domain, eps):
     """Compactly supported smooth bump on the offset lattice, unit discrete mass.
 
     The profile is exp(-eps^2 / (eps^2 - |z|^2)) inside |z| < eps and zero
-    outside; the normalizing constant is fixed so the discrete integral is
-    exactly one.
+    outside (``cap_bump`` about the zero offset); the normalizing constant is
+    fixed so the discrete integral is exactly one.
     """
     if eps < 2 * domain.h:
         raise ResolutionError(f"mollifier width {eps:g} under-resolved (h={domain.h:g})")
     if eps >= domain.d / 4:
         raise ResolutionError("mollifier width must stay below a quarter period")
-    offs = domain.offset_lattice()
-    r2 = sum(o**2 for o in offs)
-    vals = np.zeros(domain.shape)
-    inside = r2 < eps**2
-    with np.errstate(divide="ignore", over="ignore"):
-        vals[inside] = np.exp(-(eps**2) / (eps**2 - r2[inside]))
+    vals = cap_bump(domain.offset_lattice(), np.zeros(domain.n), eps)
     mass = vals.sum() * domain.cell_volume
     return vals / mass
 

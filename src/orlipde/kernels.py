@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationError, CapabilityError
-from .grid import GridDomain, half_spectrum
+from .grid import GridDomain, cap_bump
 from .operators import MultiIndex, difference_rows, multi_indices
 
 
@@ -203,12 +203,13 @@ class FundamentalSolution:
         total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals @ w_th))
         return total / h**self.n
 
-    def kernel_array(self, domain, p, mode, log_coefficient=False):
+    def kernel_array(self, domain, p, log_coefficient=False):
         """Offset-lattice samples of d^p J with the singular cell handled.
 
-        mode "weak" replaces the zero-offset entry by the inscribed-ball
-        average (|p| < m); mode "pv" zeroes it (symmetric exclusion).  With
-        ``log_coefficient`` the samples are those of the log-q coefficient.
+        For |p| < m (weakly singular) the zero-offset entry is replaced by
+        the inscribed-ball average; for |p| = m (principal value) it is
+        zeroed (symmetric exclusion).  With ``log_coefficient`` the samples
+        are those of the log-q coefficient.
         On an even lattice the seam offset -d/2 is also +d/2, so a sample
         with seam coordinates is the mean of d^p J over its +-d/2 images
         along those axes: for A = I a kernel odd in an axis then sums to
@@ -229,12 +230,10 @@ class FundamentalSolution:
                 vals[lo] = 0.5 * (vals[lo] + vals[hi])
             vals = vals[(slice(0, N),) * n]
         origin = (0,) * n
-        if mode == "weak":
-            vals[origin] = self.cell_average(p, domain.h, log_coefficient)
-        elif mode == "pv":
+        if p.order == self.m:
             vals[origin] = 0.0
         else:
-            raise ValueError(f"unknown kernel mode {mode!r}")
+            vals[origin] = self.cell_average(p, domain.h, log_coefficient)
         if not np.all(np.isfinite(vals)):
             raise CapabilityError("kernel samples are not finite off the origin")
         return vals
@@ -244,7 +243,7 @@ class FundamentalSolution:
         return GridDomain(self.n, N, float(N), mask=mask)
 
     def channel_spectra(self, domain, orders):
-        """Stacked half spectra of ``kernel_array(domain, p, mode)`` for p in orders.
+        """Stacked half spectra of ``kernel_array(domain, p)`` for p in orders.
 
         Order-m channels take the principal-value kernel, lower ones the
         weakly singular kernel.  Row p is t^(m-n-|p|) (U + 2 log t V) with
@@ -259,11 +258,10 @@ class FundamentalSolution:
             for p in orders:
                 if (p, domain.N) not in self._spectra:
                     unit = self._unit_domain(domain.N)
-                    mode = "pv" if p.order == self.m else "weak"
-                    U = half_spectrum(self.kernel_array(unit, p, mode))
+                    U = np.fft.rfftn(self.kernel_array(unit, p))
                     V = None
                     if self._carries_log(p):
-                        V = half_spectrum(self.kernel_array(unit, p, mode, log_coefficient=True))
+                        V = np.fft.rfftn(self.kernel_array(unit, p, log_coefficient=True))
                     self._spectra[p, domain.N] = U, V
                 U, V = self._spectra[p, domain.N]
                 scale = t ** (self.m - self.n - p.order)
@@ -383,8 +381,8 @@ def _convolve_channels(J, psi_hats, domain, orders):
     *domain.shape).  Batched inverse transforms of up to ``_BATCH_NODES``
     nodes each: the whole dictionaries of ``densities_per_transform``
     densities where they fit, else chunks of one density's channels.  Each
-    entry equals ``spectral_convolve`` of its kernel spectrum and its
-    density alone, bit for bit.
+    entry equals, bit for bit, the inverse transform of its kernel spectrum
+    times its density's half spectrum, taken alone.
     """
     stack = J.channel_spectra(domain, orders)
     per_density = densities_per_transform(domain, len(stack))
@@ -446,11 +444,7 @@ def _probe_bumps(domain):
             center = center + domain.h * 3
         if i == 2:
             center = center - domain.h * 2
-        r2 = sum((g - c) ** 2 for g, c in zip(grids, center))
-        vals = np.zeros(domain.shape)
-        inside = r2 < eps**2
-        with np.errstate(over="ignore"):
-            vals[inside] = np.exp(-(eps**2) / (eps**2 - r2[inside]))
+        vals = cap_bump(grids, center, eps)
         if i == 2 and domain.n >= 1:
             vals *= 1.0 + 0.5 * np.sin(2 * np.pi * grids[0] / domain.d)
         probes.append(vals)

@@ -197,53 +197,6 @@ class EllipticOperator:
         return f"EllipticOperator(n={self.n}, m={self.m}, {kind}, {len(self.coeffs)} terms)"
 
 
-def laplacian(n, sign=-1.0):
-    """sign * sum of second derivatives (sign=-1 gives the positive form)."""
-    coeffs = {}
-    for a in range(n):
-        p = [0] * n
-        p[a] = 2
-        coeffs[tuple(p)] = float(sign)
-    return EllipticOperator(n, 2, coeffs)
-
-
-def bilaplacian(n, scale=1.0):
-    """Squared Laplacian: sum of fourth derivatives plus mixed terms."""
-    coeffs = {}
-    for a in range(n):
-        p = [0] * n
-        p[a] = 4
-        coeffs[tuple(p)] = float(scale)
-    for a in range(n):
-        for b in range(a + 1, n):
-            p = [0] * n
-            p[a] = 2
-            p[b] = 2
-            coeffs[tuple(p)] = 2.0 * float(scale)
-    return EllipticOperator(n, 4, coeffs)
-
-
-def second_order(matrix):
-    """Operator -sum b_ij d_i d_j from a symmetric positive-definite matrix."""
-    B = np.asarray(matrix, dtype=float)
-    n = B.shape[0]
-    if B.shape != (n, n) or not np.allclose(B, B.T):
-        raise ValueError("coefficient matrix must be square symmetric")
-    coeffs = {}
-    for i in range(n):
-        p = [0] * n
-        p[i] = 2
-        coeffs[tuple(p)] = -float(B[i, i])
-    for i in range(n):
-        for j in range(i + 1, n):
-            if B[i, j] != 0.0:
-                p = [0] * n
-                p[i] = 1
-                p[j] = 1
-                coeffs[tuple(p)] = -2.0 * float(B[i, j])
-    return EllipticOperator(n, 2, coeffs)
-
-
 def characteristic_form(L, x, eta):
     """Leading-symbol polynomial sum over |p| = m of a_p(x) eta^p, summed in index order.
 

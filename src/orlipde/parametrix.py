@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .grid import GridDomain, GridFunction
+from .grid import GridDomain, GridFunction, cap_bump
 from .kernels import densities_per_transform, potential_rows
 from .operators import (
     EllipticityReport,
@@ -90,16 +90,6 @@ def frozen_operator(L, x0):
     return FrozenPoint(L=L, x0=x0, L0=freeze_leading(L, x0), ellipticity=rep)
 
 
-def _cap(domain, radius, c):
-    """The cap bump exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho, zero elsewhere."""
-    r2 = sum((g - ci) ** 2 for g, ci in zip(domain.node_grids(), c))
-    vals = np.zeros(domain.shape)
-    inside = r2 < radius**2
-    with np.errstate(over="ignore"):
-        vals[inside] = np.exp(-(radius**2) / (radius**2 - r2[inside]))
-    return vals
-
-
 PROBE_DEGREE = 3  # highest power per axis in a probe's random polynomial factor
 
 
@@ -116,7 +106,7 @@ def probe_family(domain, radius, center, count, rng, batch):
     family, the powers along their axis only.
     """
     c = np.asarray(center, dtype=float)
-    bump = _cap(domain, radius, c)
+    bump = cap_bump(domain.node_grids(), c, radius)
     powers = []
     for axis in range(domain.n):
         x = domain.axis_coords(axis).reshape([-1 if a == axis else 1 for a in range(domain.n)])
@@ -142,11 +132,11 @@ class ParametrixOperator:
     """Frozen-kernel machinery for one ball B_r(x0) inside the padded cube.
 
     ``point`` is the ``frozen_operator`` record of L at x0 and ``J`` the
-    fundamental solution of its L0 (or a kernel chosen in its place); both
-    are shared by every radius.  The cube side is PAD*r so periodic images
-    stay separated.  When the characteristic form is uniformly negative,
-    the operator and any data are negated together (recorded in
-    ``sign_flipped``), which leaves the solution set unchanged.
+    fundamental solution of its L0; both are shared by every radius.  The
+    cube side is PAD*r so periodic images stay separated.  When the
+    characteristic form is uniformly negative, the operator and any data
+    are negated together (recorded in ``sign_flipped``), which leaves the
+    solution set unchanged.
 
     Two coefficient tables drive everything: ``remainder_coeffs`` of the
     (frozen - full) operator and ``operator_coeffs`` of L itself, each

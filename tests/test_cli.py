@@ -154,6 +154,22 @@ class TestExitCodes:
         assert code == 2
         assert err == [f"config error: key d expects a finite number > 0, got {d}"], err
 
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("norms", "deltas", "8,nan", "key deltas expects finite numbers, got 8,nan"),
+        ("shift", "deltas", "inf", "key deltas expects finite numbers, got inf"),
+        ("mollify", "eps", "nan", "key eps expects a finite number > 0, got nan"),
+        ("mollify", "eps", "0", "key eps expects a finite number > 0, got 0"),
+        ("mollify", "eps", "-1", "key eps expects a finite number > 0, got -1"),
+    ], ids=["deltas_nan", "deltas_inf", "eps_nan", "eps_zero", "eps_negative"])
+    def test_bad_grid_key_exits_2(self, tmp_path, capsys, command, key, value, message):
+        # checked before any table or grid file is written
+        text = f"n = 1\ngrid.N = 16\nf = expr:x1\n{key} = {value}\n"
+        code, err = run(tmp_path, command, text, capsys)
+        assert code == 2
+        assert err == [f"config error: {message}"], err
+        (run_dir,) = (tmp_path / "runs").iterdir()
+        assert [p.name for p in run_dir.iterdir()] == ["resolved.cfg"]
+
     @pytest.mark.parametrize("N", [2, 7])
     def test_coarse_solve_grid_exits_2(self, tmp_path, capsys, N):
         # the second-order stencils need N >= 4m = 8
@@ -173,7 +189,7 @@ class TestExitCodes:
     ])
     def test_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, command, key, value):
         # checked before any kernel is built
-        monkeypatch.setattr(cli, "build_kernel", lambda *args: pytest.fail("kernel built"))
+        monkeypatch.setattr(cli, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
         name = "indicator_norms.cfg" if command == "norms" else "perturbed_laplace.cfg"
         text = with_key((CONFIGS / name).read_text(), key, value)
         with warnings.catch_warnings(record=True) as caught:
@@ -185,16 +201,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, message", [
         ("x0", "0", "key x0 expects 2 coordinates, got 1"),
+        ("x0", "0,nan", "key x0 expects finite numbers, got 0,nan"),
         ("r", "-0.2", "key r expects a finite number > 0, got -0.2"),
         ("radii", "-0.1,0.2", "key radii expects finite numbers > 0, got -0.1,0.2"),
         ("k_max", "0", "key k_max expects an integer >= 1, got 0"),
         ("tol", "nan", "key tol expects a finite number >= 0, got nan"),
         ("tol", "inf", "key tol expects a finite number >= 0, got inf"),
         ("tol", "-1e-6", "key tol expects a finite number >= 0, got -1e-6"),
-    ], ids=["x0", "r", "radii", "k_max", "tol_nan", "tol_inf", "tol_negative"])
+    ], ids=["x0", "x0_nan", "r", "radii", "k_max", "tol_nan", "tol_inf", "tol_negative"])
     def test_bad_solve_key_exits_2(self, tmp_path, capsys, monkeypatch, key, value, message):
         # checked before any kernel is built, so no table is written
-        monkeypatch.setattr(cli, "build_kernel", lambda *args: pytest.fail("kernel built"))
+        monkeypatch.setattr(cli, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
         text = with_key((CONFIGS / "perturbed_laplace.cfg").read_text(), key, value)
         code, err = run(tmp_path, "solve", text, capsys)
         assert code == 2

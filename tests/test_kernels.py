@@ -10,22 +10,19 @@ from orlipde import (
     GridDomain,
     GridFunction,
     ShiftVector,
-    bilaplacian,
     fundamental_solution,
-    laplacian,
     luxemburg_norm,
     multi_indices,
     potential_rows,
     power,
-    second_order,
     shift,
     shift_modulus,
     verify_fundamental,
 )
-from orlipde.grid import half_spectrum, kernel_convolve
+from orlipde.grid import kernel_convolve
 from orlipde.kernels import sphere_points
 
-from conftest import cap_profile
+from conftest import bilaplacian, cap_profile, laplacian, second_order
 
 
 def masked_domain(n, N, d=1.0, R=0.28):
@@ -235,10 +232,7 @@ class TestScaledSpectra:
                 dom = GridDomain(J.n, N, d)
                 orders = multi_indices(J.n, J.m)
                 scaled = J.channel_spectra(dom, orders)
-                direct = [
-                    half_spectrum(J.kernel_array(dom, p, "pv" if p.order == J.m else "weak"))
-                    for p in orders
-                ]
+                direct = [np.fft.rfftn(J.kernel_array(dom, p)) for p in orders]
                 scale = max(np.max(np.abs(v)) for v in direct)
                 for p, row, ref in zip(orders, scaled, direct):
                     assert np.max(np.abs(row - ref)) <= 1e-13 * scale, (N, d, p)
@@ -357,7 +351,7 @@ class TestSingularPotential:
     def test_pure_pv_annihilates_constants(self, square64):
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square64, lambda x, y: np.full_like(x, 4.0))
-        out = kernel_convolve(J.kernel_array(square64, (2, 0), "pv"), c)
+        out = kernel_convolve(J.kernel_array(square64, (2, 0)), c)
         assert np.max(np.abs(out.values)) < 1e-10
 
     def test_zero_density(self, square32):
@@ -419,7 +413,7 @@ class TestSingularKernel:
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square32, lambda x, y: np.full_like(x, 3.0))
         for p in ((2, 0), (0, 2)):
-            out = kernel_convolve(J.kernel_array(square32, p, "pv"), c)
+            out = kernel_convolve(J.kernel_array(square32, p), c)
             assert np.max(np.abs(out.values)) < 1e-12, p
 
     @pytest.mark.parametrize("name", ["laplace2d", "laplace3d", "biharmonic2d", "biharmonic3d"])
@@ -434,7 +428,7 @@ class TestSingularKernel:
         c = GridFunction(dom, np.full(dom.shape, 3.0))
         for p in multi_indices(J.n, J.m, J.m):
             if J.m == 2 or any(k % 2 for k in p):
-                K = J.kernel_array(dom, p, "pv")
+                K = J.kernel_array(dom, p)
                 out = kernel_convolve(K, c).values
                 assert np.max(np.abs(out)) <= 1e-12 * 3.0 * dom.cell_volume * np.max(np.abs(K)), p
 

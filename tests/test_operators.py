@@ -9,7 +9,6 @@ from orlipde import (
     GridFunction,
     MultiIndex,
     NotEllipticError,
-    bilaplacian,
     characteristic_form,
     coefficient_continuity_check,
     diff,
@@ -17,12 +16,13 @@ from orlipde import (
     ellipticity_check,
     exp_young,
     freeze_leading,
-    laplacian,
     luxemburg_norm,
     multi_indices,
     power,
     sobolev_norms,
 )
+
+from conftest import bilaplacian, laplacian
 
 
 # second-order central stencils {offset: coefficient} for d^k/dx^k

@@ -11,7 +11,6 @@ from orlipde import (
     ParametrixOperator,
     ShiftVector,
     SolveReport,
-    bilaplacian,
     bounded_multiplier_check,
     cli,
     config,
@@ -20,7 +19,6 @@ from orlipde import (
     frozen_operator,
     fundamental_solution,
     kernels,
-    laplacian,
     multi_indices,
     parametrix,
     potential_rows,
@@ -29,7 +27,7 @@ from orlipde import (
 )
 from orlipde.grid import kernel_convolve
 
-from conftest import assert_pinned_outputs, cap_profile
+from conftest import assert_pinned_outputs, bilaplacian, cap_profile, laplacian
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -67,10 +65,8 @@ class TestPotentialChannels:
         local = J.local_constants(dom).constants
         for p, (ch,) in channels.items():
             (single,) = potential_rows(J, psi.values[None], dom, [p])[p]
-            if p.order < J.m:
-                full = kernel_convolve(J.kernel_array(dom, p, "weak"), psi.restricted())
-            else:
-                full = kernel_convolve(J.kernel_array(dom, p, "pv"), psi.restricted())
+            full = kernel_convolve(J.kernel_array(dom, p), psi.restricted())
+            if p.order == J.m:
                 full = full + psi.restricted() * local[p]
             scale = np.max(np.abs(ch))
             assert np.array_equal(ch, single), p
@@ -333,7 +329,7 @@ class TestBoundedMultiplier:
 
 
 def _run(tmp_path, command, kernel, monkeypatch):
-    """Run the shipped perturbed-Laplace config with a kernel choice.
+    """Run the shipped perturbed-Laplace config with a kernel value.
 
     Returns (exit code, fundamental_solution calls, run directory).
     """
@@ -344,7 +340,7 @@ def _run(tmp_path, command, kernel, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (kernels, config):
+    for module in (kernels, cli):
         monkeypatch.setattr(module, "fundamental_solution", counting)
     text = (CONFIGS / "perturbed_laplace.cfg").read_text()
     assert "kernel = auto" in text
@@ -415,16 +411,15 @@ class TestShippedSolve:
         # the solver takes its kernel from the caller and builds none
         assert not hasattr(parametrix, "fundamental_solution")
 
-    def test_one_kernel_for_named(self, tmp_path, monkeypatch):
-        code, calls, _ = _run(tmp_path, "solve", "laplace2d", monkeypatch)
-        assert code == 0
-        assert calls == 1
-
-    def test_profile_uses_configured_kernel(self, tmp_path, monkeypatch, auto_run):
-        # a kernel that does not match the frozen operator leaves a larger
-        # remainder, so the profile must read differently from auto's
-        code, calls, run_dir = _run(tmp_path, "contraction", "aniso2:1,0,2", monkeypatch)
-        assert code == 0
-        assert calls == 1
-        other = read_table(run_dir / "sigma_profile.csv")
-        assert other != read_table(auto_run[2] / "sigma_profile.csv")
+    @pytest.mark.parametrize(
+        "kernel", ["laplace2d", "biharmonic2d", "aniso2:1,0,2", "laplace3d", "aniso2:x,0,1", "bogus"])
+    @pytest.mark.parametrize("command", ["solve", "contraction"])
+    def test_other_kernel_exits_2(self, tmp_path, monkeypatch, capsys, command, kernel):
+        # the kernel is the fundamental solution of the frozen operator, so
+        # any other value is a config error, read before a kernel is built
+        code, calls, run_dir = _run(tmp_path, command, kernel, monkeypatch)
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: key kernel expects auto, got {kernel}"], err
+        assert calls == 0
+        assert not (run_dir / "sigma_profile.csv").exists()
