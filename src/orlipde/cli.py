@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -55,9 +56,7 @@ def _fmt(x):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, float) and (x != x):  # NaN
-        return "nan"
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, (float, np.floating)):  # NaN formats as "nan"
         return format(float(x), ".12g")
     return str(x)
 
@@ -128,6 +127,14 @@ def _grid_data(cfg):
     return M, domain, f
 
 
+def _shift_cells(cfg, domain):
+    """The ``deltas`` entries, shifts in cells whose widths entry * h must be finite."""
+    cells = cfg.get_floats("deltas")
+    if not all(math.isfinite(c * domain.h) for c in cells):
+        raise ConfigError(f"key deltas expects finite widths entry * h, got {cfg.get('deltas')}")
+    return cells
+
+
 def _write_shift_modulus(out, M, domain, f, cells):
     """shift_modulus.csv: the modulus of f under shifts by ``cells`` cells along the first axis."""
     deltas = [ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1)) for c in cells]
@@ -149,7 +156,7 @@ def _cmd_norms(cfg, out):
     M, domain, f = _grid_data(cfg)
     seed = cfg.get_int("seed")
     trials = cfg.get_count("trials")
-    cells = cfg.get_floats("deltas")
+    cells = _shift_cells(cfg, domain)
     g_spec = cfg.get("g")
     g = f if not g_spec else build_field(g_spec, domain, restrict=False)[0]
     rows = [
@@ -205,11 +212,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
     point = frozen_operator(L, x0)
     J = fundamental_solution(point.L0)
     prof = contraction_profile(point, J, radii, probes, seed, N=32, M=M)
-    _write_csv(
-        out / "sigma_profile.csv",
-        ["r", "sigma_hat"],
-        list(zip(prof.radii, prof.sigma_hat)),
-    )
+    _write_csv(out / "sigma_profile.csv", ["r", "sigma_hat"], zip(prof.radii, prof.sigma_hat))
     if contraction_only:
         return 0
     P = ParametrixOperator(point, J, r, N, M)
@@ -272,7 +275,7 @@ def _cmd_mollify(cfg, out):
 
 def _cmd_shift(cfg, out):
     M, domain, f = _grid_data(cfg)
-    _write_shift_modulus(out, M, domain, f, cfg.get_floats("deltas"))
+    _write_shift_modulus(out, M, domain, f, _shift_cells(cfg, domain))
 
 
 _HANDLERS = {
@@ -314,9 +317,7 @@ def run_config(command, config_path, out_root, seed=None, force=False):
     except OrlipdeError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
-    outputs = {
-        p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"
-    }
+    outputs = {p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     manifest = {
         "config_hash": digest,
         "seed": cfg.get_int("seed"),

@@ -16,6 +16,7 @@ import numpy as np
 from .errors import ConfigError, ResolutionError
 
 ON_LATTICE_TOL = 1e-9  # largest distance, in cells, of a lattice shift from an integer count
+WRITE_CHUNK = 1 << 16  # values per write of ``write_grid_function``
 
 
 class GridDomain:
@@ -269,6 +270,47 @@ def kernel_convolve(kernel_values, f):
     return GridFunction(domain, vals * domain.cell_volume)
 
 
+class SeededStream:
+    """SplitMix64 draws (Steele, Lea & Flood, OOPSLA 2014), in numpy uint64 arithmetic.
+
+    Raw draw i = 0, 1, ... of seed s (any integer, taken mod 2^64) mixes the
+    state s + (i + 1) * 0x9E3779B97F4A7C15 mod 2^64, so it is a pure function
+    of (s, i).  Each value takes the next raw draw (a normal the next two), so
+    k values and then j values equal k + j values in one call.
+    """
+
+    def __init__(self, seed):
+        self._seed, self._drawn = np.uint64(int(seed) % 2**64), 0
+
+    def _raw(self, count):
+        z = np.arange(self._drawn + 1, self._drawn + count + 1, dtype=np.uint64)
+        self._drawn += count
+        z = z * np.uint64(0x9E3779B97F4A7C15) + self._seed
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def integers(self, low, high, size=None):
+        """Integers in [low, high), by Lemire's multiply-shift of each draw's top 32 bits."""
+        if not 0 < high - low <= 2**32:
+            raise ValueError("need 0 < high - low <= 2^32")
+        top = self._raw(1 if size is None else int(np.prod(size))) >> np.uint64(32)
+        k = low + ((top * np.uint64(high - low)) >> np.uint64(32)).astype(np.int64)
+        return int(k[0]) if size is None else k.reshape(size)
+
+    def uniform(self, low, high, size=None):
+        """Doubles in [low, high) from the top 53 bits of each draw."""
+        u = (self._raw(1 if size is None else int(np.prod(size))) >> np.uint64(11)) * 2.0**-53
+        u = low + (high - low) * u
+        return float(u[0]) if size is None else u.reshape(size)
+
+    def standard_normal(self, shape):
+        """Box-Muller, the cosine branch, on 1 - u in (0, 1] so that the log stays finite."""
+        u = self.uniform(0.0, 1.0, (2 * int(np.prod(shape)),))
+        z = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+        return z.reshape(shape)
+
+
 def cap_bump(grids, center, radius):
     """The cap bump exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho, zero elsewhere.
 
@@ -304,11 +346,15 @@ def mollifier_kernel(domain, eps):
 
 
 def write_grid_function(f, path):
-    """Write header 'n,N,d' then one value per line in lexicographic order."""
+    """Write header 'n,N,d' then one value per line (its ``repr``) in lexicographic order.
+
+    The lines go out in writes of WRITE_CHUNK values, so the text held at once is bounded.
+    """
+    flat = f.values.ravel(order="C")
     with open(path, "w") as fh:
         fh.write(f"{f.domain.n},{f.domain.N},{float(f.domain.d)!r}\n")
-        for v in f.values.ravel(order="C"):
-            fh.write(f"{float(v)!r}\n")
+        for start in range(0, flat.size, WRITE_CHUNK):
+            fh.write("\n".join(map(repr, flat[start:start + WRITE_CHUNK].tolist())) + "\n")
 
 
 def read_grid_function(path):

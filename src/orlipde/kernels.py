@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -113,6 +112,7 @@ class FundamentalSolution:
         self._spectra = {}
         self._scaled = None  # (key, stack) of the last channel_spectra call
         self._cell_means = {}
+        self._ball = None  # ``_ball_nodes`` of one h while channel_spectra samples
         self._local_cache = {}
 
     def _table(self, p):
@@ -148,20 +148,29 @@ class FundamentalSolution:
         them.  g^(k)(q) = q^(a-k) (alpha_k log q + beta_k), alpha_(k+1) =
         (a-k) alpha_k, beta_(k+1) = (a-k) beta_k + alpha_k.  Every factor is
         a product of q^a, 1/q, log q and powers of the coordinates, each
-        computed once per call.  The log-q coefficient c d^p(q^a) is the same
-        term table with alpha_k as the radial factor.
+        computed once per set of points (``_node_factors``).  The log-q
+        coefficient c d^p(q^a) is the same term table with alpha_k as the
+        radial factor.
         """
-        table = self._table(MultiIndex(p))
+        return self._derivative(p, self._node_factors(coords), log_coefficient)
+
+    def _node_factors(self, coords):
+        """q, 1/q, q^a, log q and the coordinate powers, shared by every d^p J at coords."""
         xs = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
-        degrees = [max(e[i] for P in table.values() for e in P) for i in range(self.n)]
-        powers = [[None, *itertools.accumulate([x] * d, np.multiply)] for x, d in zip(xs, degrees)]
-        out = np.zeros(xs[0].shape)
         A, axes = self.A, range(self.n)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = sum(A[i, j] * xs[i] * xs[j] for i in axes for j in axes if A[i, j])
-            log_q = np.log(q) if self.b and not log_coefficient else None
-            inv_q = 1.0 / q
-            q_pow = self._q_pow(q)
+            log_q = np.log(q) if self.b else None
+            return q, 1.0 / q, self._q_pow(q), log_q, [[None, x] for x in xs]
+
+    def _derivative(self, p, factors, log_coefficient):
+        table = self._table(MultiIndex(p))
+        q, inv_q, q_pow, log_q, powers = factors
+        for i, row in enumerate(powers):
+            for _ in range(len(row), max(e[i] for P in table.values() for e in P) + 1):
+                row.append(row[-1] * row[1])
+        out = np.zeros(q.shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             alpha, beta = (1.0, 0.0) if self.b else (0.0, 1.0)
             for k in range(max(table) + 1):
                 if k:
@@ -185,23 +194,27 @@ class FundamentalSolution:
         Radial Gauss-Legendre times a sphere rule, every node in one
         evaluation; valid in the weakly singular regime |p| < m.  Normalized
         by the cell volume so it can replace the kernel value at the zero
-        offset.  Memoized: the unit lattices of every N share one value.
+        offset.  Memoized: the unit lattices of every N share one value,
+        and the calls of one h share the nodes and their factors.
         """
         key = (MultiIndex(p), h, log_coefficient)
         if key not in self._cell_means:
-            self._cell_means[key] = self._cell_average(p, h, log_coefficient)
+            if self._ball is None or self._ball[0] != h:
+                self._ball = self._ball_nodes(h)
+            _, s, w_s, w_th, factors = self._ball
+            vals = self._derivative(p, factors, log_coefficient) @ w_th
+            total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals))
+            self._cell_means[key] = total / h**self.n
         return self._cell_means[key]
 
-    def _cell_average(self, p, h, log_coefficient):
+    def _ball_nodes(self, h):
+        """(h, radii, radial weights, sphere weights, node factors) of the inscribed-ball rule."""
         rho = h / 2.0
         nodes, w_r = _gauss_legendre(48)
         s = 0.5 * rho * (nodes + 1.0)
-        w_s = 0.5 * rho * w_r
         pts, w_th = sphere_points(self.n)
         coords = [np.multiply.outer(s, pts[:, a]) for a in range(self.n)]
-        vals = self.derivative(p, coords, log_coefficient)
-        total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals @ w_th))
-        return total / h**self.n
+        return h, s, 0.5 * rho * w_r, w_th, self._node_factors(coords)
 
     def kernel_array(self, domain, p, log_coefficient=False):
         """Offset-lattice samples of d^p J with the singular cell handled.
@@ -269,6 +282,7 @@ class FundamentalSolution:
             stack = np.stack(rows)
             stack.flags.writeable = False
             self._scaled = key, stack
+            self._ball = None  # its cell averages are memoized
         return self._scaled[1]
 
     def local_constants(self, domain):
@@ -435,20 +449,13 @@ class LocalConstants:
 
 def _probe_bumps(domain):
     """Three calibration probes, stacked: two to fit, the last held out."""
-    probes = []
-    widths = [domain.d / 5.0, domain.d / 6.5, domain.d / 5.5]
     grids = domain.node_grids()
-    for i, eps in enumerate(widths):
-        center = np.array(domain.center, dtype=float)
-        if i == 1:
-            center = center + domain.h * 3
-        if i == 2:
-            center = center - domain.h * 2
-        vals = cap_bump(grids, center, eps)
-        if i == 2 and domain.n >= 1:
-            vals *= 1.0 + 0.5 * np.sin(2 * np.pi * grids[0] / domain.d)
-        probes.append(vals)
-    return np.stack(probes)
+    probes = np.stack([
+        cap_bump(grids, domain.center + cells * domain.h, domain.d / width)
+        for width, cells in ((5.0, 0.0), (6.5, 3.0), (5.5, -2.0))
+    ])
+    probes[2] *= 1.0 + 0.5 * np.sin(2 * np.pi * grids[0] / domain.d)
+    return probes
 
 
 CALIBRATION_THRESHOLD = 0.05  # largest held-out identity residual of a calibration

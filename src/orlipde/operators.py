@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotEllipticError
-from .grid import GridFunction
+from .grid import GridFunction, SeededStream
 from .space import gauges
 
 
@@ -277,10 +277,10 @@ def freeze_leading(L, x0):
 
 
 def _ball_points(n, count, seed):
-    rng = np.random.default_rng(seed)
-    pts = rng.standard_normal((count, n))
+    stream = SeededStream(seed)
+    pts = stream.standard_normal((count, n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    radii = rng.uniform(0.0, 1.0, size=count) ** (1.0 / n)
+    radii = stream.uniform(0.0, 1.0, size=count) ** (1.0 / n)
     return pts * radii[:, None]
 
 

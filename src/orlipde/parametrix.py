@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DivergenceError
-from .grid import GridDomain, GridFunction, cap_bump
+from .grid import GridDomain, GridFunction, SeededStream, cap_bump
 from .kernels import densities_per_transform, potential_rows
 from .operators import (
     EllipticityReport,
@@ -93,17 +93,19 @@ def frozen_operator(L, x0):
 PROBE_DEGREE = 3  # highest power per axis in a probe's random polynomial factor
 
 
-def probe_family(domain, radius, center, count, rng, batch):
+def probe_family(domain, radius, center, count, stream, batch):
     """The profile's count probes, as stacks of at most ``batch`` grid arrays.
 
     Yields the stacks in order, one probe per row.  Probe 0 is the cap bump
     exp(-rho^2 / (rho^2 - |x - c|^2)) on |x - c| < rho with rho = radius;
     every further probe is that bump times 1 + a random
     polynomial, a sum of PROBE_DEGREE + 1 terms, each a coefficient uniform
-    in [-1, 1) times prod_i ((x_i - c_i) / radius)^k_i with k_i drawn from
-    {0, ..., PROBE_DEGREE}, drawn from rng in the order k_1, ..., k_n,
-    coefficient.  The bump and the powers are computed once for the whole
-    family, the powers along their axis only.
+    in [-1, 1) times prod_i ((x_i - c_i) / radius)^k_i with k_i in
+    {0, ..., PROBE_DEGREE}.  Each probe takes two calls of the
+    ``SeededStream`` ``stream``: first every exponent, term by term in the
+    order k_1, ..., k_n, then the coefficients of its terms in order.  The
+    bump and the powers are computed once for the whole family, the powers
+    along their axis only.
     """
     c = np.asarray(center, dtype=float)
     bump = cap_bump(domain.node_grids(), c, radius)
@@ -113,18 +115,20 @@ def probe_family(domain, radius, center, count, rng, batch):
         powers.append([((x - c[axis]) / radius) ** k for k in np.arange(PROBE_DEGREE + 1)])
     for start in range(0, count, batch):
         yield np.stack([
-            bump if j == 0 else bump * (1.0 + _random_polynomial(powers, domain.shape, rng))
+            bump if j == 0 else bump * (1.0 + _random_polynomial(powers, domain.shape, stream))
             for j in range(start, min(start + batch, count))
         ])
 
 
-def _random_polynomial(powers, shape, rng):
+def _random_polynomial(powers, shape, stream):
+    exponents = stream.integers(0, PROBE_DEGREE + 1, size=(PROBE_DEGREE + 1, len(powers)))
+    coefficients = stream.uniform(-1.0, 1.0, size=PROBE_DEGREE + 1)
     poly = np.zeros(shape)
-    for _ in range(PROBE_DEGREE + 1):
+    for ks, coefficient in zip(exponents, coefficients):
         term = np.ones(shape)
-        for axis_powers in powers:
-            term = term * axis_powers[rng.integers(0, PROBE_DEGREE + 1)]
-        poly += rng.uniform(-1.0, 1.0) * term
+        for axis_powers, k in zip(powers, ks):
+            term = term * axis_powers[k]
+        poly += coefficient * term
     return poly
 
 
@@ -264,11 +268,7 @@ class ParametrixOperator:
         return GridFunction(dom, channels[(0,) * self.L.n][0]), report
 
     def _report(self, rows, converged):
-        ratios = [
-            rows[i + 1].step / rows[i].step
-            for i in range(len(rows) - 1)
-            if rows[i].step > 0
-        ]
+        ratios = [b.step / a.step for a, b in zip(rows, rows[1:]) if a.step > 0]
         tail = ratios[-3:] if ratios else []
         emp = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
         return SolveReport(
@@ -317,9 +317,9 @@ def contraction_profile(point, J, radii, probes, seed, N, M):
     a lower bound on the true operator norm.  Every radius shares the one
     frozen point and its one kernel J.  Every radius's grid is the same
     N-lattice scaled by PAD*r/N, so J samples and calibrates once for the
-    whole ladder and each radius only rescales the spectra.  The generator
-    is re-seeded for every radius, so a ladder of one radius reproduces that
-    radius's entry of a longer ladder.
+    whole ladder and each radius only rescales the spectra.  Every radius
+    draws its probes from a fresh ``SeededStream(seed)``, so a ladder of one
+    radius reproduces that radius's entry of a longer ladder.
 
     The probes run as stacks with a leading probe axis, chunked so that one
     batch's potentials fit one inverse transform
@@ -340,10 +340,10 @@ def contraction_profile(point, J, radii, probes, seed, N, M):
     for r in radii:
         P = ParametrixOperator(point, J, r, N, M)
         dom = P.domain
-        rng = np.random.default_rng(seed)
+        stream = SeededStream(seed)
         batch = densities_per_transform(dom, len(P.orders))
         worst = 0.0
-        for rows in probe_family(dom, 0.75 * r, point.x0, probes, rng, batch):
+        for rows in probe_family(dom, 0.75 * r, point.x0, probes, stream, batch):
             differences = difference_rows(rows, dom, P.orders)
             norms = sobolev_norms(differences, M, P.d_omega, dom)
             remainders = P.combine(P.remainder_coeffs, differences)

@@ -7,7 +7,9 @@ together, evaluating M once per pass on the stack of their values
 safeguarded Newton solves otherwise.  ``luxemburg_norm`` is its one-row
 call.  The dual (Orlicz) norm is the Amemiya infimum, in closed form for a
 homogeneous M and at the root of its optimality condition otherwise, and a
-randomized witness search provides certified lower bounds for it.  All
+witness search provides certified lower bounds for it.  The seeded draws
+(the random witnesses and the shifts of the triangle check) come from
+``grid.SeededStream``, a SplitMix64 stream in numpy integer arithmetic.  All
 integrals are midpoint-rule sums over the domain mask.  Modular integrals
 (every gauge and Amemiya pass) sum nonnegative terms, so numpy's pairwise
 row sum is accurate to O(log n) 2^-53 relative (Higham 1993), far below
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError
-from .grid import GridFunction, ShiftVector, convolve, kernel_convolve, mollifier_kernel, shift
+from .grid import (GridFunction, SeededStream, ShiftVector, convolve, kernel_convolve,
+                   mollifier_kernel, shift)
 
 
 RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
@@ -291,7 +294,8 @@ def dual_norm_lower_bound(u, M, trials, seed):
     Candidates are normalized to unit complementary modular, so each pairing
     is dominated by the dual norm (weak duality).  The first candidates are
     deterministic (sign pattern, density witness, support indicator); the
-    rest are seeded smooth random fields.
+    rest are smooth random fields: standard normals drawn field after field
+    from ``SeededStream(seed)``, low-pass filtered to |k| <= N/4 per axis.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -301,7 +305,6 @@ def dual_norm_lower_bound(u, M, trials, seed):
         return 0.0
     lux = luxemburg_norm(u, M)
     dom = u.domain
-    rng = np.random.default_rng(seed)
     candidates = []
     signs = np.sign(u.values)
     signs[signs == 0.0] = 1.0
@@ -311,26 +314,14 @@ def dual_norm_lower_bound(u, M, trials, seed):
     if np.all(np.isfinite(dens)):
         candidates.append(GridFunction(dom, dens))
     candidates.append(GridFunction(dom, np.where(np.abs(u.values) > 0, signs, 0.0)))
-    while len(candidates) < trials:
-        noise = rng.standard_normal(dom.shape)
-        # low-pass filter for smooth witnesses
-        spec = np.fft.fftn(noise)
-        cut = dom.N // 4
-        for axis in range(dom.n):
-            k = np.fft.fftfreq(dom.N) * dom.N
-            shp = [1] * dom.n
-            shp[axis] = dom.N
-            spec = spec * (np.abs(k.reshape(shp)) <= cut)
-        candidates.append(GridFunction(dom, np.fft.ifftn(spec).real))
-    candidates = candidates[:max(trials, 3)]
+    keep = np.abs(np.fft.fftfreq(dom.N) * dom.N) <= dom.N // 4
+    low = np.all(np.meshgrid(*[keep] * dom.n, indexing="ij"), axis=0)
+    axes = tuple(range(1, dom.n + 1))
+    noise = SeededStream(seed).standard_normal((max(trials - len(candidates), 0), *dom.shape))
+    fields = np.fft.ifftn(np.fft.fftn(noise, axes=axes) * low, axes=axes).real
+    candidates += [GridFunction(dom, v) for v in fields]
     norms = gauges([np.abs(v.masked_values()) for v in candidates], N, dom)
-    best = 0.0
-    for v, s in zip(candidates, norms):
-        if s == 0.0:
-            continue
-        val = abs(pairing(u, v * (1.0 / s)))
-        best = max(best, val)
-    return best
+    return max([0.0] + [abs(pairing(u, v * (1.0 / s))) for v, s in zip(candidates, norms) if s])
 
 
 def shift_modulus(f, M, deltas):
@@ -399,9 +390,9 @@ def inequality_suite(f, g, M, seed):
     rep.add("l1_embedding", l1_f, embed_const * lux_f)
     rep.add("convolution_product_bound", lux_conv, embed_const * lux_f * lux_g)
 
-    rng = np.random.default_rng(seed)
-    ks = rng.integers(0, dom.N, size=(MINKOWSKI_TERMS, dom.n))
-    coeffs = rng.uniform(-1.0, 1.0, size=MINKOWSKI_TERMS)
+    stream = SeededStream(seed)
+    ks = stream.integers(0, dom.N, size=(MINKOWSKI_TERMS, dom.n))
+    coeffs = stream.uniform(-1.0, 1.0, size=MINKOWSKI_TERMS)
     acc = GridFunction.zeros(dom)
     rhs = 0.0
     for k_row, c in zip(ks, coeffs):

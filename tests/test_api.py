@@ -79,3 +79,13 @@ def test_every_public_definition_has_a_caller_in_the_package():
             ):
                 uncalled.append(f"{module}:{name}")
     assert not uncalled, f"defined without a caller in the package: {uncalled}"
+
+
+def test_no_module_mentions_numpy_random():
+    # the seeded estimates draw from grid.SeededStream, so no cold run
+    # pays for importing numpy.random
+    mentions = [
+        p.name for p in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"\b(np|numpy)\.random\b", p.read_text())
+    ]
+    assert not mentions, f"modules mentioning numpy.random: {mentions}"

@@ -154,16 +154,22 @@ class TestExitCodes:
         assert code == 2
         assert err == [f"config error: key d expects a finite number > 0, got {d}"], err
 
-    @pytest.mark.parametrize("command, key, value, message", [
-        ("norms", "deltas", "8,nan", "key deltas expects finite numbers, got 8,nan"),
-        ("shift", "deltas", "inf", "key deltas expects finite numbers, got inf"),
-        ("mollify", "eps", "nan", "key eps expects a finite number > 0, got nan"),
-        ("mollify", "eps", "0", "key eps expects a finite number > 0, got 0"),
-        ("mollify", "eps", "-1", "key eps expects a finite number > 0, got -1"),
-    ], ids=["deltas_nan", "deltas_inf", "eps_nan", "eps_zero", "eps_negative"])
-    def test_bad_grid_key_exits_2(self, tmp_path, capsys, command, key, value, message):
+    WIDE = "key deltas expects finite widths entry * h, got 1e308"
+
+    @pytest.mark.parametrize("command, key, value, message, extra", [
+        ("norms", "deltas", "8,nan", "key deltas expects finite numbers, got 8,nan", ""),
+        ("shift", "deltas", "inf", "key deltas expects finite numbers, got inf", ""),
+        ("mollify", "eps", "nan", "key eps expects a finite number > 0, got nan", ""),
+        ("mollify", "eps", "0", "key eps expects a finite number > 0, got 0", ""),
+        ("mollify", "eps", "-1", "key eps expects a finite number > 0, got -1", ""),
+        # a finite entry whose width entry * h overflows to inf
+        ("shift", "deltas", "1e308", WIDE, "d = 1000\n"),
+        ("norms", "deltas", "1e308", WIDE, "d = 1000\n"),
+    ], ids=["deltas_nan", "deltas_inf", "eps_nan", "eps_zero", "eps_negative",
+            "deltas_wide_shift", "deltas_wide_norms"])
+    def test_bad_grid_key_exits_2(self, tmp_path, capsys, command, key, value, message, extra):
         # checked before any table or grid file is written
-        text = f"n = 1\ngrid.N = 16\nf = expr:x1\n{key} = {value}\n"
+        text = f"n = 1\ngrid.N = 16\n{extra}f = expr:x1\n{key} = {value}\n"
         code, err = run(tmp_path, command, text, capsys)
         assert code == 2
         assert err == [f"config error: {message}"], err
@@ -328,23 +334,55 @@ def outputs(root):
     return tree
 
 
-def test_import_leaves_sympy_out(tmp_path):
-    # a fresh interpreter, since this one may have imported these already:
-    # a norms run imports neither sympy nor numpy.ma (np.unique would), and
-    # concurrent.futures only for --jobs > 1
+COLD_MODULES = ("sympy", "numpy.ma", "concurrent.futures", "numpy.random")
+
+
+def cold_run_modules(tmp_path, command, text):
+    """Which of COLD_MODULES one run of the config text loads in a fresh interpreter."""
     paths = [str(Path(orlipde.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    cfg = tmp_path / "norms.cfg"
-    cfg.write_text("n = 1\ngrid.N = 16\nf = expr:(1+x1/abs(x1))/2\n")
+    cfg = tmp_path / f"{command}.cfg"
+    cfg.write_text(text)
     code = (
         "import sys, orlipde.cli\n"
-        f"assert orlipde.cli.run_config('norms', {str(cfg)!r}, {str(tmp_path / 'runs')!r}) == 0\n"
-        "print(*(m for m in ('sympy', 'numpy.ma', 'concurrent.futures') if m in sys.modules))"
+        f"assert orlipde.cli.run_config({command!r}, {str(cfg)!r}, {str(tmp_path / 'runs')!r}) == 0\n"
+        f"print(*(m for m in {COLD_MODULES!r} if m in sys.modules))"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "", done.stdout
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_leaves_sympy_out(tmp_path):
+    # a fresh interpreter, since this one may have imported these already:
+    # a norms run imports neither sympy nor numpy.ma (np.unique would) nor
+    # numpy.random (the witnesses come from grid.SeededStream), and
+    # concurrent.futures only for --jobs > 1
+    text = "n = 1\ngrid.N = 16\nf = expr:(1+x1/abs(x1))/2\n"
+    assert cold_run_modules(tmp_path, "norms", text) == []
     assert len(list((tmp_path / "runs").glob("*/norms.csv"))) == 1
+
+
+TINY_SOLVE = """\
+n = 2
+grid.N = 16
+r = 0.2
+radii = 0.2
+probes = 2
+f = manufactured:exp(-(x1^2+x2^2)/0.00245)
+coeff p=(2,0) expr=-(1+0.2*x1)
+coeff p=(0,2) expr=-(1+0.2*x1)
+"""
+
+
+@pytest.mark.parametrize("command, table", [
+    ("solve", "solution.grid"),
+    ("contraction", "sigma_profile.csv"),
+])
+def test_solve_import_leaves_numpy_random_out(tmp_path, command, table):
+    # the probes come from grid.SeededStream, so no cold solve imports numpy.random
+    assert cold_run_modules(tmp_path, command, TINY_SOLVE) == []
+    assert len(list((tmp_path / "runs").glob(f"*/{table}"))) == 1
 
 
 def unique_rule(values):

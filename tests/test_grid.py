@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from orlipde import grid
+from orlipde.grid import SeededStream
 from orlipde import (
     GridDomain,
     GridFunction,
@@ -161,6 +163,70 @@ class TestFileFormat:
         write_grid_function(GridFunction(dom, vals), tmp_path / "g.grid")
         lines = (tmp_path / "g.grid").read_text().splitlines()
         assert [float(v) for v in lines[1:]] == list(range(16))
+
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 1 << 16])
+    def test_chunked_writes_match_one_line_per_value(self, tmp_path, monkeypatch, chunk):
+        # chunks that split the values unevenly, evenly, and hold them all
+        monkeypatch.setattr(grid, "WRITE_CHUNK", chunk)
+        special = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e-300, 0.1, 1 / 3]
+        vals = np.concatenate([special, np.linspace(-3.0, 3.0, 8)]).reshape(4, 4)
+        write_grid_function(GridFunction(GridDomain(2, 4, 1.0), vals), tmp_path / "g.grid")
+        lines = ["2,4,1.0"] + [f"{float(v)!r}" for v in vals.ravel()]
+        assert (tmp_path / "g.grid").read_text() == "\n".join(lines) + "\n"
+        assert np.array_equal(read_grid_function(tmp_path / "g.grid").values, vals)
+
+
+class TestSeededStream:
+    def test_published_splitmix64_values(self):
+        # the first outputs of SplitMix64 from seed 0 (Steele, Lea & Flood 2014)
+        published = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+        assert [int(z) for z in SeededStream(0)._raw(3)] == published
+        # integers in [0, 2^32) are the top 32 bits, uniforms the top 53
+        assert SeededStream(0).integers(0, 2**32, size=3).tolist() == [z >> 32 for z in published]
+        assert SeededStream(0).uniform(0.0, 1.0, size=3).tolist() == [
+            (z >> 11) * 2.0**-53 for z in published]
+
+    @staticmethod
+    def draws(stream):
+        return [
+            stream.integers(-3, 5, size=(4, 2)).tolist(),
+            stream.uniform(-1.0, 1.0),
+            stream.standard_normal((3, 3)).tolist(),
+            stream.integers(0, 7),
+        ]
+
+    def test_equal_seeds_give_equal_draws(self):
+        assert self.draws(SeededStream(11)) == self.draws(SeededStream(11))
+        assert self.draws(SeededStream(11)) != self.draws(SeededStream(12))
+
+    @pytest.mark.parametrize("method, args", [
+        ("integers", (0, 10)),
+        ("uniform", (-2.0, 3.0)),
+        ("standard_normal", ()),
+    ])
+    @pytest.mark.parametrize("k, j", [(1, 1), (3, 5), (10, 0)])
+    def test_split_draws_equal_one_call(self, method, args, k, j):
+        split = SeededStream(4)
+        parts = [getattr(split, method)(*args, (count,)) for count in (k, j)]
+        whole = getattr(SeededStream(4), method)(*args, (k + j,))
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    def test_draws_lie_in_their_ranges(self):
+        stream = SeededStream(3)
+        k = stream.integers(-2, 3, size=20000)
+        assert k.min() == -2 and k.max() == 2 and k.dtype == np.int64
+        u = stream.uniform(-1.0, 1.0, size=20000)
+        assert u.min() >= -1.0 and u.max() < 1.0
+        # one value without a size is a Python number
+        assert isinstance(stream.integers(0, 4), int)
+        assert isinstance(stream.uniform(0.0, 1.0), float)
+        assert np.all(np.isfinite(stream.standard_normal(20000)))
+
+    def test_normal_moments(self):
+        z = SeededStream(0).standard_normal((200000,))
+        assert abs(z.mean()) < 0.01
+        assert abs(z.var() - 1.0) < 0.02
 
 
 class TestImmutability:

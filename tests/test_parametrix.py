@@ -25,7 +25,7 @@ from orlipde import (
     power,
     sobolev_norms,
 )
-from orlipde.grid import kernel_convolve
+from orlipde.grid import SeededStream, kernel_convolve
 
 from conftest import assert_pinned_outputs, bilaplacian, cap_profile, laplacian
 
@@ -214,8 +214,12 @@ def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
     assert operator_at(L.scaled(-1.0), [0.0, 0.0], 0.2, 32, power(2)).sign_flipped
 
 
-def _reference_probe(domain, radius, center, degree=None, rng=None):
-    """The probe of the per-probe profile: a cap bump, times 1 + a random polynomial."""
+def _reference_probe(domain, radius, center, degree=None, stream=None):
+    """The probe of the per-probe profile: a cap bump, times 1 + a random polynomial.
+
+    The polynomial's exponents are drawn first, term by term, then its
+    coefficients.
+    """
     grids = domain.node_grids()
     c = np.asarray(center, dtype=float)
     r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
@@ -223,13 +227,14 @@ def _reference_probe(domain, radius, center, degree=None, rng=None):
     inside = r2 < radius**2
     vals[inside] = np.exp(-(radius**2) / (radius**2 - r2[inside]))
     if degree is not None:
+        exponents = stream.integers(0, degree + 1, size=(degree + 1, domain.n))
+        coefficients = stream.uniform(-1.0, 1.0, size=degree + 1)
         poly = np.zeros(domain.shape)
-        for _ in range(degree + 1):
+        for ks, coefficient in zip(exponents, coefficients):
             term = np.ones(domain.shape)
-            for g, ci in zip(grids, c):
-                k = rng.integers(0, degree + 1)
+            for g, ci, k in zip(grids, c, ks):
                 term = term * ((g - ci) / radius) ** k
-            poly += rng.uniform(-1.0, 1.0) * term
+            poly += coefficient * term
         vals = vals * (1.0 + poly)
     return GridFunction(domain, vals)
 
@@ -240,14 +245,14 @@ def _per_probe_profile(L, x0, radii, probes, seed, N, M):
     J = fundamental_solution(point.L0)
     sigma = []
     for r in radii:
-        rng = np.random.default_rng(seed)
+        stream = SeededStream(seed)
         P = ParametrixOperator(point, J, r, N, M)
         worst = 0.0
         for j in range(probes):
             if j == 0:
                 phi = _reference_probe(P.domain, 0.75 * r, x0)
             else:
-                phi = _reference_probe(P.domain, 0.75 * r, x0, degree=3, rng=rng)
+                phi = _reference_probe(P.domain, 0.75 * r, x0, degree=3, stream=stream)
             differences = difference_rows(phi.values[None], P.domain, P.orders)
             (norm,) = sobolev_norms(differences, M, P.d_omega, P.domain)
             if norm == 0.0:
