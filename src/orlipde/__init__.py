@@ -54,7 +54,6 @@ from .parametrix import (
     ContractionProfile,
     ParametrixOperator,
     SolveReport,
-    bounded_multiplier_check,
     contraction_profile,
     frozen_operator,
 )

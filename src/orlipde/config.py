@@ -253,7 +253,7 @@ def build_operator(cfg):
             continue
         except ValueError:
             pass
-        coeffs[idx] = compile_expression(expr, n)
+        coeffs[idx] = compile_expression(expr, n, f"coefficient p=({','.join(map(str, idx))})")
     m_order = max(sum(p) for p in coeffs)
     if m_order % 2:
         raise ConfigError("operator order must be even")
@@ -271,7 +271,7 @@ def build_field(spec, domain, operator=None, restrict=True):
     spec = spec.strip()
     what = f"data {spec!r}"
     if spec.startswith("expr:"):
-        fn = compile_expression(spec[5:], domain.n)
+        fn = compile_expression(spec[5:], domain.n, what)
         return GridFunction.from_callable(domain, fn, restrict=restrict).require_finite(what), None
     if spec.startswith("file:"):
         g = read_grid_function(spec[5:])
@@ -282,7 +282,7 @@ def build_field(spec, domain, operator=None, restrict=True):
     if spec.startswith("manufactured:"):
         if operator is None:
             raise ConfigError("manufactured data requires an operator")
-        fn = compile_expression(spec[len("manufactured:"):], domain.n)
+        fn = compile_expression(spec[len("manufactured:"):], domain.n, what)
         reference = GridFunction.from_callable(domain, fn, restrict=True).require_finite(what)
         f = operator.apply(reference).restricted()
         return f.require_finite(f"the operator applied to {spec!r}"), reference

@@ -52,6 +52,10 @@ def _tokenize(text):
     return tokens
 
 
+def _describe(token):
+    return "end of expression" if token[0] == "end" else repr(token[1])
+
+
 class _Parser:
     def __init__(self, tokens, nvars):
         self.tokens = tokens
@@ -63,10 +67,8 @@ class _Parser:
 
     def take(self, kind=None, value=None):
         tok = self.tokens[self.i]
-        if kind is not None and tok[0] != kind:
-            raise ConfigError(f"expected {kind}, found {tok[1]!r}")
-        if value is not None and tok[1] != value:
-            raise ConfigError(f"expected {value!r}, found {tok[1]!r}")
+        if (kind is not None and tok[0] != kind) or (value is not None and tok[1] != value):
+            raise ConfigError(f"expected {_describe((kind, value))}, found {_describe(tok)}")
         self.i += 1
         return tok
 
@@ -136,14 +138,21 @@ class _Parser:
                 self.take("op", ")")
                 return lambda *X: fn(node(*X))
             raise ConfigError(f"unknown name {value!r} in expression")
-        raise ConfigError(f"unexpected token {value!r} in expression")
+        raise ConfigError(f"unexpected {_describe((kind, value))}")
 
 
-def compile_expression(text, nvars):
-    """Compile the expression into a callable of nvars coordinate arrays."""
-    parser = _Parser(_tokenize(text), nvars)
-    node = parser.sum()
-    parser.take("end")
+def compile_expression(text, nvars, what):
+    """Compile the expression into a callable of nvars coordinate arrays.
+
+    A malformed expression raises ConfigError prefixed with ``what``, the
+    name of the config entry that holds it.
+    """
+    try:
+        parser = _Parser(_tokenize(text), nvars)
+        node = parser.sum()
+        parser.take("end")
+    except ConfigError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
 
     def fn(*X):
         if len(X) != nvars:

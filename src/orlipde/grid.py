@@ -79,10 +79,9 @@ class GridDomain:
         r2 = sum((g - c) ** 2 for g, c in zip(grids, center))
         return r2 < radius**2
 
-    def measure(self, mask=None):
+    def measure(self):
         """Lebesgue measure of the masked cell union."""
-        m = self.mask if mask is None else mask
-        return float(np.count_nonzero(m)) * self.cell_volume
+        return float(np.count_nonzero(self.mask)) * self.cell_volume
 
     def with_mask(self, mask):
         return GridDomain(self.n, self.N, self.d, center=self.center, mask=mask)
@@ -210,8 +209,6 @@ def shift(f, delta):
     rolls; off-lattice shifts fall back to linear interpolation and emit an
     off-lattice warning.
     """
-    if not isinstance(delta, ShiftVector):
-        delta = ShiftVector(tuple(np.atleast_1d(np.asarray(delta, dtype=float))))
     if len(delta.delta) != f.domain.n:
         raise ValueError("shift dimension mismatch")
     cells = delta.cell_shifts(f.domain)

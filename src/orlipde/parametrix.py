@@ -355,44 +355,3 @@ def contraction_profile(point, J, radii, probes, seed, N, M):
                     worst = max(worst, c / norm)
         sigma.append(worst)
     return ContractionProfile(radii=radii, sigma_hat=sigma)
-
-
-def bounded_multiplier_check(a, f, M, deltas):
-    """Shift moduli of a product against the proof-style split.
-
-    Rows: (|delta|, modulus of a*f, bounded-factor term, commutator term,
-    bound = sup|a| * modulus(f) + commutator term).  The product modulus is
-    dominated by the sum of the two split terms, and every column vanishes
-    with the shift when f's modulus does.
-    """
-    from .grid import ShiftVector, shift
-
-    sup_a = a.sup_norm(masked=False)
-    rows = []
-    for delta in deltas:
-        if not isinstance(delta, ShiftVector):
-            delta = ShiftVector(tuple(np.atleast_1d(np.asarray(delta, dtype=float))))
-        ta, tf = shift(a, delta), shift(f, delta)
-        prod_mod = luxemburg_norm(ta * tf - a * f, M)
-        term1 = luxemburg_norm(ta * (tf - f), M)
-        term2 = luxemburg_norm((ta - a) * f, M)
-        f_mod = luxemburg_norm(tf - f, M)
-        rows.append(
-            MultiplierRow(
-                magnitude=delta.magnitude(),
-                product_modulus=prod_mod,
-                bounded_term=term1,
-                commutator_term=term2,
-                bound=sup_a * f_mod + term2,
-            )
-        )
-    return rows
-
-
-@dataclass
-class MultiplierRow:
-    magnitude: float
-    product_modulus: float
-    bounded_term: float
-    commutator_term: float
-    bound: float

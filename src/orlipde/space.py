@@ -3,12 +3,15 @@
 The Luxemburg gauge is the workhorse norm.  ``gauges`` is its one
 implementation: it takes the gauges of several functions on one domain
 together, evaluating M once per pass on the stack of their values
-(``modulars``), in one pass when M is homogeneous and by per-row
-safeguarded Newton solves otherwise.  ``luxemburg_norm`` is its one-row
-call.  The dual (Orlicz) norm is the Amemiya infimum, in closed form for a
-homogeneous M and at the root of its optimality condition otherwise, and a
-witness search provides certified lower bounds for it.  The seeded draws
-(the random witnesses and the shifts of the triangle check) come from
+(``modulars``), in one pass when M is homogeneous and by a Newton solve per
+row otherwise.  ``luxemburg_norm`` is its one-row call.  The dual (Orlicz)
+norm is the Amemiya infimum, in closed form for a homogeneous M and at the
+root of its optimality condition otherwise, found by a secant solve.  Both
+solves step in log scale inside one safeguarded bracket, ``_Bracket``, which
+holds the close, the push past the root, the jump of a conjugate's range and
+the doubling and bisection fallbacks once for both norms.  A witness search
+provides certified lower bounds for the dual norm.  The seeded draws (the
+random witnesses and the shifts of the triangle check) come from
 ``grid.SeededStream``, a SplitMix64 stream in numpy integer arithmetic.  All
 integrals are midpoint-rule sums over the domain mask.  Modular integrals
 (every gauge and Amemiya pass) sum nonnegative terms, so numpy's pairwise
@@ -102,8 +105,12 @@ def gauges(rows, M, domain):
     When M is homogeneous of degree q, one pass gives every gauge in closed
     form: ||u|| = sup * rho(u / sup)^(1/q).
 
-    Otherwise each row runs its own safeguarded Newton solve (``_newton``),
-    and a row's result does not depend on the other rows.
+    Otherwise each row takes Newton steps on log rho(e^t |u|) = 0 in
+    t = -log(lam), whose slope is int |u| p(|u|) / int M(|u|) at e^t u, in its
+    own ``_Bracket``, and ends at exp(-(a + b) / 2) once b - a <= RTOL (a
+    power gauge then meets the discrete p-norm to ~1e-12 relative).  A row
+    open after GAUGE_MAX_PASSES passes ends the same way, or at 0 while b is
+    open (only u = 0 does that).  No row's result depends on the others.
     """
     rows = np.asarray(rows, dtype=float)
     sups = rows.max(axis=1)
@@ -123,82 +130,79 @@ def gauges(rows, M, domain):
             out[i] = float(sups[i]) * rho ** (1.0 / M.degree)
         return out
     measure = domain.measure()
-    solvers = {i: _newton(float(sups[i]), M, measure) for i in live}
-    ts = {i: next(solver) for i, solver in solvers.items()}
-    while ts:
+    ts = {i: _start(M, measure, float(sups[i])) for i in live}
+    brackets = {i: _Bracket(M, float(sups[i])) for i in live}
+    for _ in range(GAUGE_MAX_PASSES):
+        if not ts:
+            break
         open_rows = list(ts)
         scales = np.array([math.exp(ts[i]) for i in open_rows])
         rhos, drhos = modulars(rows[open_rows] * scales[:, None], M, cell_volume, slope=True)
         for i, rho, drho in zip(open_rows, rhos, drhos):
-            try:
-                ts[i] = solvers[i].send((rho, drho))
-            except StopIteration as done:
-                out[i] = done.value
+            step = None
+            if 0.0 < rho < math.inf and 0.0 < drho < math.inf:
+                step = -math.log(rho) * rho / drho
+            ts[i] = brackets[i].next(ts[i], rho <= 1.0, step, rho == math.inf)
+            if ts[i] is None:
                 del ts[i]
+    for i, bracket in brackets.items():
+        if math.isinf(bracket.a):
+            raise BracketError("no upper gauge bracket: function exceeds the trusted range")
+        out[i] = 0.0 if math.isinf(bracket.b) else math.exp(-0.5 * (bracket.a + bracket.b))
     return out
 
 
-def _newton(sup, M, measure):
-    """One row's gauge solve: yields each t, receives (rho, drho) at e^t u.
+def _start(M, measure, sup):
+    """log(M^{-1}(1/mes) / sup): rho(e^t u) <= mes * M(e^t sup) <= 1 there."""
+    return math.log(M.inverse(1.0 / measure) / sup)
 
-    Solves log rho(e^t |u|) = 0 in t = -log(lam), whose slope is
-    int |u| p(|u|) / int M(|u|) at e^t u.  The start t0 = log(M^{-1}(1/mes) / sup) has rho <= 1.  Every pass
-    narrows a bracket [a, b] with rho(e^a u) <= 1 < rho(e^b u); a Newton
-    step that leaves it, or a pass with a non-finite or zero sum, falls back
-    to bisection (or to doubling while one side is open).  Once a step is
-    below RTOL it is pushed RTOL/4 past the root, so the next pass closes
-    the bracket.  Returns exp(-(a + b) / 2) with b - a <= RTOL, tight enough
-    that the gauge of a power function coincides with the discrete p-norm
-    to ~1e-12 relative.
 
-    When M's range ends in a jump to +inf (the conjugate of a bounded
-    density), the gauge may sit at that jump, where e^t sup = M.domain_cap,
-    instead of at a root.  So after an overflowing pass the jump (RTOL/4
-    inside it) is tried before bisecting, and when rho <= 1 there the next
-    pass goes RTOL/4 past it, which closes the bracket.
+class _Bracket:
+    """[a, b] around a root in log scale t: the condition holds at a, fails at b.
+
+    ``next`` takes one pass at t: whether the condition held, the solver's
+    step (or None) and whether M overflowed.  It returns the next t, or None
+    once b - a <= RTOL.  A step below RTOL is pushed RTOL/4 past the root,
+    so the next pass closes the bracket; a step that leaves [a, b] falls
+    back to t_jump after an overflow, to doubling while a side is open, and
+    then to bisection.  t_jump sits RTOL/4 inside the jump to +inf of M's
+    range (the conjugate of a bounded density), e^t sup = M.domain_cap,
+    where the root may sit; if the condition holds there, the next pass goes
+    RTOL/4 past it, which closes the bracket.
     """
-    # modular(e^t u) <= mes * M(e^t sup) <= 1 once e^t sup <= M^{-1}(1/mes)
-    t = math.log(M.inverse(1.0 / measure) / sup)
-    t_jump = math.log(M.domain_cap / sup) - 0.25 * RTOL
-    a, b = -math.inf, math.inf
-    for _ in range(GAUGE_MAX_PASSES):
-        rho, drho = yield t
-        if rho <= 1.0:
-            a = t
+
+    def __init__(self, M, sup):
+        self.a, self.b = -math.inf, math.inf
+        self.t_jump = math.log(M.domain_cap / sup) - 0.25 * RTOL
+
+    def next(self, t, holds, step, overflow):
+        if holds:
+            self.a = t
         else:
-            b = t
+            self.b = t
+        a, b = self.a, self.b
         if b - a <= RTOL:
-            return math.exp(-0.5 * (a + b))
-        step = None
-        if 0.0 < rho < math.inf and 0.0 < drho < math.inf:
-            step = -math.log(rho) * rho / drho
-            if abs(step) < 0.5 * RTOL:
-                step += 0.25 * RTOL if rho <= 1.0 else -0.25 * RTOL
-        if a == t_jump:
-            t = a + 0.5 * RTOL
-        elif step is not None and a <= t + step <= b:
-            t += step
-        elif rho == math.inf and a < t_jump < b:
-            t = t_jump
-        elif math.isinf(a):
-            t = b - math.log(2.0)
-        elif math.isinf(b):
-            t = a + math.log(2.0)
-        else:
-            t = 0.5 * (a + b)
-    if math.isinf(a):
-        raise BracketError("no upper gauge bracket: function exceeds the trusted range")
-    if math.isinf(b):
-        # modular stays <= 1 for arbitrarily small gauges: only for u = 0
-        return 0.0
-    return math.exp(-0.5 * (a + b))
+            return None
+        if step is not None and abs(step) < 0.5 * RTOL:
+            step += 0.25 * RTOL if holds else -0.25 * RTOL
+        if a == self.t_jump:
+            return a + 0.5 * RTOL
+        if step is not None and a <= t + step <= b:
+            return t + step
+        if overflow and a < self.t_jump < b:
+            return self.t_jump
+        if math.isinf(a):
+            return b - math.log(2.0)
+        if math.isinf(b):
+            return a + math.log(2.0)
+        return 0.5 * (a + b)
 
 
 def luxemburg_norm(u, M):
     """Gauge norm inf{ lam > 0 : modular(u/lam) <= 1 }: the one-row ``gauges``.
 
     One pass in closed form when M is homogeneous (``M.degree``), otherwise
-    a safeguarded Newton solve in t = -log(lam); see ``gauges``.
+    a Newton solve in t = -log(lam) inside a ``_Bracket``; see ``gauges``.
     """
     return gauges(np.abs(u.masked_values())[None, :], M, u.domain)[0]
 
@@ -213,14 +217,14 @@ def orlicz_norm(u, M):
     (g(k) - 1) / k^2 with g(k) = int (k|u| p(k|u|) - M(k|u|)), the
     ``drho - rho`` of one slope pass.  g is nondecreasing (it is the
     complementary modular of p(k|u|)), so the infimum sits at the root of
-    g = 1, found by a safeguarded secant solve for log g in s = log k
-    (Krasnosel'skii & Rutickii, Sec. 10; Hudzik & Maligranda 2000).  The
+    g = 1, found by secant steps for log g in s = log k inside a
+    ``_Bracket``, as the gauge's Newton steps are (Krasnosel'skii &
+    Rutickii, Sec. 10; Hudzik & Maligranda 2000).  The
     norm is (1 + rho(k u)) / k at the root.  Two cases have no root:
     - a density bounded by B whose g stays <= 1: the objective falls toward
       its k -> oo limit B ||u||_1, which is returned;
     - M jumps to +inf (the conjugate of a bounded density): the infimum may
-      sit at the jump, which is tried after an overflowing pass, as in the
-      gauge solve.
+      sit at the jump, which the bracket tries after an overflowing pass.
     Satisfies luxemburg <= orlicz <= 2 luxemburg.
     """
     vals = np.abs(u.masked_values())
@@ -239,9 +243,8 @@ def orlicz_norm(u, M):
         support = float(np.count_nonzero(vals)) * cell_volume
         if support * M.complementary()(bound) <= 1.0:
             return bound * _csum(vals) * cell_volume
-    s = math.log(M.inverse(1.0 / u.domain.measure()) / sup)
-    s_jump = math.log(M.domain_cap / sup) - 0.25 * RTOL
-    a, b = -math.inf, math.inf
+    s = _start(M, u.domain.measure(), sup)
+    bracket = _Bracket(M, sup)
     value = math.inf
     last = None  # (s, log g) of the previous finite pass
     for _ in range(AMEMIYA_MAX_PASSES):
@@ -250,11 +253,7 @@ def orlicz_norm(u, M):
         rho, drho = rhos[0], drhos[0]
         g = drho - rho if drho < math.inf else math.inf
         if g <= 1.0:
-            a, value = s, (1.0 + rho) / k
-        else:
-            b = s
-        if b - a <= RTOL:
-            return value
+            value = (1.0 + rho) / k
         step = None
         if 0.0 < g < math.inf:
             log_g = math.log(g)
@@ -264,21 +263,10 @@ def orlicz_norm(u, M):
                 slope = drho / rho
             if slope > 0.0:
                 step = -log_g / slope
-                if abs(step) < 0.5 * RTOL:
-                    step += 0.25 * RTOL if g <= 1.0 else -0.25 * RTOL
             last = (s, log_g)
-        if a == s_jump:
-            s = a + 0.5 * RTOL
-        elif step is not None and a <= s + step <= b:
-            s += step
-        elif g == math.inf and a < s_jump < b:
-            s = s_jump
-        elif math.isinf(a):
-            s = b - math.log(2.0)
-        elif math.isinf(b):
-            s = a + math.log(2.0)
-        else:
-            s = 0.5 * (a + b)
+        s = bracket.next(s, g <= 1.0, step, g == math.inf)
+        if s is None:
+            return value
     raise BracketError(f"Amemiya root not bracketed within {AMEMIYA_MAX_PASSES} passes")
 
 
@@ -331,8 +319,6 @@ def shift_modulus(f, M, deltas):
     """
     magnitudes, diffs = [], []
     for delta in deltas:
-        if not isinstance(delta, ShiftVector):
-            delta = ShiftVector(tuple(np.atleast_1d(np.asarray(delta, dtype=float))))
         magnitudes.append(delta.magnitude())
         diffs.append(np.abs((shift(f, delta) - f).masked_values()))
     return list(zip(magnitudes, gauges(diffs, M, f.domain))) if diffs else []

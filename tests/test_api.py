@@ -40,10 +40,19 @@ AWAITING_A_ROW = {
     "ReproductionReport",
     "coefficient_continuity_check",
     "RegularityReport",
-    "bounded_multiplier_check",
-    "MultiplierRow",
     "embedding_exponents",
 }
+
+
+def test_every_name_awaiting_a_row_is_still_defined():
+    # an exemption must not outlive the check it exempts
+    defined = {
+        node.name
+        for p in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(p.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert not AWAITING_A_ROW - defined, f"exempt but not defined: {AWAITING_A_ROW - defined}"
 
 
 def public_definitions(tree):

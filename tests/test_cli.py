@@ -68,6 +68,20 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert "not finite at node (8, 13), x = (-0.1875, -0.0625)" in err[0], err
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("shift", "n = 1\nf = expr:x1+\n", "data 'expr:x1+': unexpected end of expression"),
+        ("shift", "n = 1\nf = expr:sin(x1\n",
+         "data 'expr:sin(x1': expected ')', found end of expression"),
+        ("solve", "n = 2\nf = manufactured:x1 x2\ncoeff p=(2,0) expr=-1\ncoeff p=(0,2) expr=-1\n",
+         "data 'manufactured:x1 x2': expected end of expression, found 'x2'"),
+        ("solve", "n = 2\nf = expr:1\ncoeff p=(2,0) expr=-(1+x1\ncoeff p=(0,2) expr=-1\n",
+         "coefficient p=(2,0): expected ')', found end of expression"),
+    ], ids=["trailing_op", "open_call", "trailing_name", "coefficient"])
+    def test_malformed_expression_exits_2(self, tmp_path, capsys, command, text, message):
+        code, err = run(tmp_path, command, text, capsys)
+        assert code == 2
+        assert err == [f"config error: {message}"], err
+
     def test_non_finite_grid_file_exits_2(self, tmp_path, capsys):
         values = np.linspace(0.0, 1.0, 64)
         values[5] = np.inf

@@ -51,7 +51,7 @@ class TestDomain:
     def test_measure(self):
         dom = GridDomain(1, 64, 2.0)
         x = dom.node_grids()[0]
-        assert dom.measure((x >= 0) & (x < 1)) == pytest.approx(1.0)
+        assert dom.with_mask((x >= 0) & (x < 1)).measure() == pytest.approx(1.0)
 
 
 class TestShift:

@@ -1,4 +1,3 @@
-import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +8,7 @@ from orlipde import (
     GridDomain,
     GridFunction,
     ParametrixOperator,
-    ShiftVector,
     SolveReport,
-    bounded_multiplier_check,
     cli,
     config,
     contraction_profile,
@@ -317,20 +314,6 @@ def test_profile_rejects_coarse_grid():
     # the fourth-order difference stencils need N >= 4m = 16
     with pytest.raises(ValueError, match="grid too coarse"):
         profile(bilaplacian(2), [0.0, 0.0], [0.2], 8, 0, 12, power(2))
-
-
-class TestBoundedMultiplier:
-    @pytest.mark.parametrize("M", [power(2), power(3)], ids=["p2", "p3"])
-    def test_split_bounds_the_product(self, M):
-        dom = GridDomain(1, 64, 2.0)
-        a = GridFunction.from_callable(dom, lambda x: 1.0 + 0.5 * np.sin(np.pi * x))
-        f = GridFunction.from_callable(dom, lambda x: np.exp(np.cos(np.pi * x)) * x)
-        deltas = [ShiftVector.from_cells(dom, [c]) for c in (0, 1, 2, 4, 8)]
-        rows = bounded_multiplier_check(a, f, M, deltas)
-        assert dataclasses.astuple(rows[0]) == (0.0,) * 5
-        for row in rows[1:]:
-            assert row.product_modulus > 0.0
-            assert row.bound >= row.product_modulus, row
 
 
 def _run(tmp_path, command, kernel, monkeypatch):

@@ -293,6 +293,18 @@ class TestOrlicz:
                 lux = luxemburg_norm(u, M)
                 assert lux <= got * (1 + 1e-9) and got <= 2 * lux * (1 + 1e-9), (M, u)
 
+    def test_few_passes(self, line64, square32, passes):
+        # a power takes one pass in closed form, the root solve at most 10
+        # (the table's k -> oo limit takes none)
+        table = from_density(*TestGaugeSolver.KINKED)
+        for M in (power(1.5), power_log(2), power_log(3), exp_young(), table,
+                  table.complementary()):
+            expected = [1] if M.degree is not None else range(11)
+            for u in TestGaugeSolver().fields(line64, square32):
+                passes.clear()
+                orlicz_norm(u, M)
+                assert len(passes) in expected, (M, len(passes))
+
 
 class TestPairing:
     def test_midpoint_sum_and_holder(self, line64):
