@@ -11,7 +11,8 @@ for equal config and seed), and a manifest with checksums and timings.
 Exit codes (each failure prints one line to stderr):
 
     0  success
-    2  config error (``ConfigError``)
+    2  config error (``ConfigError``); no run directory is created or
+       left behind
     3  numerical divergence (``DivergenceError``, or a solve that did not
        converge with a certificate within 2*tol)
     4  capability error (``CapabilityError``)
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
+import shutil
 import sys
 import time
 from pathlib import Path
@@ -32,11 +33,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import build_field, build_operator, build_young, load_config
+from .config import build_field, load_config
 from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError, RangeError
 from .grid import GridDomain, ShiftVector, write_grid_function
 from .kernels import fundamental_solution
-from .parametrix import ParametrixOperator, contraction_profile, frozen_operator
+from .parametrix import PROFILE_N, ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
     characteristic_norm_value,
     dual_norm_lower_bound,
@@ -81,8 +82,7 @@ def _sha256(path):
 
 def _cmd_young(cfg, out):
     """Every table is computed before the first is written, so a failure writes none."""
-    spec = cfg.get("young")
-    M = build_young(spec)
+    spec, M = cfg.values["young"], cfg["young"]
     vs = np.logspace(-2, 2, 81)
     N = M.complementary()
     tables = {"complementary.csv": (["v", "conjugate"], [(v, N(v)) for v in vs])}
@@ -118,21 +118,9 @@ def _cmd_young(cfg, out):
 
 def _grid_data(cfg):
     """The N-function, the unmasked cube and the data f of a grid command."""
-    M = build_young(cfg.get("young"))
-    try:
-        domain = GridDomain(cfg.get_int("n"), cfg.get_int("grid.N"), cfg.get_size("d"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
-    f, _ = build_field(cfg.get("f"), domain, restrict=False)
-    return M, domain, f
-
-
-def _shift_cells(cfg, domain):
-    """The ``deltas`` entries, shifts in cells whose widths entry * h must be finite."""
-    cells = cfg.get_floats("deltas")
-    if not all(math.isfinite(c * domain.h) for c in cells):
-        raise ConfigError(f"key deltas expects finite widths entry * h, got {cfg.get('deltas')}")
-    return cells
+    domain = GridDomain(cfg["n"], cfg["grid.N"], cfg["d"])
+    f, _ = build_field(cfg["f"], domain, restrict=False)
+    return cfg["young"], domain, f
 
 
 def _write_shift_modulus(out, M, domain, f, cells):
@@ -154,16 +142,12 @@ def _is_indicator(values):
 
 def _cmd_norms(cfg, out):
     M, domain, f = _grid_data(cfg)
-    seed = cfg.get_int("seed")
-    trials = cfg.get_count("trials")
-    cells = _shift_cells(cfg, domain)
-    g_spec = cfg.get("g")
-    g = f if not g_spec else build_field(g_spec, domain, restrict=False)[0]
+    g = f if not cfg["g"] else build_field(cfg["g"], domain, restrict=False)[0]
     rows = [
         ("modular", modular(f, M)),
         ("luxemburg", luxemburg_norm(f, M)),
         ("orlicz", orlicz_norm(f, M)),
-        ("dual_lower_bound", dual_norm_lower_bound(f, M, trials, seed)),
+        ("dual_lower_bound", dual_norm_lower_bound(f, M, cfg["trials"], cfg["seed"])),
         ("l1", l1_norm(f)),
         ("sup", f.sup_norm()),
     ]
@@ -175,50 +159,31 @@ def _cmd_norms(cfg, out):
         rows.append(("characteristic_formula", formula))
         rows.append(("formula_vs_amemiya", abs(formula - amemiya) / amemiya))
     _write_csv(out / "norms.csv", ["name", "value"], rows)
-    rep = inequality_suite(f, g, M, seed)
+    rep = inequality_suite(f, g, M, cfg["seed"])
     _write_csv(
         out / "inequalities.csv",
         ["name", "lhs", "rhs", "violated"],
         [(r.name, r.lhs, r.rhs, r.violated) for r in rep.rows],
     )
-    _write_shift_modulus(out, M, domain, f, cells)
+    _write_shift_modulus(out, M, domain, f, cfg["deltas"])
 
 
 def _cmd_solve(cfg, out, contraction_only=False):
-    M = build_young(cfg.get("young"))
-    L = build_operator(cfg)
-    N, need = cfg.get_int("grid.N"), max(4, 4 * L.m)
-    if not contraction_only and N < need:
-        raise ConfigError(
-            f"grid: solve needs grid.N >= {need} for the order-{L.m} difference stencils, got {N}"
-        )
-    seed = cfg.get_int("seed")
-    n = cfg.get_int("n")
-    x0 = cfg.get_floats("x0") or [0.0] * n
-    if len(x0) != n:
-        raise ConfigError(f"key x0 expects {n} coordinates, got {len(x0)}")
-    radii = cfg.get_sizes("radii")
-    probes = cfg.get_count("probes")
-    if cfg.get("kernel") != "auto":
-        raise ConfigError(f"key kernel expects auto, got {cfg.get('kernel')}")
-    if not contraction_only:
-        r = cfg.get_size("r")
-        tol = cfg.get_float("tol")
-        if not 0.0 <= tol < np.inf:
-            raise ConfigError(f"key tol expects a finite number >= 0, got {cfg.get('tol')}")
-        k_max = cfg.get_count("k_max")
+    M, L = cfg["young"], cfg.operator
+    seed, radii, probes = cfg["seed"], cfg["radii"], cfg["probes"]
     # one frozen point at x0, and one kernel of its frozen operator, serve
     # every radius and the solve
-    point = frozen_operator(L, x0)
+    point = frozen_operator(L, cfg["x0"])
     J = fundamental_solution(point.L0)
-    prof = contraction_profile(point, J, radii, probes, seed, N=32, M=M)
+    prof = contraction_profile(point, J, radii, probes, seed, PROFILE_N, M)
     _write_csv(out / "sigma_profile.csv", ["r", "sigma_hat"], zip(prof.radii, prof.sigma_hat))
     if contraction_only:
         return 0
-    P = ParametrixOperator(point, J, r, N, M)
-    f, reference = build_field(cfg.get("f"), P.domain, operator=L)
+    r, tol, k_max = cfg["r"], cfg["tol"], cfg["k_max"]
+    P = ParametrixOperator(point, J, r, cfg["grid.N"], M)
+    f, reference = build_field(cfg["f"], P.domain, operator=L)
     # sigma_hat at r: the ladder's entry, or a ladder of r alone with the same seed
-    at_r = prof if r in radii else contraction_profile(point, J, [r], probes, seed, N=32, M=M)
+    at_r = prof if r in radii else contraction_profile(point, J, [r], probes, seed, PROFILE_N, M)
     sigma_r = at_r.sigma_hat[at_r.radii.index(r)]
     estimate = f"contraction estimate {sigma_r:.3g} >= 1 at r={r:g}" if sigma_r >= 1.0 else None
     failure = None
@@ -259,7 +224,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
 
 def _cmd_mollify(cfg, out):
     M, _, f = _grid_data(cfg)
-    eps = cfg.get_size("eps")
+    eps = cfg["eps"]
     smoothed = mollify(f, eps)
     write_grid_function(smoothed, out / "mollified.grid")
     _write_csv(
@@ -275,7 +240,7 @@ def _cmd_mollify(cfg, out):
 
 def _cmd_shift(cfg, out):
     M, domain, f = _grid_data(cfg)
-    _write_shift_modulus(out, M, domain, f, _shift_cells(cfg, domain))
+    _write_shift_modulus(out, M, domain, f, cfg["deltas"])
 
 
 _HANDLERS = {
@@ -291,21 +256,24 @@ _HANDLERS = {
 def run_config(command, config_path, out_root, seed=None, force=False):
     """Run one experiment; returns the process exit code."""
     t0 = time.time()
+    made = None
     try:
         overrides = {} if seed is None else {"seed": seed}
-        cfg = load_config(config_path, "solve" if command == "contraction" else command, overrides)
-        cfg.command = command  # contraction reads the solve schema, renders and hashes as itself
+        cfg = load_config(config_path, command, overrides)
         digest = cfg.hash()
         out = Path(out_root) / digest[:12]
         if out.exists() and not force:
             raise ConfigError(f"output directory {out} exists; rerun with --force")
         out.mkdir(parents=True, exist_ok=True)
+        made = out
         for stale in out.iterdir():
             stale.unlink()
         (out / "resolved.cfg").write_text(cfg.render())
         handler = _HANDLERS[command]
         code = handler(cfg, out) or 0
     except ConfigError as exc:
+        if made is not None:  # a fault only the sampled data or coefficients show
+            shutil.rmtree(made)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CapabilityError as exc:
@@ -320,7 +288,7 @@ def run_config(command, config_path, out_root, seed=None, force=False):
     outputs = {p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
     manifest = {
         "config_hash": digest,
-        "seed": cfg.get_int("seed"),
+        "seed": cfg["seed"],
         "version": __version__,
         "outputs": outputs,
         "timings": {"total_s": round(time.time() - t0, 6)},

@@ -5,14 +5,19 @@ coefficient lines ``coeff p=(p1,...,pn) expr=<expression>``.  Comments start
 with ``#``.  Unknown keys are rejected with their line number.  Every run
 echoes the fully resolved config (defaults materialized) so equal hashes
 mean equal inputs.
+
+``_SCHEMAS`` is the one place for each key's default, type and range, and
+``parse_config`` checks every value, so a config error is raised before a
+run writes anything; only grid samples (data, coefficients) are checked later.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,51 +27,85 @@ from .expressions import compile_expression
 from .grid import GridFunction, read_grid_function
 from .operators import EllipticOperator
 
-# defaults per command; a None default marks a required key
-_COMMON = {"seed": "0", "young": "power:p=2"}
+# sizes (cube sides, radii, widths) and |coordinates| stay within these, so
+# that their squares and products neither overflow nor underflow
+SIZE_RANGE = (1e-100, 1e100)
+COORDINATE_BOUND = 1e100
+
+
+def _typed(convert, ok, expects):
+    """A key type: text that ``convert`` takes to a value ``ok`` accepts; else ConfigError."""
+
+    def parse(key, text):
+        try:
+            value = convert(text)
+            accepted = ok(value)
+        except ValueError:
+            accepted = False
+        if not accepted:
+            raise ConfigError(f"key {key} expects {expects}, got {text}")
+        return value
+
+    return parse
+
+
+def _numbers(text):
+    """Comma-separated numbers; none for an empty text."""
+    return [float(t) for t in text.split(",")] if text else []
+
+
+def _is_size(v):
+    return SIZE_RANGE[0] <= v <= SIZE_RANGE[1]
+
+
+_IN_SIZE_RANGE = "in [{:g}, {:g}]".format(*SIZE_RANGE)
+_INTEGER = _typed(int, lambda v: True, "an integer")
+_COUNT = _typed(int, lambda v: v >= 1, "an integer >= 1")
+_DIMENSION = _typed(int, lambda v: v in (1, 2, 3), "1, 2 or 3")
+_SIZE = _typed(float, _is_size, f"a number {_IN_SIZE_RANGE}")
+_SIZES = _typed(_numbers, lambda vs: all(map(_is_size, vs)), f"numbers {_IN_SIZE_RANGE}")
+_FINITE = _typed(_numbers, lambda vs: all(map(math.isfinite, vs)), "finite numbers")
+_COORDINATES = _typed(
+    _numbers,
+    lambda vs: all(abs(v) <= COORDINATE_BOUND for v in vs),
+    f"numbers in [{-COORDINATE_BOUND:g}, {COORDINATE_BOUND:g}]",
+)
+_TOLERANCE = _typed(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_AUTO = _typed(str, lambda v: v == "auto", "auto")
+_TEXT = _typed(str, lambda v: True, "text")
+
+# (default, type) per key and command; a None default marks a required key
+_COMMON = {"seed": ("0", _INTEGER), "young": ("power:p=2", lambda key, spec: build_young(spec))}
+_GRID = {
+    **_COMMON,
+    "n": ("1", _DIMENSION),
+    "grid.N": ("64", _INTEGER),
+    "d": ("2.0", _SIZE),
+    "f": (None, _TEXT),
+}
+_SOLVE = {
+    **_COMMON,
+    "n": ("2", _DIMENSION),
+    "grid.N": ("64", _INTEGER),
+    "r": ("0.2", _SIZE),
+    "x0": ("", _COORDINATES),
+    "tol": ("1e-6", _TOLERANCE),
+    "k_max": ("200", _COUNT),
+    # the only value, the fundamental solution of the frozen L0; the key
+    # stays so that configs which set it keep their hash
+    "kernel": ("auto", _AUTO),
+    "f": (None, _TEXT),
+    "radii": ("0.4,0.2,0.1,0.05", _SIZES),
+    "probes": ("8", _COUNT),
+}
 _SCHEMAS = {
-    "young": {**_COMMON},
-    "norms": {
-        **_COMMON,
-        "n": "1",
-        "grid.N": "64",
-        "d": "2.0",
-        "f": None,
-        "g": "",
-        "deltas": "8,4,2,1",
-        "trials": "8",
-    },
-    "solve": {
-        **_COMMON,
-        "n": "2",
-        "grid.N": "64",
-        "r": "0.2",
-        "x0": "",
-        "tol": "1e-6",
-        "k_max": "200",
-        # the only value, the fundamental solution of the frozen L0; the key
-        # stays so that configs which set it keep their hash
-        "kernel": "auto",
-        "f": None,
-        "radii": "0.4,0.2,0.1,0.05",
-        "probes": "8",
-    },
-    "mollify": {
-        **_COMMON,
-        "n": "1",
-        "grid.N": "64",
-        "d": "2.0",
-        "f": None,
-        "eps": "0.2",
-    },
-    "shift": {
-        **_COMMON,
-        "n": "1",
-        "grid.N": "64",
-        "d": "2.0",
-        "f": None,
-        "deltas": "8,4,2,1",
-    },
+    "young": _COMMON,
+    "norms": {**_GRID, "g": ("", _TEXT), "deltas": ("8,4,2,1", _FINITE), "trials": ("8", _COUNT)},
+    # contraction reads the solve schema, and renders and hashes as itself
+    "solve": _SOLVE,
+    "contraction": _SOLVE,
+    "mollify": {**_GRID, "eps": ("0.2", _SIZE)},
+    "shift": {**_GRID, "deltas": ("8,4,2,1", _FINITE)},
 }
 
 _COEFF_LINE = re.compile(r"coeff\s+p=\(([^)]*)\)\s+expr=(.+)")
@@ -74,58 +113,20 @@ _COEFF_LINE = re.compile(r"coeff\s+p=\(([^)]*)\)\s+expr=(.+)")
 
 @dataclass
 class ExperimentConfig:
+    """A checked config.
+
+    ``cfg[key]`` is a key's parsed value and ``values`` holds its text, which
+    ``render`` and ``hash`` read; ``operator`` is None but for solve and contraction.
+    """
+
     command: str
     values: dict
-    coeff_lines: list = field(default_factory=list)
+    coeff_lines: list
+    parsed: dict
+    operator: EllipticOperator | None
 
-    def get(self, key):
-        return self.values[key]
-
-    def get_float(self, key):
-        try:
-            return float(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key} expects a number, got {self.values[key]!r}") from exc
-
-    def get_int(self, key):
-        try:
-            return int(self.values[key])
-        except ValueError as exc:
-            raise ConfigError(f"key {key} expects an integer, got {self.values[key]!r}") from exc
-
-    def get_count(self, key):
-        """An integer >= 1, such as a number of probes or trials."""
-        value = self.get_int(key)
-        if value < 1:
-            raise ConfigError(f"key {key} expects an integer >= 1, got {value}")
-        return value
-
-    def get_floats(self, key):
-        """Comma-separated finite numbers, such as shifts; none for an empty value."""
-        text = self.values[key].strip()
-        if not text:
-            return []
-        try:
-            values = [float(t) for t in text.split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"key {key} expects comma-separated numbers") from exc
-        if not np.all(np.isfinite(values)):
-            raise ConfigError(f"key {key} expects finite numbers, got {text}")
-        return values
-
-    def get_size(self, key):
-        """A finite number > 0, such as a radius."""
-        value = self.get_float(key)
-        if not 0.0 < value < np.inf:
-            raise ConfigError(f"key {key} expects a finite number > 0, got {self.values[key]}")
-        return value
-
-    def get_sizes(self, key):
-        """Comma-separated finite numbers > 0, such as radii."""
-        values = self.get_floats(key)
-        if not all(v > 0.0 for v in values):
-            raise ConfigError(f"key {key} expects finite numbers > 0, got {self.values[key]}")
-        return values
+    def __getitem__(self, key):
+        return self.parsed[key]
 
     def render(self):
         """Canonical text: sorted keys, then coefficient lines in input order."""
@@ -140,7 +141,11 @@ class ExperimentConfig:
 
 
 def parse_config(text, command, overrides=None):
-    """Parse config text for a command, applying defaults and overrides."""
+    """Parse config text for a command, applying defaults and overrides.
+
+    Every value is parsed by its key's type, then the rules that join two
+    keys are checked and the operator is built; any fault raises ConfigError.
+    """
     if command not in _SCHEMAS:
         raise ConfigError(f"unknown command {command!r}")
     schema = _SCHEMAS[command]
@@ -168,12 +173,31 @@ def parse_config(text, command, overrides=None):
         if key not in schema:
             raise ConfigError(f"unknown override key {key!r}")
         values[key] = str(value)
-    for key, default in schema.items():
+    for key, (default, _) in schema.items():
         if key not in values:
             if default is None:
                 raise ConfigError(f"missing required key {key!r} for command {command}")
             values[key] = default
-    return ExperimentConfig(command=command, values=values, coeff_lines=coeff_lines)
+    parsed = {key: kind(key, values[key]) for key, (_, kind) in schema.items()}
+    operator = None
+    if schema is _SOLVE:  # solve and contraction
+        n, N = parsed["n"], parsed["grid.N"]
+        operator = build_operator(n, coeff_lines)
+        if command == "solve" and N < 4 * operator.m:
+            raise ConfigError(
+                f"grid: solve needs grid.N >= {4 * operator.m} for the order-{operator.m} "
+                f"difference stencils, got {N}"
+            )
+        parsed["x0"] = parsed["x0"] or [0.0] * n
+        if len(parsed["x0"]) != n:
+            raise ConfigError(f"key x0 expects {n} coordinates, got {len(parsed['x0'])}")
+    elif "d" in parsed:  # a grid command
+        if parsed["grid.N"] < 4:
+            raise ConfigError("grid: need at least 4 points per axis")
+        h = parsed["d"] / parsed["grid.N"]
+        if not all(math.isfinite(c * h) for c in parsed.get("deltas", [])):
+            raise ConfigError(f"key deltas expects finite widths entry * h, got {values['deltas']}")
+    return ExperimentConfig(command, values, coeff_lines, parsed, operator)
 
 
 def load_config(path, command, overrides=None):
@@ -233,30 +257,33 @@ def _param(spec, name):
     raise ConfigError(f"young spec {spec!r} misses parameter {name}")
 
 
-def build_operator(cfg):
-    """Operator from the config's coefficient lines."""
-    n = cfg.get_int("n")
-    if not cfg.coeff_lines:
+def build_operator(n, coeff_lines):
+    """Operator in n variables from its coefficient lines.
+
+    An index that is not n integers >= 0 raises ConfigError naming the
+    coefficient as written.
+    """
+    if not coeff_lines:
         raise ConfigError("no coefficient lines; the operator is undefined")
     coeffs = {}
-    for line in cfg.coeff_lines:
+    for line in coeff_lines:
         m = _COEFF_LINE.fullmatch(line)
-        idx = tuple(int(t) for t in m.group(1).split(","))
-        if len(idx) != n:
-            raise ConfigError(f"coefficient index {idx} does not match n={n}")
+        try:
+            idx = tuple(int(t) for t in m.group(1).split(","))
+        except ValueError:
+            idx = ()
+        if len(idx) != n or min(idx) < 0:
+            raise ConfigError(f"coefficient p=({m.group(1)}): expects {n} integers >= 0")
         expr = m.group(2).strip()
         if idx in coeffs:
             raise ConfigError(f"duplicate coefficient for index {idx}")
         try:
-            const = float(expr)
-            coeffs[idx] = const
-            continue
+            coeffs[idx] = float(expr)
         except ValueError:
-            pass
-        coeffs[idx] = compile_expression(expr, n, f"coefficient p=({','.join(map(str, idx))})")
+            coeffs[idx] = compile_expression(expr, n, f"coefficient p=({','.join(map(str, idx))})")
     m_order = max(sum(p) for p in coeffs)
-    if m_order % 2:
-        raise ConfigError("operator order must be even")
+    if m_order % 2 or m_order < 2:
+        raise ConfigError(f"operator order must be even and >= 2, got {m_order}")
     return EllipticOperator(n, m_order, coeffs)
 
 

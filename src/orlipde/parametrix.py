@@ -51,6 +51,7 @@ from .operators import (
 from .space import luxemburg_norm
 
 PAD = 4.0  # cube side over ball radius, so that periodic images stay separated
+PROFILE_N = 32  # points per axis of every contraction-profile grid, whatever grid.N
 
 
 def _index(p):

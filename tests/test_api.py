@@ -98,3 +98,10 @@ def test_no_module_mentions_numpy_random():
         if re.search(r"\b(np|numpy)\.random\b", p.read_text())
     ]
     assert not mentions, f"modules mentioning numpy.random: {mentions}"
+
+
+def test_cli_raises_only_the_directory_clash():
+    # every rule about a config value lives in the config schema, so the
+    # handlers take checked values and raise no config error of their own
+    raises = re.findall(r"raise ConfigError\(.*", (PACKAGE / "cli.py").read_text())
+    assert raises == ['raise ConfigError(f"output directory {out} exists; rerun with --force")']

@@ -14,6 +14,7 @@ from orlipde import cli
 from conftest import assert_pinned_outputs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SIZES = "[1e-100, 1e+100]"  # the range of every size key: d, eps, r and radii
 
 
 def run(tmp_path, command, text, capsys):
@@ -52,6 +53,12 @@ class TestExitCodes:
         assert code == 5
         assert len(err) == 1 and err[0].startswith("error: NotEllipticError:"), err
 
+    def test_order_zero_operator_exits_2(self, tmp_path, capsys):
+        code, err = run(tmp_path, "solve", "n = 2\nf = expr:1\ncoeff p=(0,0) expr=1\n", capsys)
+        assert code == 2
+        assert err == ["config error: operator order must be even and >= 2, got 0"], err
+        assert not (tmp_path / "runs").exists()
+
     def test_config_error_still_exits_2(self, tmp_path, capsys):
         code, err = run(tmp_path, "norms", "n = 1\n", capsys)
         assert code == 2
@@ -67,6 +74,20 @@ class TestExitCodes:
         assert code == 2
         assert len(err) == 1 and err[0].startswith("config error:"), err
         assert "not finite at node (8, 13), x = (-0.1875, -0.0625)" in err[0], err
+
+    def test_data_error_leaves_no_directory(self, tmp_path, capsys):
+        # f is sampled only once the run directory exists; the directory goes
+        # with the error, so the same config fails the same way again
+        text = "n = 1\ngrid.N = 16\nf = expr:log(x1)\n"
+        for _ in range(2):
+            code, err = run(tmp_path, "norms", text, capsys)
+            assert code == 2
+            assert err == [
+                "config error: data 'expr:log(x1)' is not finite at node (0,), x = (-0.9375)"
+            ], err
+            assert not list((tmp_path / "runs").iterdir())
+        code, err = run(tmp_path, "norms", text.replace("log(x1)", "x1"), capsys)
+        assert code == 0, err
 
     @pytest.mark.parametrize("command, text, message", [
         ("shift", "n = 1\nf = expr:x1+\n", "data 'expr:x1+': unexpected end of expression"),
@@ -166,29 +187,29 @@ class TestExitCodes:
         text = f"n = 1\ngrid.N = 16\nd = {d}\nf = expr:x1\n"
         code, err = run(tmp_path, command, text, capsys)
         assert code == 2
-        assert err == [f"config error: key d expects a finite number > 0, got {d}"], err
+        assert err == [f"config error: key d expects a number in {SIZES}, got {d}"], err
 
     WIDE = "key deltas expects finite widths entry * h, got 1e308"
+    EPS = f"key eps expects a number in {SIZES}, got"
 
     @pytest.mark.parametrize("command, key, value, message, extra", [
         ("norms", "deltas", "8,nan", "key deltas expects finite numbers, got 8,nan", ""),
         ("shift", "deltas", "inf", "key deltas expects finite numbers, got inf", ""),
-        ("mollify", "eps", "nan", "key eps expects a finite number > 0, got nan", ""),
-        ("mollify", "eps", "0", "key eps expects a finite number > 0, got 0", ""),
-        ("mollify", "eps", "-1", "key eps expects a finite number > 0, got -1", ""),
+        ("mollify", "eps", "nan", f"{EPS} nan", ""),
+        ("mollify", "eps", "0", f"{EPS} 0", ""),
+        ("mollify", "eps", "-1", f"{EPS} -1", ""),
         # a finite entry whose width entry * h overflows to inf
         ("shift", "deltas", "1e308", WIDE, "d = 1000\n"),
         ("norms", "deltas", "1e308", WIDE, "d = 1000\n"),
     ], ids=["deltas_nan", "deltas_inf", "eps_nan", "eps_zero", "eps_negative",
             "deltas_wide_shift", "deltas_wide_norms"])
     def test_bad_grid_key_exits_2(self, tmp_path, capsys, command, key, value, message, extra):
-        # checked before any table or grid file is written
+        # checked before the run directory is made
         text = f"n = 1\ngrid.N = 16\n{extra}f = expr:x1\n{key} = {value}\n"
         code, err = run(tmp_path, command, text, capsys)
         assert code == 2
         assert err == [f"config error: {message}"], err
-        (run_dir,) = (tmp_path / "runs").iterdir()
-        assert [p.name for p in run_dir.iterdir()] == ["resolved.cfg"]
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("N", [2, 7])
     def test_coarse_solve_grid_exits_2(self, tmp_path, capsys, N):
@@ -221,22 +242,34 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("key, value, message", [
         ("x0", "0", "key x0 expects 2 coordinates, got 1"),
-        ("x0", "0,nan", "key x0 expects finite numbers, got 0,nan"),
-        ("r", "-0.2", "key r expects a finite number > 0, got -0.2"),
-        ("radii", "-0.1,0.2", "key radii expects finite numbers > 0, got -0.1,0.2"),
+        ("x0", "0,nan", "key x0 expects numbers in [-1e+100, 1e+100], got 0,nan"),
+        ("x0", "1e308,0", "key x0 expects numbers in [-1e+100, 1e+100], got 1e308,0"),
+        ("r", "-0.2", f"key r expects a number in {SIZES}, got -0.2"),
+        ("r", "1e308", f"key r expects a number in {SIZES}, got 1e308"),
+        ("r", "1e-300", f"key r expects a number in {SIZES}, got 1e-300"),
+        ("radii", "-0.1,0.2", f"key radii expects numbers in {SIZES}, got -0.1,0.2"),
+        ("radii", "1e308", f"key radii expects numbers in {SIZES}, got 1e308"),
         ("k_max", "0", "key k_max expects an integer >= 1, got 0"),
         ("tol", "nan", "key tol expects a finite number >= 0, got nan"),
         ("tol", "inf", "key tol expects a finite number >= 0, got inf"),
         ("tol", "-1e-6", "key tol expects a finite number >= 0, got -1e-6"),
-    ], ids=["x0", "x0_nan", "r", "radii", "k_max", "tol_nan", "tol_inf", "tol_negative"])
+        ("n", "4", "key n expects 1, 2 or 3, got 4"),
+        ("coeff", "p=(a,0) expr=-1", "coefficient p=(a,0): expects 2 integers >= 0"),
+        ("coeff", "p=() expr=-1", "coefficient p=(): expects 2 integers >= 0"),
+        ("coeff", "p=(2,-1) expr=-1", "coefficient p=(2,-1): expects 2 integers >= 0"),
+    ], ids=["x0", "x0_nan", "x0_huge", "r", "r_huge", "r_tiny", "radii", "radii_huge", "k_max",
+            "tol_nan", "tol_inf", "tol_negative", "n", "coeff_letter", "coeff_empty",
+            "coeff_negative"])
     def test_bad_solve_key_exits_2(self, tmp_path, capsys, monkeypatch, key, value, message):
-        # checked before any kernel is built, so no table is written
+        # checked before the run directory is made, so no kernel is built
         monkeypatch.setattr(cli, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
-        text = with_key((CONFIGS / "perturbed_laplace.cfg").read_text(), key, value)
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        # a coefficient line joins the shipped ones; a key replaces its line
+        text = text + f"coeff {value}\n" if key == "coeff" else with_key(text, key, value)
         code, err = run(tmp_path, "solve", text, capsys)
         assert code == 2
         assert err == [f"config error: {message}"], err
-        assert not list((tmp_path / "runs").rglob("*.csv"))
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("changes, message", [
         ({"tol": "0", "k_max": "3"}, "divergence: no convergence within k_max = 3 iterations"),

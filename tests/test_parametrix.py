@@ -121,7 +121,7 @@ class TestIdentityDefect:
     def test_representation_converges_with_the_grid(self):
         # phi = correction(phi) + potential(L phi) holds up to quadrature
         # error, which shrinks as the grid is refined
-        L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+        L = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve").operator
         defects = []
         for N in (32, 64):
             P = operator_at(L, [0.0, 0.0], 0.2, N, power(2))
@@ -132,7 +132,7 @@ class TestIdentityDefect:
 
 class TestSolve:
     def test_converges_with_certificate(self):
-        L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+        L = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve").operator
         P = operator_at(L, [0.0, 0.0], 0.2, 32, power(2))
         u, rep = P.solve(cap_profile(P.domain, 0.15), tol=1e-6, k_max=200)
         assert isinstance(rep, SolveReport)
@@ -180,7 +180,7 @@ def test_one_calibration_per_lattice(tmp_path, monkeypatch):
     assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
     assert sorted(calls) == [32, 64]
     # each radius's constants match a calibration on its own masked grid
-    L = config.build_operator(config.load_config(cfg, "solve"))
+    L = config.load_config(cfg, "solve").operator
     point = frozen_operator(L, [0.0, 0.0])
     J = fundamental_solution(point.L0)
     for r in (0.4, 0.2, 0.1, 0.05):
@@ -207,7 +207,7 @@ def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
         assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
         assert len(calls) == 1, r
     # the point of -L records the flip that every operator built on it reads
-    L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+    L = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve").operator
     assert operator_at(L.scaled(-1.0), [0.0, 0.0], 0.2, 32, power(2)).sign_flipped
 
 
@@ -272,7 +272,7 @@ class TestBatchedProfile:
             text = (CONFIGS / "perturbed_laplace.cfg").read_text()
         else:
             text = BIHARMONIC
-        L = config.build_operator(config.parse_config(text, "solve"))
+        L = config.parse_config(text, "solve").operator
         M = config.build_young(young)
         x0, radii = [0.0, 0.0], [0.2, 0.05]
         batched = profile(L, x0, radii, 9, 3, 32, M)
@@ -289,7 +289,7 @@ class TestBatchedProfile:
             return real(J, rows, *args)
 
         monkeypatch.setattr(parametrix, "potential_rows", counting)
-        L = config.build_operator(config.parse_config(BIHARMONIC, "solve"))
+        L = config.parse_config(BIHARMONIC, "solve").operator
         prof = profile(L, [0.0, 0.0], [0.4, 0.2, 0.1, 0.05], 8, 0, 32, power(2))
         assert len(prof.radii) == 4
         assert len(calls) <= 2 * 4 and sum(calls) == 8 * 4, calls
@@ -298,13 +298,12 @@ class TestBatchedProfile:
 def test_manufactured_error_is_second_order():
     # halving the grid spacing divides the error by about 4 (3.87 measured)
     cfg = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve")
-    L = config.build_operator(cfg)
-    M = config.build_young(cfg.get("young"))
+    L = cfg.operator
     errors = []
     for N in (64, 128):
-        P = operator_at(L, cfg.get_floats("x0"), cfg.get_float("r"), N, M)
-        f, reference = config.build_field(cfg.get("f"), P.domain, operator=L)
-        _, rep = P.solve(f, cfg.get_float("tol"), cfg.get_int("k_max"))
+        P = operator_at(L, cfg["x0"], cfg["r"], N, cfg["young"])
+        f, reference = config.build_field(cfg["f"], P.domain, operator=L)
+        _, rep = P.solve(f, cfg["tol"], cfg["k_max"])
         errors.append(P.solution_error(rep.channels, reference))
     assert errors == pytest.approx([8.504e-3, 2.196e-3], rel=1e-3)
     assert errors[0] / errors[1] >= 3.5
@@ -319,7 +318,7 @@ def test_profile_rejects_coarse_grid():
 def _run(tmp_path, command, kernel, monkeypatch):
     """Run the shipped perturbed-Laplace config with a kernel value.
 
-    Returns (exit code, fundamental_solution calls, run directory).
+    Returns (exit code, fundamental_solution calls, run directory or None).
     """
     calls = []
     real = kernels.fundamental_solution
@@ -336,8 +335,9 @@ def _run(tmp_path, command, kernel, monkeypatch):
     cfg.write_text(text.replace("kernel = auto", f"kernel = {kernel}"))
     out_root = tmp_path / f"runs-{command}-{kernel}"
     code = cli.run_config(command, cfg, out_root)
-    (run_dir,) = out_root.iterdir()
-    return code, len(calls), run_dir
+    run_dirs = list(out_root.glob("*"))
+    assert len(run_dirs) <= 1
+    return code, len(calls), next(iter(run_dirs), None)
 
 
 class TestShippedSolve:
@@ -369,7 +369,7 @@ class TestShippedSolve:
         summary = dict(read_table(run_dir / "summary.csv"))
         ladder = dict(read_table(run_dir / "sigma_profile.csv"))
         assert summary["sigma_hat_at_r"] == ladder["0.2"]
-        L = config.build_operator(config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve"))
+        L = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve").operator
         alone = profile(L, [0.0, 0.0], [0.2], 8, 7, 32, power(2))
         assert isinstance(alone, ContractionProfile)
         assert cli._fmt(alone.sigma_hat[0]) == ladder["0.2"]
@@ -384,7 +384,7 @@ class TestShippedSolve:
         assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
         (run_dir,) = (tmp_path / "runs").iterdir()
         at_r = float(dict(read_table(run_dir / "summary.csv"))["sigma_hat_at_r"])
-        L = config.build_operator(config.load_config(cfg, "solve"))
+        L = config.load_config(cfg, "solve").operator
         alone = profile(L, [0.0, 0.0], [0.15], 8, 7, 32, power(2))
         assert at_r == pytest.approx(alone.sigma_hat[0], rel=1e-11)
         ladder = {float(r): float(s) for r, s in read_table(auto_run[2] / "sigma_profile.csv")}
@@ -404,10 +404,11 @@ class TestShippedSolve:
     @pytest.mark.parametrize("command", ["solve", "contraction"])
     def test_other_kernel_exits_2(self, tmp_path, monkeypatch, capsys, command, kernel):
         # the kernel is the fundamental solution of the frozen operator, so
-        # any other value is a config error, read before a kernel is built
+        # any other value is a config error, read before the run directory
+        # is made
         code, calls, run_dir = _run(tmp_path, command, kernel, monkeypatch)
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: key kernel expects auto, got {kernel}"], err
         assert calls == 0
-        assert not (run_dir / "sigma_profile.csv").exists()
+        assert run_dir is None
