@@ -25,7 +25,6 @@ from .errors import (
 from .grid import (
     GridDomain,
     GridFunction,
-    ShiftVector,
     convolve,
     mollifier_kernel,
     read_grid_function,
@@ -43,7 +42,7 @@ from .operators import (
     MultiIndex,
     characteristic_form,
     coefficient_continuity_check,
-    diff,
+    combine,
     difference_rows,
     ellipticity_check,
     freeze_leading,

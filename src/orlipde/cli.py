@@ -35,7 +35,7 @@ import numpy as np
 from . import __version__
 from .config import build_field, load_config
 from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError, RangeError
-from .grid import GridDomain, ShiftVector, write_grid_function
+from .grid import GridDomain, write_grid_function
 from .kernels import fundamental_solution
 from .parametrix import PROFILE_N, ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
@@ -124,9 +124,9 @@ def _grid_data(cfg):
 
 
 def _write_shift_modulus(out, M, domain, f, cells):
-    """shift_modulus.csv: the modulus of f under shifts by ``cells`` cells along the first axis."""
-    deltas = [ShiftVector.from_cells(domain, [c] + [0] * (domain.n - 1)) for c in cells]
-    _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, deltas))
+    """shift_modulus.csv: the modulus of f under shifts by ``cells`` whole cells along axis 1."""
+    shifts = [[c] + [0] * (domain.n - 1) for c in cells]
+    _write_csv(out / "shift_modulus.csv", ["delta", "modulus"], shift_modulus(f, M, shifts))
 
 
 def _is_indicator(values):
@@ -202,7 +202,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
         ("empirical_ratio", rep.empirical_ratio),
         ("final_residual", rep.final_residual),
         ("certificate", rep.certificate),
-        ("sign_flipped", rep.sign_flipped),
+        ("sign_flipped", point.ellipticity.sign_flipped),
         ("sigma_hat_at_r", sigma_r),
     ]
     if reference is not None and u is not None:

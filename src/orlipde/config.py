@@ -25,12 +25,16 @@ from . import young as young_mod
 from .errors import ConfigError, InvalidYoungFunctionError
 from .expressions import compile_expression
 from .grid import GridFunction, read_grid_function
-from .operators import EllipticOperator
+from .operators import EllipticOperator, coefficient_name
+from .parametrix import PAD, PROFILE_N
 
 # sizes (cube sides, radii, widths) and |coordinates| stay within these, so
 # that their squares and products neither overflow nor underflow
-SIZE_RANGE = (1e-100, 1e100)
+SIZE_RANGE = (1e-30, 1e30)
 COORDINATE_BOUND = 1e100
+# |x0_i| <= LATTICE_REACH * h for the finest lattice spacing h of a solve, so
+# that the node coordinates x0_i + k h keep h to about 1e-6 relative
+LATTICE_REACH = 2**32
 
 
 def _typed(convert, ok, expects):
@@ -58,17 +62,22 @@ def _is_size(v):
     return SIZE_RANGE[0] <= v <= SIZE_RANGE[1]
 
 
+def _are_coordinates(vs):
+    return all(abs(v) <= COORDINATE_BOUND for v in vs)
+
+
 _IN_SIZE_RANGE = "in [{:g}, {:g}]".format(*SIZE_RANGE)
+_IN_COORDINATES = f"in [{-COORDINATE_BOUND:g}, {COORDINATE_BOUND:g}]"
 _INTEGER = _typed(int, lambda v: True, "an integer")
 _COUNT = _typed(int, lambda v: v >= 1, "an integer >= 1")
 _DIMENSION = _typed(int, lambda v: v in (1, 2, 3), "1, 2 or 3")
 _SIZE = _typed(float, _is_size, f"a number {_IN_SIZE_RANGE}")
 _SIZES = _typed(_numbers, lambda vs: all(map(_is_size, vs)), f"numbers {_IN_SIZE_RANGE}")
-_FINITE = _typed(_numbers, lambda vs: all(map(math.isfinite, vs)), "finite numbers")
-_COORDINATES = _typed(
-    _numbers,
-    lambda vs: all(abs(v) <= COORDINATE_BOUND for v in vs),
-    f"numbers in [{-COORDINATE_BOUND:g}, {COORDINATE_BOUND:g}]",
+_COORDINATES = _typed(_numbers, _are_coordinates, f"numbers {_IN_COORDINATES}")
+_CELLS = _typed(
+    lambda text: [int(t) for t in text.split(",")] if text else [],
+    _are_coordinates,
+    f"integers {_IN_COORDINATES}",
 )
 _TOLERANCE = _typed(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
 _AUTO = _typed(str, lambda v: v == "auto", "auto")
@@ -100,12 +109,13 @@ _SOLVE = {
 }
 _SCHEMAS = {
     "young": _COMMON,
-    "norms": {**_GRID, "g": ("", _TEXT), "deltas": ("8,4,2,1", _FINITE), "trials": ("8", _COUNT)},
+    # deltas (norms, shift): shifts along the first axis, in whole cells of width d / grid.N
+    "norms": {**_GRID, "g": ("", _TEXT), "deltas": ("8,4,2,1", _CELLS), "trials": ("8", _COUNT)},
     # contraction reads the solve schema, and renders and hashes as itself
     "solve": _SOLVE,
     "contraction": _SOLVE,
     "mollify": {**_GRID, "eps": ("0.2", _SIZE)},
-    "shift": {**_GRID, "deltas": ("8,4,2,1", _FINITE)},
+    "shift": {**_GRID, "deltas": ("8,4,2,1", _CELLS)},
 }
 
 _COEFF_LINE = re.compile(r"coeff\s+p=\(([^)]*)\)\s+expr=(.+)")
@@ -191,12 +201,19 @@ def parse_config(text, command, overrides=None):
         parsed["x0"] = parsed["x0"] or [0.0] * n
         if len(parsed["x0"]) != n:
             raise ConfigError(f"key x0 expects {n} coordinates, got {len(parsed['x0'])}")
-    elif "d" in parsed:  # a grid command
-        if parsed["grid.N"] < 4:
-            raise ConfigError("grid: need at least 4 points per axis")
-        h = parsed["d"] / parsed["grid.N"]
-        if not all(math.isfinite(c * h) for c in parsed.get("deltas", [])):
-            raise ConfigError(f"key deltas expects finite widths entry * h, got {values['deltas']}")
+        # the finest lattice the command builds: a profile radius's, or for
+        # solve its grid's or that of the profile at r
+        spacings = [PAD * rho / PROFILE_N for rho in parsed["radii"]]
+        if command == "solve":
+            spacings.append(PAD * parsed["r"] / max(N, PROFILE_N))
+        h = min(spacings, default=math.inf)
+        if any(abs(c) > LATTICE_REACH * h for c in parsed["x0"]):
+            raise ConfigError(
+                f"key x0 expects |entries| <= 2^32 h = {LATTICE_REACH * h:g} for the finest "
+                f"lattice spacing h = {h:g}, got {values['x0']}"
+            )
+    elif "d" in parsed and parsed["grid.N"] < 4:  # a grid command
+        raise ConfigError("grid: need at least 4 points per axis")
     return ExperimentConfig(command, values, coeff_lines, parsed, operator)
 
 
@@ -280,7 +297,7 @@ def build_operator(n, coeff_lines):
         try:
             coeffs[idx] = float(expr)
         except ValueError:
-            coeffs[idx] = compile_expression(expr, n, f"coefficient p=({','.join(map(str, idx))})")
+            coeffs[idx] = compile_expression(expr, n, coefficient_name(idx))
     m_order = max(sum(p) for p in coeffs)
     if m_order % 2 or m_order < 2:
         raise ConfigError(f"operator order must be even and >= 2, got {m_order}")

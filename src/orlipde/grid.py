@@ -9,13 +9,11 @@ periodic with period N per axis.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ResolutionError
 
-ON_LATTICE_TOL = 1e-9  # largest distance, in cells, of a lattice shift from an integer count
 WRITE_CHUNK = 1 << 16  # values per write of ``write_grid_function``
 
 
@@ -153,81 +151,28 @@ class GridFunction:
     def __add__(self, other):
         return self._binary(other, np.add)
 
-    def __radd__(self, other):
-        return self._binary(other, lambda a, b: np.add(b, a))
-
     def __sub__(self, other):
         return self._binary(other, np.subtract)
-
-    def __rsub__(self, other):
-        return self._binary(other, lambda a, b: np.subtract(b, a))
 
     def __mul__(self, other):
         return self._binary(other, np.multiply)
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return GridFunction(self.domain, -self.values)
-
     def __repr__(self):
         return f"GridFunction({self.domain!r}, sup={self.sup_norm(masked=False):g})"
 
 
-@dataclass(frozen=True)
-class ShiftVector:
-    """A displacement, stored in physical units."""
+def shift(f, cells):
+    """Translate f by whole cells: result(x) = f(x + cells * h), periodically.
 
-    delta: tuple
-
-    @classmethod
-    def from_cells(cls, domain, cells):
-        cells = np.atleast_1d(np.asarray(cells, dtype=float))
-        if cells.size != domain.n:
-            raise ValueError("one shift entry per axis required")
-        return cls(tuple(float(c) * domain.h for c in cells))
-
-    def magnitude(self):
-        return float(np.hypot.reduce(np.asarray(self.delta)))
-
-    def cell_shifts(self, domain):
-        """Integer cell counts when on-lattice, else None."""
-        out = []
-        for c in self.delta:
-            s = c / domain.h
-            si = round(s)
-            if abs(s - si) > ON_LATTICE_TOL:
-                return None
-            out.append(int(si) % domain.N)
-        return tuple(out)
-
-
-def shift(f, delta):
-    """Translate f by delta: result(x) = f(x + delta), periodically.
-
-    On-lattice shifts (integer multiples of the cell width) are exact index
-    rolls; off-lattice shifts fall back to linear interpolation and emit an
-    off-lattice warning.
+    ``cells`` holds one integer count per axis; the translation is one
+    index roll, so the result holds exactly the samples of f.
     """
-    if len(delta.delta) != f.domain.n:
+    if len(cells) != f.domain.n:
         raise ValueError("shift dimension mismatch")
-    cells = delta.cell_shifts(f.domain)
-    if cells is not None:
-        out = f.values
-        for axis, s in enumerate(cells):
-            if s:
-                out = np.roll(out, -s, axis=axis)
-        return GridFunction(f.domain, out)
-    warnings.warn("off-lattice shift: using linear interpolation", stacklevel=2)
-    out = f.values
-    for axis, c in enumerate(delta.delta):
-        s = c / f.domain.h
-        lo = int(np.floor(s))
-        frac = s - lo
-        a = np.roll(out, -lo, axis=axis)
-        b = np.roll(out, -(lo + 1), axis=axis)
-        out = (1.0 - frac) * a + frac * b
-    return GridFunction(f.domain, out)
+    rolls = tuple(-int(c) % f.domain.N for c in cells)
+    return GridFunction(f.domain, np.roll(f.values, rolls, axis=tuple(range(f.domain.n))))
 
 
 def _spectral_product(f, g):

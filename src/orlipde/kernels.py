@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import CalibrationError, CapabilityError
 from .grid import GridDomain, cap_bump
-from .operators import MultiIndex, difference_rows, multi_indices
+from .operators import MultiIndex, combine, difference_rows, multi_indices
 
 
 # Gauss-Legendre nodes and weights on [-1, 1], memoized; callers must not mutate them
@@ -491,11 +491,9 @@ def _calibrate_local_constants(J, domain):
         raw[p] = num / den
     # joint rescale against the inversion identity on the fit probes; the
     # identity involves only the operator's own leading indices
-    a0 = {p: J.operator.coeff_at(p, np.zeros(J.n)) for p in J.operator.leading_indices()}
+    a0 = J.operator.coefficients(domain)
     csum = sum(a0[p] * raw[p] for p in a0)
-    pv_total = np.zeros(probes.shape)
-    for p in a0:
-        pv_total += a0[p] * pv[p]
+    pv_total = combine(a0, pv)
     num = sum(float(np.sum((psi - t) * (csum * psi))) for psi, t in zip(fit, pv_total))
     den = sum(float(np.sum((csum * psi) ** 2)) for psi in fit)
     gamma = num / den

@@ -5,10 +5,12 @@ tensor-product second-order central differences; ``difference_rows``
 takes a whole dictionary of them for a stack of functions, differencing each
 shared prefix of the multi-indices once.  A channel dictionary maps each
 multi-index p to such a stack, shape (count, *domain.shape), one function
-per row; a single function is a stack of one.  The module also provides the
-characteristic form, ellipticity and coefficient-regularity checks,
-coefficient freezing at a point, and the weighted Orlicz-Sobolev norms of
-channel dictionaries (``sobolev_norms``).
+per row; a single function is a stack of one.  Every operator application
+is ``combine`` of a coefficient table (``EllipticOperator.coefficients``)
+over a channel dictionary.  The module also provides the characteristic
+form, ellipticity and coefficient-regularity checks, coefficient freezing at
+a point, and the weighted Orlicz-Sobolev norms of channel dictionaries
+(``sobolev_norms``).
 """
 
 from __future__ import annotations
@@ -78,19 +80,13 @@ def _axis_diff(values, k, axis, h):
     return out / h**k
 
 
-def diff(u, p):
-    """Central-difference derivative D^p u on the periodic lattice."""
-    p = MultiIndex(p)
-    return GridFunction(u.domain, difference_rows(u.values[None], u.domain, [p])[p][0])
-
-
 def difference_rows(rows, domain, orders):
     """{p: D^p of every row} for a stack of grid arrays, shape (count, *domain.shape).
 
     The axes are differenced in order, so indices that agree on their first
     entries share those passes: each distinct prefix is differenced once,
     for the whole stack at a time.  Every row is differenced alone as it
-    would be in a stack of one, so each equals its ``diff`` bit for bit.
+    would be in a stack of one, and each index alone, bit for bit.
     """
     partial = {(): rows}
     out = {}
@@ -109,11 +105,29 @@ def difference_rows(rows, domain, orders):
     return out
 
 
+def combine(coeffs, channels):
+    """sum_p coeffs[p] * channels[p], summed in the order of ``coeffs``, for stacked rows.
+
+    ``channels`` maps p to a stack of grid arrays, one function per row; so
+    does the result.  A coefficient is a float or an array on the grid, as
+    in ``EllipticOperator.coefficients``.
+    """
+    out = np.zeros(next(iter(channels.values())).shape)
+    for p, c in coeffs.items():
+        out += c * channels[p]
+    return out
+
+
+def coefficient_name(p):
+    """A coefficient as the config writes it: coefficient p=(2,0)."""
+    return f"coefficient p=({','.join(map(str, p))})"
+
+
 class EllipticOperator:
     """Sum over |p| <= m of a_p(x) D^p with even order m.
 
     Coefficients are floats (constant) or callables of the node coordinate
-    arrays; callables are sampled once per grid and cached.
+    arrays; ``coefficients`` samples the callables once per grid geometry.
     """
 
     def __init__(self, n, m, coeffs):
@@ -131,7 +145,7 @@ class EllipticOperator:
             self.coeffs[p] = a
         if not any(p.order == m for p in self.coeffs):
             raise ValueError("no leading coefficient of full order present")
-        self._fields = {}
+        self._tables = {}
 
     @property
     def half_order(self):
@@ -153,44 +167,33 @@ class EllipticOperator:
             return float(a(*np.asarray(x, dtype=float)))
         return float(a)
 
-    def coeff_field(self, p, domain):
-        """Coefficient sampled on the grid (cached per grid geometry)."""
-        p = MultiIndex(p)
-        key = (p, domain.N, round(domain.d, 15), tuple(domain.center))
-        if key not in self._fields:
-            a = self.coeffs[p]
-            if callable(a):
-                vals = np.broadcast_to(
-                    np.asarray(a(*domain.node_grids()), dtype=float), domain.shape
-                ).copy()
-            else:
-                vals = None  # constant fast path
-            self._fields[key] = vals
-        return self._fields[key]
+    def coefficients(self, domain):
+        """{p: a_p} in sorted index order: a float, or the samples on the whole cube.
+
+        Cached per grid geometry.  A sample that is not finite raises
+        ConfigError naming the first such coefficient and node.
+        """
+        key = (domain.n, domain.N, domain.d, tuple(domain.center))
+        if key not in self._tables:
+            table = {}
+            for p in sorted(self.coeffs):
+                a = self.coeffs[p]
+                if callable(a):
+                    with np.errstate(all="ignore"):
+                        samples = GridFunction.from_callable(domain, a)
+                    table[p] = samples.require_finite(coefficient_name(p)).values
+                else:
+                    table[p] = float(a)
+            self._tables[key] = table
+        return self._tables[key]
 
     def apply(self, u):
-        """Operator action by central differences; linear in u."""
+        """Operator action by central differences, summed in coefficient order; linear in u."""
         if u.domain.N < 4 * self.m:
             raise ValueError("grid too coarse for the difference stencils")
-        out = np.zeros(u.domain.shape)
-        for p, a in self.coeffs.items():
-            dp = diff(u, p).values
-            fld = self.coeff_field(p, u.domain)
-            if fld is None:
-                out += float(a) * dp
-            else:
-                out += fld * dp
-        return GridFunction(u.domain, out)
-
-    def scaled(self, factor):
-        """Operator with every coefficient multiplied by a constant."""
-        new = {}
-        for p, a in self.coeffs.items():
-            if callable(a):
-                new[p] = (lambda fn: lambda *X: factor * np.asarray(fn(*X)))(a)
-            else:
-                new[p] = factor * a
-        return EllipticOperator(self.n, self.m, new)
+        table = self.coefficients(u.domain)
+        channels = difference_rows(u.values[None], u.domain, self.coeffs)
+        return GridFunction(u.domain, combine({p: table[p] for p in self.coeffs}, channels)[0])
 
     def __repr__(self):
         kind = "constant" if self.is_constant() else "variable"
@@ -237,8 +240,9 @@ class EllipticityReport:
 def ellipticity_check(L, x_samples, eta_samples=None):
     """Verify a uniform sign of (-1)^(m/2) Q(x, eta) over sampled directions.
 
-    A uniformly negative form passes with the sign-flip flag set (the solver
-    then negates operator and data together); a sign change raises
+    A uniformly negative form passes with the sign-flip flag set (nothing
+    is negated: the fundamental solution of the frozen operator changes sign
+    with the form); a sign change raises
     NotEllipticError.  Reports the ellipticity ratio min|Q|/max|Q|.  Q over
     all directions at one sample point is one ``characteristic_form`` call.
     """

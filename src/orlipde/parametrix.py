@@ -7,18 +7,20 @@ radius.  The fixed-point iteration u <- correction(u) + potential(f) then
 converges to a local solution of the original equation for small radii.
 
 The frozen operator does not depend on the radius.  ``frozen_operator``
-freezes L at x0 once: its record holds the sign-normalized L, x0, the
-frozen leading part L0 and the one ellipticity report, and every
-``ParametrixOperator`` and ``contraction_profile`` at x0 takes that record
-and the one fundamental solution of L0, whatever the radius.  The ladder's
+freezes L at x0 once: its record holds L, x0, the frozen leading part L0
+and the one ellipticity report, and every ``ParametrixOperator`` and
+``contraction_profile`` at x0 takes that record and the one fundamental
+solution of L0, whatever the radius.  The ladder's
 grids are one lattice scaled by the radius, so the kernel samples and
 calibrates once per lattice size, not once per radius.  The potential of a
 density is carried as one dictionary of derivative channels
 {p: d^p S sigma}, computed from one forward transform of the density
 (``potential_rows``).  The correction density and the residual are
-coefficient combinations over that dictionary (``ParametrixOperator.combine``),
-and every weighted norm (probe, correction, iterate, step, error) is
-``sobolev_norms`` of one.
+coefficient combinations over that dictionary (``operators.combine``), and
+every weighted norm (probe, correction, iterate, step, error) is
+``sobolev_norms`` of one.  L is never negated: when its characteristic form
+is negative, so is the fundamental solution of L0, and the local solution
+u = S0 sigma of (L, f) is that of (-L, -f).
 
 Every channel dictionary is stacked: each channel holds one function per row
 along a leading axis.  The contraction profile builds each radius's probes
@@ -42,6 +44,8 @@ from .kernels import densities_per_transform, potential_rows
 from .operators import (
     EllipticityReport,
     EllipticOperator,
+    coefficient_name,
+    combine,
     difference_rows,
     ellipticity_check,
     freeze_leading,
@@ -54,18 +58,13 @@ PAD = 4.0  # cube side over ball radius, so that periodic images stay separated
 PROFILE_N = 32  # points per axis of every contraction-profile grid, whatever grid.N
 
 
-def _index(p):
-    """A multi-index as the config writes it: (2,0)."""
-    return f"({','.join(map(str, p))})"
-
-
 @dataclass(frozen=True)
 class FrozenPoint:
     """An operator frozen at x0: what every radius of a solve at x0 shares.
 
-    ``L`` is the operator, negated when its characteristic form is negative
-    at x0 (``ellipticity.sign_flipped``); ``L0`` is its leading part frozen
-    at x0, the operator the kernel inverts.
+    ``L`` is the operator as configured, whatever the sign of its
+    characteristic form at x0 (``ellipticity.sign_flipped`` records it);
+    ``L0`` is its leading part frozen at x0, the operator the kernel inverts.
     """
 
     L: EllipticOperator
@@ -85,9 +84,8 @@ def frozen_operator(L, x0):
         for p in sorted(L.coeffs):
             if not math.isfinite(L.coeff_at(p, x0)):
                 at = ", ".join(f"{float(c):.6g}" for c in x0)
-                raise ConfigError(f"coefficient p={_index(p)} is not finite at x0 = ({at})")
+                raise ConfigError(f"{coefficient_name(p)} is not finite at x0 = ({at})")
     rep = ellipticity_check(L, [x0])
-    L = L.scaled(-1.0) if rep.sign_flipped else L
     return FrozenPoint(L=L, x0=x0, L0=freeze_leading(L, x0), ellipticity=rep)
 
 
@@ -138,28 +136,24 @@ class ParametrixOperator:
 
     ``point`` is the ``frozen_operator`` record of L at x0 and ``J`` the
     fundamental solution of its L0; both are shared by every radius.  The
-    cube side is PAD*r so periodic images stay separated.  When the
-    characteristic form is uniformly negative, the operator and any data
-    are negated together (recorded in ``sign_flipped``), which leaves the
-    solution set unchanged.
+    cube side is PAD*r so periodic images stay separated.
 
     Two coefficient tables drive everything: ``remainder_coeffs`` of the
-    (frozen - full) operator and ``operator_coeffs`` of L itself, each
-    combined by ``combine`` over a dictionary of derivative channels.  A
-    coefficient field with a non-finite sample on the cube raises
-    ConfigError naming its index and the first such node.
+    (frozen - full) operator and ``operator_coeffs``, L's ``coefficients``
+    on the cube; ``combine`` of either over the channels of u applies that
+    operator to u.  Only the values in the ball matter: potentials restrict
+    their density and gauges read the masked nodes.
     """
 
     def __init__(self, point, J, r, N, M):
         self.L, x0 = point.L, point.x0
-        self.sign_flipped = point.ellipticity.sign_flipped
         self.M = M
         self.J = J
         dom = GridDomain(self.L.n, N, PAD * r, center=x0)
         self.domain = dom.with_mask(dom.ball_mask(x0, r))
         self.d_omega = 2.0 * float(r)
         self.orders = multi_indices(self.L.n, self.L.m)
-        self.operator_coeffs = {p: self._coeff_values(p) for p in sorted(self.L.coeffs)}
+        self.operator_coeffs = self.L.coefficients(self.domain)
         self.remainder_coeffs = {
             p: self.L.coeff_at(p, x0) - self.operator_coeffs[p]
             for p in self.L.leading_indices()
@@ -167,30 +161,6 @@ class ParametrixOperator:
         self.remainder_coeffs.update(
             {p: -self.operator_coeffs[p] for p in self.L.lower_indices()}
         )
-
-    def _coeff_values(self, p):
-        with np.errstate(all="ignore"):
-            fld = self.L.coeff_field(p, self.domain)
-        if fld is None:
-            return float(self.L.coeffs[p])
-        GridFunction(self.domain, fld).require_finite(f"coefficient p={_index(p)}")
-        return fld
-
-    # -- operator pieces -----------------------------------------------------
-
-    def combine(self, coeffs, channels):
-        """sum_p coeffs[p] * channels[p] on the whole cube, for stacked rows.
-
-        ``channels`` maps p to a stack of grid arrays, one function per row;
-        so does the result.  With ``remainder_coeffs`` over the channels of
-        u this is the (frozen - full) operator applied to u; with
-        ``operator_coeffs`` it is L u.  Only its values in the ball matter:
-        potentials restrict their density and gauges read the masked nodes.
-        """
-        out = np.zeros(next(iter(channels.values())).shape)
-        for p, c in coeffs.items():
-            out += c * channels[p]
-        return out
 
     def solution_error(self, channels, reference):
         """Weighted-norm distance between the potential of a channel dictionary and a reference.
@@ -220,8 +190,6 @@ class ParametrixOperator:
         Returns the solution u = S0 sigma as a grid function and the report,
         which holds the final channel dictionary.
         """
-        if self.sign_flipped:
-            f = -f
         f = f.restricted()
         J, dom, orders, M, d_omega = self.J, self.domain, self.orders, self.M, self.d_omega
         rows = []
@@ -232,13 +200,13 @@ class ParametrixOperator:
         converged = False
         den_f = luxemburg_norm(f, M)
         for k in range(1, k_max + 1):
-            sigma_next = self.combine(self.remainder_coeffs, channels) + f.values
+            sigma_next = combine(self.remainder_coeffs, channels) + f.values
             channels_next = potential_rows(J, sigma_next, dom, orders)
             steps = {p: channels_next[p] - channels[p] for p in orders}
             (step,) = sobolev_norms(steps, M, d_omega, dom)
             (u_norm,) = sobolev_norms(channels, M, d_omega, dom)
             # L u - f with L applied through the kernel channels
-            Lu = self.combine(self.operator_coeffs, channels)[0]
+            Lu = combine(self.operator_coeffs, channels)[0]
             r = luxemburg_norm(GridFunction(dom, Lu - f.values), M)
             residual = r / den_f if den_f > 0 else r
             rows.append(IterationRow(k=k, norm=u_norm, step=step, residual=residual))
@@ -260,7 +228,7 @@ class ParametrixOperator:
         # fixed-point certificate: one more half-step of the density map,
         # normed through the channels of the density defect itself, since
         # the difference of two channel dictionaries cancels here
-        sigma_next = self.combine(self.remainder_coeffs, channels) + f.values
+        sigma_next = combine(self.remainder_coeffs, channels) + f.values
         defects = potential_rows(J, sigma_next - sigma, dom, orders)
         (defect,) = sobolev_norms(defects, M, d_omega, dom)
         (norm,) = sobolev_norms(channels, M, d_omega, dom)
@@ -277,7 +245,6 @@ class ParametrixOperator:
             converged=converged,
             empirical_ratio=emp,
             final_residual=rows[-1].residual if rows else math.nan,
-            sign_flipped=self.sign_flipped,
         )
 
 
@@ -295,7 +262,6 @@ class SolveReport:
     converged: bool
     empirical_ratio: float
     final_residual: float
-    sign_flipped: bool
     certificate: float = math.nan
     # the final iterate's channel dictionary {p: d^p S0 sigma}, each a stack
     # of one row; channel 0 is the solution
@@ -347,7 +313,7 @@ def contraction_profile(point, J, radii, probes, seed, N, M):
         for rows in probe_family(dom, 0.75 * r, point.x0, probes, stream, batch):
             differences = difference_rows(rows, dom, P.orders)
             norms = sobolev_norms(differences, M, P.d_omega, dom)
-            remainders = P.combine(P.remainder_coeffs, differences)
+            remainders = combine(P.remainder_coeffs, differences)
             potentials = potential_rows(J, remainders, dom, P.orders)
             corrected = sobolev_norms(potentials, M, P.d_omega, dom)
             del potentials  # freed before the next batch's potentials are taken

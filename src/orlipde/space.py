@@ -28,8 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError
-from .grid import (GridFunction, SeededStream, ShiftVector, convolve, kernel_convolve,
-                   mollifier_kernel, shift)
+from .grid import GridFunction, SeededStream, convolve, kernel_convolve, mollifier_kernel, shift
 
 
 RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
@@ -312,15 +311,17 @@ def dual_norm_lower_bound(u, M, trials, seed):
     return max([0.0] + [abs(pairing(u, v * (1.0 / s))) for v, s in zip(candidates, norms) if s])
 
 
-def shift_modulus(f, M, deltas):
-    """Table of (|delta|, ||T_delta f - f||_M) rows for the given shifts.
+def shift_modulus(f, M, shifts):
+    """Table of (|delta|, ||T_delta f - f||_M) rows for whole-cell shifts.
 
-    The gauges of all differences are taken together.
+    Each shift is a list of integer cell counts, one per axis, and delta is
+    cells * h; these translations are the ones the periodic lattice holds
+    (``grid.shift``).  The gauges of all differences are taken together.
     """
     magnitudes, diffs = [], []
-    for delta in deltas:
-        magnitudes.append(delta.magnitude())
-        diffs.append(np.abs((shift(f, delta) - f).masked_values()))
+    for cells in shifts:
+        magnitudes.append(float(np.hypot.reduce([float(c) * f.domain.h for c in cells])))
+        diffs.append(np.abs((shift(f, cells) - f).masked_values()))
     return list(zip(magnitudes, gauges(diffs, M, f.domain))) if diffs else []
 
 
@@ -382,8 +383,7 @@ def inequality_suite(f, g, M, seed):
     acc = GridFunction.zeros(dom)
     rhs = 0.0
     for k_row, c in zip(ks, coeffs):
-        sv = ShiftVector.from_cells(dom, k_row)
-        term = shift(f, sv) * float(c)
+        term = shift(f, k_row) * float(c)
         acc = acc + term
         rhs += abs(float(c)) * lux_f
     rep.add("integral_triangle", luxemburg_norm(acc, M), rhs)

@@ -1,7 +1,20 @@
+import re
+
 import numpy as np
 import pytest
 
-from orlipde import EllipticOperator, GridDomain, GridFunction
+from orlipde import EllipticOperator, GridDomain, GridFunction, MultiIndex, difference_rows
+
+
+def diff(u, p):
+    """Central-difference derivative D^p u of one grid function, as a grid function."""
+    p = MultiIndex(p)
+    return GridFunction(u.domain, difference_rows(u.values[None], u.domain, [p])[p][0])
+
+
+def negated(text):
+    """A config text with every coefficient negated: expr=e becomes expr=-(e)."""
+    return re.sub(r"expr=(.+)", r"expr=-(\1)", text)
 
 
 # constant-coefficient operators the tests build kernels and solves from

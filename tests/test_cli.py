@@ -11,10 +11,11 @@ import pytest
 import orlipde
 from orlipde import cli
 
-from conftest import assert_pinned_outputs
+from conftest import assert_pinned_outputs, negated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-SIZES = "[1e-100, 1e+100]"  # the range of every size key: d, eps, r and radii
+SIZES = "[1e-30, 1e+30]"  # the range of every size key: d, eps, r and radii
+CELLS = "integers in [-1e+100, 1e+100]"  # the range of every deltas entry
 
 
 def run(tmp_path, command, text, capsys):
@@ -182,27 +183,32 @@ class TestExitCodes:
 
 
     @pytest.mark.parametrize("command", ["norms", "mollify", "shift"])
-    @pytest.mark.parametrize("d", ["0", "-1"])
+    @pytest.mark.parametrize("d", ["0", "-1", "1e100"])
     def test_bad_cube_size_exits_2(self, tmp_path, capsys, command, d):
         text = f"n = 1\ngrid.N = 16\nd = {d}\nf = expr:x1\n"
         code, err = run(tmp_path, command, text, capsys)
         assert code == 2
         assert err == [f"config error: key d expects a number in {SIZES}, got {d}"], err
 
-    WIDE = "key deltas expects finite widths entry * h, got 1e308"
+    DELTAS = f"key deltas expects {CELLS}, got"
     EPS = f"key eps expects a number in {SIZES}, got"
 
     @pytest.mark.parametrize("command, key, value, message, extra", [
-        ("norms", "deltas", "8,nan", "key deltas expects finite numbers, got 8,nan", ""),
-        ("shift", "deltas", "inf", "key deltas expects finite numbers, got inf", ""),
+        ("norms", "deltas", "8,nan", f"{DELTAS} 8,nan", ""),
+        ("shift", "deltas", "inf", f"{DELTAS} inf", ""),
         ("mollify", "eps", "nan", f"{EPS} nan", ""),
         ("mollify", "eps", "0", f"{EPS} 0", ""),
         ("mollify", "eps", "-1", f"{EPS} -1", ""),
-        # a finite entry whose width entry * h overflows to inf
-        ("shift", "deltas", "1e308", WIDE, "d = 1000\n"),
-        ("norms", "deltas", "1e308", WIDE, "d = 1000\n"),
+        # a finite entry that is no whole number of cells
+        ("shift", "deltas", "1e308", f"{DELTAS} 1e308", "d = 1000\n"),
+        ("norms", "deltas", "1e308", f"{DELTAS} 1e308", "d = 1000\n"),
+        # a fraction of a cell, which no lattice translation gives
+        ("shift", "deltas", "2.5,1", f"{DELTAS} 2.5,1", ""),
+        ("norms", "deltas", "2.5,1", f"{DELTAS} 2.5,1", ""),
+        ("shift", "deltas", "1" + "0" * 101, f"{DELTAS} 1{'0' * 101}", ""),
     ], ids=["deltas_nan", "deltas_inf", "eps_nan", "eps_zero", "eps_negative",
-            "deltas_wide_shift", "deltas_wide_norms"])
+            "deltas_wide_shift", "deltas_wide_norms", "deltas_fraction_shift",
+            "deltas_fraction_norms", "deltas_beyond_bound"])
     def test_bad_grid_key_exits_2(self, tmp_path, capsys, command, key, value, message, extra):
         # checked before the run directory is made
         text = f"n = 1\ngrid.N = 16\n{extra}f = expr:x1\n{key} = {value}\n"
@@ -240,6 +246,9 @@ class TestExitCodes:
         assert err == [f"config error: key {key} expects an integer >= 1, got {value}"], err
         assert not caught, [str(w.message) for w in caught]
 
+    FAR = ("key x0 expects |entries| <= 2^32 h = 2.68435e+07 "
+           "for the finest lattice spacing h = 0.00625, got")
+
     @pytest.mark.parametrize("key, value, message", [
         ("x0", "0", "key x0 expects 2 coordinates, got 1"),
         ("x0", "0,nan", "key x0 expects numbers in [-1e+100, 1e+100], got 0,nan"),
@@ -247,6 +256,11 @@ class TestExitCodes:
         ("r", "-0.2", f"key r expects a number in {SIZES}, got -0.2"),
         ("r", "1e308", f"key r expects a number in {SIZES}, got 1e308"),
         ("r", "1e-300", f"key r expects a number in {SIZES}, got 1e-300"),
+        ("r", "1e100", f"key r expects a number in {SIZES}, got 1e100"),
+        ("r", "1e-100", f"key r expects a number in {SIZES}, got 1e-100"),
+        # x0 beyond 2^32 cells of the finest lattice, h = 4 * 0.05 / 32
+        ("x0", "1e16,0", f"{FAR} 1e16,0"),
+        ("x0", "1e12,0", f"{FAR} 1e12,0"),
         ("radii", "-0.1,0.2", f"key radii expects numbers in {SIZES}, got -0.1,0.2"),
         ("radii", "1e308", f"key radii expects numbers in {SIZES}, got 1e308"),
         ("k_max", "0", "key k_max expects an integer >= 1, got 0"),
@@ -257,7 +271,8 @@ class TestExitCodes:
         ("coeff", "p=(a,0) expr=-1", "coefficient p=(a,0): expects 2 integers >= 0"),
         ("coeff", "p=() expr=-1", "coefficient p=(): expects 2 integers >= 0"),
         ("coeff", "p=(2,-1) expr=-1", "coefficient p=(2,-1): expects 2 integers >= 0"),
-    ], ids=["x0", "x0_nan", "x0_huge", "r", "r_huge", "r_tiny", "radii", "radii_huge", "k_max",
+    ], ids=["x0", "x0_nan", "x0_huge", "r", "r_huge", "r_tiny", "r_1e100", "r_1e-100", "x0_far",
+            "x0_1e12", "radii", "radii_huge", "k_max",
             "tol_nan", "tol_inf", "tol_negative", "n", "coeff_letter", "coeff_empty",
             "coeff_negative"])
     def test_bad_solve_key_exits_2(self, tmp_path, capsys, monkeypatch, key, value, message):
@@ -319,6 +334,83 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(
             "error: RangeError: young function spec 'power:p=1e6': trusted range ends at"), err
         assert not list((tmp_path / "runs").rglob("*.csv"))
+
+
+# constant-coefficient operators and tiny problems at the ends of the size range
+LAPLACE2 = "coeff p=(2,0) expr=-1\ncoeff p=(0,2) expr=-1\n"
+BILAPLACE2 = "coeff p=(4,0) expr=1\ncoeff p=(0,4) expr=1\ncoeff p=(2,2) expr=2\n"
+TINY_SOLVE = "n = 2\ngrid.N = 16\nr = {s}\nradii = {s}\nprobes = 2\nf = expr:1\n"
+TINY_NORMS = "n = 3\ngrid.N = 8\nd = {s}\nf = expr:x1\n"
+
+
+class TestSizeRange:
+    @pytest.mark.parametrize("command, text", [
+        ("solve", TINY_SOLVE.format(s="1e-30") + LAPLACE2),
+        ("solve", TINY_SOLVE.format(s="1e30") + LAPLACE2),
+        ("solve", TINY_SOLVE.format(s="1e-30") + BILAPLACE2),
+        ("solve", TINY_SOLVE.format(s="1e30") + BILAPLACE2),
+        ("norms", TINY_NORMS.format(s="1e-30")),
+        ("norms", TINY_NORMS.format(s="1e30")),
+        # eps at the bottom of the range, and d at its top
+        ("mollify", "n = 2\ngrid.N = 16\nd = 6e-30\neps = 1e-30\nf = expr:x1\n"),
+        ("mollify", "n = 2\ngrid.N = 16\nd = 1e30\neps = 2e29\nf = expr:x1\n"),
+    ], ids=["solve2_low", "solve2_high", "solve4_low", "solve4_high", "norms_low", "norms_high",
+            "mollify_low", "mollify_high"])
+    def test_ends_of_the_range_run(self, tmp_path, capsys, command, text):
+        # no float overflow or underflow: exit 0, at most one warning line
+        code, err = run(tmp_path, command, text, capsys)
+        assert code == 0, err
+        assert len(err) <= 1 and all(line.startswith("warning:") for line in err), err
+
+    def test_far_x0_still_runs(self, tmp_path, capsys):
+        # 1000 lies within 2^32 cells of the finest lattice
+        text = with_key((CONFIGS / "perturbed_laplace.cfg").read_text(), "x0", "1000,0")
+        text = with_key(with_key(text, "radii", "0.05"), "probes", "2")
+        code, err = run(tmp_path, "contraction", text, capsys)
+        assert code == 0 and not err, err
+        (profile,) = (tmp_path / "runs").glob("*/sigma_profile.csv")
+        assert len(profile.read_text().splitlines()) == 2
+
+
+# the operator of the solve-biharmonic2d benchmark workload, at grid.N = 32
+BIHARMONIC = """\
+n = 2
+grid.N = 32
+radii = 0.4,0.2
+probes = 4
+f = manufactured:exp(-(x1^2+x2^2)/0.00245)
+coeff p=(4,0) expr=1+0.1*x1
+coeff p=(0,4) expr=1+0.1*x1
+coeff p=(2,2) expr=2+0.2*x1
+coeff p=(0,0) expr=0.5
+"""
+
+
+@pytest.mark.parametrize("text", [
+    (CONFIGS / "perturbed_laplace.cfg").read_text().replace("grid.N = 64\n", "grid.N = 32\n"),
+    BIHARMONIC,
+], ids=["perturbed_laplace", "biharmonic"])
+def test_negated_operator_writes_the_same_solution(tmp_path, capsys, text):
+    # u = S0 sigma is that of (-L, -f): the fundamental solution of L0
+    # changes sign with L0; manufactured data change sign with L
+    files = {}
+    for sign, t in (("plus", text), ("minus", negated(text))):
+        for command in ("solve", "contraction"):
+            root = tmp_path / sign / command
+            root.mkdir(parents=True)
+            code, err = run(root, command, t, capsys)
+            assert code == 0 and not err, err
+            (run_dir,) = (root / "runs").iterdir()
+            files[sign, command] = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    for command, names in (("solve", ["iterations.csv", "sigma_profile.csv", "solution.grid"]),
+                           ("contraction", ["sigma_profile.csv"])):
+        for name in names:
+            assert files["plus", command][name] == files["minus", command][name], name
+    plus, minus = (files[sign, "solve"]["summary.csv"].decode().splitlines() for sign in
+                   ("plus", "minus"))
+    changed = [(a, b) for a, b in zip(plus, minus) if a != b]
+    assert len(plus) == len(minus)
+    assert changed == [("sign_flipped,false", "sign_flipped,true")], changed
 
 
 class TestOrliczSolve:

@@ -11,7 +11,6 @@ from orlipde import (
     NotEllipticError,
     characteristic_form,
     coefficient_continuity_check,
-    diff,
     difference_rows,
     ellipticity_check,
     exp_young,
@@ -22,7 +21,7 @@ from orlipde import (
     sobolev_norms,
 )
 
-from conftest import bilaplacian, laplacian
+from conftest import bilaplacian, diff, laplacian
 
 
 # second-order central stencils {offset: coefficient} for d^k/dx^k
@@ -85,6 +84,22 @@ class TestApply:
         rhs = 2.0 * L.apply(u).values - 3.0 * L.apply(v).values
         scale = np.max(np.abs(rhs))
         assert np.max(np.abs(lhs - rhs)) < 1e-12 * scale
+
+    def test_matches_the_per_index_loop(self, square32, bump):
+        # the reference sums, in coefficient order, each coefficient times
+        # its one-index difference; apply equals it bit for bit
+        L = EllipticOperator(2, 2, {
+            (0, 2): lambda x, y: -(1.0 + 0.2 * x), (2, 0): -1.0, (0, 0): lambda x, y: 0.5 + y,
+        })
+        u = bump(square32, 0.3)
+        ref = np.zeros(square32.shape)
+        for p, a in L.coeffs.items():
+            ref += (a(*square32.node_grids()) if callable(a) else a) * diff(u, p).values
+        assert np.array_equal(L.apply(u).values, ref)
+        # one table per grid geometry, whatever the mask
+        masked = square32.with_mask(square32.ball_mask([0.0, 0.0], 0.3))
+        assert L.coefficients(masked) is L.coefficients(square32)
+        assert list(L.coefficients(square32)) == sorted(L.coeffs)
 
     def test_resolution_guard(self):
         dom = GridDomain(2, 8, 1.0)

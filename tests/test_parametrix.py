@@ -10,6 +10,7 @@ from orlipde import (
     ParametrixOperator,
     SolveReport,
     cli,
+    combine,
     config,
     contraction_profile,
     difference_rows,
@@ -24,7 +25,7 @@ from orlipde import (
 )
 from orlipde.grid import SeededStream, kernel_convolve
 
-from conftest import assert_pinned_outputs, bilaplacian, cap_profile, laplacian
+from conftest import assert_pinned_outputs, bilaplacian, cap_profile, laplacian, negated
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,7 +111,7 @@ def identity_defect(P, phi):
     """
     assert not np.any(phi.values[~P.domain.mask])
     differences = difference_rows(phi.values[None], P.domain, P.remainder_coeffs)
-    density = P.combine(P.remainder_coeffs, differences) + P.L.apply(phi).values
+    density = combine(P.remainder_coeffs, differences) + P.L.apply(phi).values
     origin = (0,) * P.L.n
     (rec,) = potential_rows(P.J, density, P.domain, [origin])[origin]
     defect = np.abs((rec - phi.values)[P.domain.mask])
@@ -206,9 +207,10 @@ def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
         calls.clear()
         assert cli.run_config("solve", cfg, tmp_path / "runs") == 0
         assert len(calls) == 1, r
-    # the point of -L records the flip that every operator built on it reads
-    L = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve").operator
-    assert operator_at(L.scaled(-1.0), [0.0, 0.0], 0.2, 32, power(2)).sign_flipped
+    # the point of -L records the flip, and keeps -L as it is
+    L = config.parse_config(negated(text), "solve").operator
+    point = frozen_operator(L, [0.0, 0.0])
+    assert point.ellipticity.sign_flipped and point.L is L
 
 
 def _reference_probe(domain, radius, center, degree=None, stream=None):
@@ -254,7 +256,7 @@ def _per_probe_profile(L, x0, radii, probes, seed, N, M):
             (norm,) = sobolev_norms(differences, M, P.d_omega, P.domain)
             if norm == 0.0:
                 continue
-            remainder = P.combine(P.remainder_coeffs, differences)
+            remainder = combine(P.remainder_coeffs, differences)
             potentials = potential_rows(J, remainder, P.domain, P.orders)
             (corrected,) = sobolev_norms(potentials, M, P.d_omega, P.domain)
             worst = max(worst, corrected / norm)
