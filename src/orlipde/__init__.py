@@ -45,7 +45,6 @@ from .operators import (
     combine,
     difference_rows,
     ellipticity_check,
-    freeze_leading,
     multi_indices,
     sobolev_norms,
 )

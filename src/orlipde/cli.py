@@ -36,7 +36,6 @@ from . import __version__
 from .config import build_field, load_config
 from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError, RangeError
 from .grid import GridDomain, write_grid_function
-from .kernels import fundamental_solution
 from .parametrix import PROFILE_N, ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
     characteristic_norm_value,
@@ -94,18 +93,14 @@ def _cmd_young(cfg, out):
     except OrlipdeError as exc:
         nan = float("nan")
         tables["boyd.csv"] = (boyd_header, [(nan, nan, nan, type(exc).__name__)])
-    u0 = 1.0
-    u_max = min(1e6, M.domain_cap / 2.0000001)
-    if not u0 < u_max:
-        raise RangeError(
-            f"young function spec {spec!r}: trusted range ends at {M.domain_cap:g}, "
-            f"too short for the Delta2 test from u0 = {u0:g}"
-        )
-    rep = check_delta2(M, u0=u0, u_max=u_max)
+    try:
+        rep = check_delta2(M)
+    except RangeError as exc:
+        raise RangeError(f"young function spec {spec!r}: {exc}") from exc
     verdict = "pass" if rep.satisfied else "fail"
     tables["delta2.csv"] = (
         ["verdict", "k_hat", "u0", "u_max"],
-        [(verdict, rep.k_hat, rep.u0_used, u_max)],
+        [(verdict, rep.k_hat, rep.u0, rep.u_max)],
     )
     trace = rep.worst_ratio_trace
     tables["delta2_trace.csv"] = (
@@ -119,7 +114,7 @@ def _cmd_young(cfg, out):
 def _grid_data(cfg):
     """The N-function, the unmasked cube and the data f of a grid command."""
     domain = GridDomain(cfg["n"], cfg["grid.N"], cfg["d"])
-    f, _ = build_field(cfg["f"], domain, restrict=False)
+    f, _ = build_field(cfg["f"], domain)
     return cfg["young"], domain, f
 
 
@@ -142,7 +137,7 @@ def _is_indicator(values):
 
 def _cmd_norms(cfg, out):
     M, domain, f = _grid_data(cfg)
-    g = f if not cfg["g"] else build_field(cfg["g"], domain, restrict=False)[0]
+    g = f if not cfg["g"] else build_field(cfg["g"], domain)[0]
     rows = [
         ("modular", modular(f, M)),
         ("luxemburg", luxemburg_norm(f, M)),
@@ -171,19 +166,18 @@ def _cmd_norms(cfg, out):
 def _cmd_solve(cfg, out, contraction_only=False):
     M, L = cfg["young"], cfg.operator
     seed, radii, probes = cfg["seed"], cfg["radii"], cfg["probes"]
-    # one frozen point at x0, and one kernel of its frozen operator, serve
-    # every radius and the solve
+    # one frozen point at x0, with the one kernel of its frozen operator,
+    # serves every radius and the solve
     point = frozen_operator(L, cfg["x0"])
-    J = fundamental_solution(point.L0)
-    prof = contraction_profile(point, J, radii, probes, seed, PROFILE_N, M)
+    prof = contraction_profile(point, radii, probes, seed, PROFILE_N, M)
     _write_csv(out / "sigma_profile.csv", ["r", "sigma_hat"], zip(prof.radii, prof.sigma_hat))
     if contraction_only:
         return 0
     r, tol, k_max = cfg["r"], cfg["tol"], cfg["k_max"]
-    P = ParametrixOperator(point, J, r, cfg["grid.N"], M)
+    P = ParametrixOperator(point, r, cfg["grid.N"], M)
     f, reference = build_field(cfg["f"], P.domain, operator=L)
     # sigma_hat at r: the ladder's entry, or a ladder of r alone with the same seed
-    at_r = prof if r in radii else contraction_profile(point, J, [r], probes, seed, PROFILE_N, M)
+    at_r = prof if r in radii else contraction_profile(point, [r], probes, seed, PROFILE_N, M)
     sigma_r = at_r.sigma_hat[at_r.radii.index(r)]
     estimate = f"contraction estimate {sigma_r:.3g} >= 1 at r={r:g}" if sigma_r >= 1.0 else None
     failure = None

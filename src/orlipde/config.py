@@ -304,30 +304,29 @@ def build_operator(n, coeff_lines):
     return EllipticOperator(n, m_order, coeffs)
 
 
-def build_field(spec, domain, operator=None, restrict=True):
-    """f = expr:<expression> | file:<path> | manufactured:<expression>.
+def build_field(spec, domain, operator=None):
+    """f = expr:<expression> | file:<path> | manufactured:<expression>, zero off the mask.
 
     Returns (field, manufactured_reference): for the manufactured form, the
     reference solution is the sampled expression and the field is the
-    operator applied to it.  A non-finite sample of either raises
-    ConfigError naming the first such node.
+    operator applied to it.  A non-finite sample of either on the mask
+    raises ConfigError naming the first such node.
     """
     spec = spec.strip()
     what = f"data {spec!r}"
     if spec.startswith("expr:"):
         fn = compile_expression(spec[5:], domain.n, what)
-        return GridFunction.from_callable(domain, fn, restrict=restrict).require_finite(what), None
+        return GridFunction.from_callable(domain, fn).restricted().require_finite(what), None
     if spec.startswith("file:"):
         g = read_grid_function(spec[5:])
         if g.domain.N != domain.N or g.domain.n != domain.n:
             raise ConfigError("grid file geometry does not match the configured grid")
-        out = GridFunction(domain, g.values)
-        return (out.restricted() if restrict else out).require_finite(what), None
+        return GridFunction(domain, g.values).restricted().require_finite(what), None
     if spec.startswith("manufactured:"):
         if operator is None:
             raise ConfigError("manufactured data requires an operator")
         fn = compile_expression(spec[len("manufactured:"):], domain.n, what)
-        reference = GridFunction.from_callable(domain, fn, restrict=True).require_finite(what)
+        reference = GridFunction.from_callable(domain, fn).restricted().require_finite(what)
         f = operator.apply(reference).restricted()
         return f.require_finite(f"the operator applied to {spec!r}"), reference
     raise ConfigError(f"cannot parse data spec {spec!r}")

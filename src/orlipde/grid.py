@@ -3,7 +3,7 @@
 Nodes sit at cell centers: along each axis x_i = center - d/2 + (i + 1/2) h
 with h = d/N, so a masked sum of values times cell volume is the midpoint
 rule over the cells whose centers are selected.  Index arithmetic is
-periodic with period N per axis.
+periodic with period N per axis; ``convolve`` is the one periodic convolution.
 """
 
 from __future__ import annotations
@@ -108,13 +108,10 @@ class GridFunction:
         self.values.flags.writeable = False
 
     @classmethod
-    def from_callable(cls, domain, fn, restrict=False):
-        """Sample fn(*coordinate grids); optionally zero outside the mask."""
+    def from_callable(cls, domain, fn):
+        """Sample fn(*coordinate grids) on every node of the cube."""
         vals = np.asarray(fn(*domain.node_grids()), dtype=float)
-        vals = np.broadcast_to(vals, domain.shape).copy()
-        if restrict:
-            vals[~domain.mask] = 0.0
-        return cls(domain, vals)
+        return cls(domain, np.broadcast_to(vals, domain.shape))
 
     @classmethod
     def zeros(cls, domain):
@@ -175,40 +172,24 @@ def shift(f, cells):
     return GridFunction(f.domain, np.roll(f.values, rolls, axis=tuple(range(f.domain.n))))
 
 
-def _spectral_product(f, g):
-    # numpy's complex multiply is not commutative bit for bit (with numpy
-    # 2.4 the imaginary parts of F*G and G*F differ in the last bit), so
-    # the symmetrized product keeps convolution commutative bit for bit
-    F = np.fft.fftn(f)
-    G = np.fft.fftn(g)
-    return 0.5 * (F * G + G * F)
-
-
 def convolve(f, g):
-    """Periodic convolution over the cube, scaled by the cell volume.
+    """Periodic convolution h^n sum_j f[j] g[k - j] over the cube, by half spectra.
 
-    The returned samples live on the offset lattice (node differences); all
-    norms are invariant under that half-cell relabeling, and kernel-type
-    integrands should use the dedicated kernel paths instead.  Commutative
-    bit for bit, linear in each argument to rounding.
-    """
-    if not f.domain.same_geometry(g.domain):
-        raise ValueError("convolution requires identical grid geometry")
-    vals = np.fft.ifftn(_spectral_product(f.values, g.values)).real
-    return GridFunction(f.domain, vals * f.domain.cell_volume)
-
-
-def kernel_convolve(kernel_values, f):
-    """Convolve an offset-lattice kernel array with a grid function.
-
-    ``kernel_values[m]`` must hold the kernel at the wrapped difference
-    m*h, so the output lives on the original nodes; it is scaled by the
-    cell volume.
+    Two node functions convolve to samples on the offset lattice, a
+    half-cell relabeling under which every norm is invariant; a kernel on
+    the offset lattice (``mollifier_kernel``) and a node function convolve
+    to samples on the nodes.  numpy's complex multiply is not commutative
+    bit for bit (with numpy 2.4 the imaginary parts of F*G and G*F differ in
+    the last bit), so the symmetrized product keeps convolution commutative
+    bit for bit.  Linear in each argument to rounding.
     """
     domain = f.domain
+    if not domain.same_geometry(g.domain):
+        raise ValueError("convolution requires identical grid geometry")
     axes = tuple(range(domain.n))
-    prod = np.fft.rfftn(kernel_values, axes=axes) * np.fft.rfftn(f.values, axes=axes)
-    vals = np.fft.irfftn(prod, s=domain.shape, axes=axes)
+    F = np.fft.rfftn(f.values, axes=axes)
+    G = np.fft.rfftn(g.values, axes=axes)
+    vals = np.fft.irfftn(0.5 * (F * G + G * F), s=domain.shape, axes=axes)
     return GridFunction(domain, vals * domain.cell_volume)
 
 

@@ -27,7 +27,6 @@ stack and batched inverse transforms.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,36 +34,7 @@ import numpy as np
 
 from .errors import CalibrationError, CapabilityError
 from .grid import GridDomain, cap_bump
-from .operators import MultiIndex, combine, difference_rows, multi_indices
-
-
-# Gauss-Legendre nodes and weights on [-1, 1], memoized; callers must not mutate them
-_gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
-
-
-def sphere_points(n):
-    """Quadrature nodes and weights integrating over the unit sphere.
-
-    1d: two endpoints.  2d: trapezoid on the circle (spectrally accurate),
-    256 nodes.  3d: 32 Gauss-Legendre nodes in the polar cosine times a
-    64-node trapezoid in azimuth.
-    """
-    if n == 1:
-        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-    if n == 2:
-        k = 256
-        th = np.linspace(0.0, 2 * math.pi, k, endpoint=False)
-        pts = np.column_stack([np.cos(th), np.sin(th)])
-        return pts, np.full(k, 2 * math.pi / k)
-    k_mu = 32
-    k_phi = 64
-    mu, w_mu = _gauss_legendre(k_mu)
-    phi = np.linspace(0.0, 2 * math.pi, k_phi, endpoint=False)
-    MU, PHI = np.meshgrid(mu, phi, indexing="ij")
-    s = np.sqrt(1 - MU**2)
-    pts = np.column_stack([(s * np.cos(PHI)).ravel(), (s * np.sin(PHI)).ravel(), MU.ravel()])
-    W = np.broadcast_to(w_mu[:, None] * (2 * math.pi / k_phi), MU.shape)
-    return pts, W.ravel().copy()
+from .operators import MultiIndex, combine, difference_rows, multi_indices, sphere_points
 
 
 # -- closed-form families -----------------------------------------------------
@@ -210,7 +180,7 @@ class FundamentalSolution:
     def _ball_nodes(self, h):
         """(h, radii, radial weights, sphere weights, node factors) of the inscribed-ball rule."""
         rho = h / 2.0
-        nodes, w_r = _gauss_legendre(48)
+        nodes, w_r = np.polynomial.legendre.leggauss(48)
         s = 0.5 * rho * (nodes + 1.0)
         pts, w_th = sphere_points(self.n)
         coords = [np.multiply.outer(s, pts[:, a]) for a in range(self.n)]
@@ -264,7 +234,7 @@ class FundamentalSolution:
         log-q coefficient on the unit lattice, sampled once per (p, N).  The
         stack is read-only and kept until a call with other (orders, N, d).
         """
-        key = (tuple(orders), domain.N, round(domain.d, 12))
+        key = (tuple(orders), domain.N, domain.d)
         if self._scaled is None or self._scaled[0] != key:
             t = domain.h
             rows = []

@@ -8,9 +8,9 @@ multi-index p to such a stack, shape (count, *domain.shape), one function
 per row; a single function is a stack of one.  Every operator application
 is ``combine`` of a coefficient table (``EllipticOperator.coefficients``)
 over a channel dictionary.  The module also provides the characteristic
-form, ellipticity and coefficient-regularity checks, coefficient freezing at
-a point, and the weighted Orlicz-Sobolev norms of channel dictionaries
-(``sobolev_norms``).
+form, the one sphere rule (``sphere_points``), ellipticity and
+coefficient-regularity checks, and the weighted Orlicz-Sobolev norms of
+channel dictionaries (``sobolev_norms``).
 """
 
 from __future__ import annotations
@@ -213,19 +213,29 @@ def characteristic_form(L, x, eta):
     return total
 
 
-def unit_directions(n, count=64):
-    """Quasi-uniform unit vectors: endpoints (1d), circle, or Fibonacci sphere."""
+def sphere_points(n):
+    """Quadrature nodes and weights integrating over the unit sphere.
+
+    1d: two endpoints.  2d: trapezoid on the circle (spectrally accurate),
+    256 nodes.  3d: 32 Gauss-Legendre nodes in the polar cosine times a
+    64-node trapezoid in azimuth.
+    """
     if n == 1:
-        return np.array([[1.0], [-1.0]])
+        return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
     if n == 2:
-        th = np.linspace(0.0, 2 * math.pi, count, endpoint=False)
-        return np.column_stack([np.cos(th), np.sin(th)])
-    k = np.arange(count)
-    golden = (1 + math.sqrt(5)) / 2
-    z = 1 - 2 * (k + 0.5) / count
-    r = np.sqrt(np.maximum(0.0, 1 - z**2))
-    phi = 2 * math.pi * k / golden
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        k = 256
+        th = np.linspace(0.0, 2 * math.pi, k, endpoint=False)
+        pts = np.column_stack([np.cos(th), np.sin(th)])
+        return pts, np.full(k, 2 * math.pi / k)
+    k_mu = 32
+    k_phi = 64
+    mu, w_mu = np.polynomial.legendre.leggauss(k_mu)
+    phi = np.linspace(0.0, 2 * math.pi, k_phi, endpoint=False)
+    MU, PHI = np.meshgrid(mu, phi, indexing="ij")
+    s = np.sqrt(1 - MU**2)
+    pts = np.column_stack([(s * np.cos(PHI)).ravel(), (s * np.sin(PHI)).ravel(), MU.ravel()])
+    W = np.broadcast_to(w_mu[:, None] * (2 * math.pi / k_phi), MU.shape)
+    return pts, W.ravel().copy()
 
 
 @dataclass
@@ -240,14 +250,15 @@ class EllipticityReport:
 def ellipticity_check(L, x_samples, eta_samples=None):
     """Verify a uniform sign of (-1)^(m/2) Q(x, eta) over sampled directions.
 
-    A uniformly negative form passes with the sign-flip flag set (nothing
-    is negated: the fundamental solution of the frozen operator changes sign
-    with the form); a sign change raises
-    NotEllipticError.  Reports the ellipticity ratio min|Q|/max|Q|.  Q over
-    all directions at one sample point is one ``characteristic_form`` call.
+    The directions default to the nodes of ``sphere_points``.  A uniformly
+    negative form passes with the sign-flip flag set (nothing is negated:
+    the fundamental solution of the frozen operator changes sign with the
+    form); a sign change raises NotEllipticError.  Reports the ellipticity
+    ratio min|Q|/max|Q|.  Q over all directions at one sample point is one
+    ``characteristic_form`` call.
     """
     if eta_samples is None:
-        eta_samples = unit_directions(L.n, max(64, 2 * L.n))
+        eta_samples = sphere_points(L.n)[0]
     eta_samples = np.atleast_2d(np.asarray(eta_samples, dtype=float))
     sgn = (-1.0) ** L.half_order
     vals = np.concatenate([
@@ -271,13 +282,6 @@ def ellipticity_check(L, x_samples, eta_samples=None):
         min_abs=float(av.min()),
         max_abs=float(av.max()),
     )
-
-
-def freeze_leading(L, x0):
-    """Constant-coefficient operator: leading coefficients frozen at x0."""
-    x0 = np.asarray(x0, dtype=float)
-    coeffs = {p: L.coeff_at(p, x0) for p in L.leading_indices()}
-    return EllipticOperator(L.n, L.m, coeffs)
 
 
 def _ball_points(n, count, seed):

@@ -7,13 +7,13 @@ radius.  The fixed-point iteration u <- correction(u) + potential(f) then
 converges to a local solution of the original equation for small radii.
 
 The frozen operator does not depend on the radius.  ``frozen_operator``
-freezes L at x0 once: its record holds L, x0, the frozen leading part L0
-and the one ellipticity report, and every ``ParametrixOperator`` and
-``contraction_profile`` at x0 takes that record and the one fundamental
-solution of L0, whatever the radius.  The ladder's
-grids are one lattice scaled by the radius, so the kernel samples and
-calibrates once per lattice size, not once per radius.  The potential of a
-density is carried as one dictionary of derivative channels
+freezes L at x0 once, evaluating each coefficient there once: its record
+holds L, x0, the frozen leading part L0, the one ellipticity report and the
+one fundamental solution J of L0, and every ``ParametrixOperator`` and
+``contraction_profile`` at x0 takes that record, whatever the radius.  The
+ladder's grids are one lattice scaled by the radius, so the kernel samples
+and calibrates once per lattice size, not once per radius.  The potential
+of a density is carried as one dictionary of derivative channels
 {p: d^p S sigma}, computed from one forward transform of the density
 (``potential_rows``).  The correction density and the residual are
 coefficient combinations over that dictionary (``operators.combine``), and
@@ -40,7 +40,12 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError
 from .grid import GridDomain, GridFunction, SeededStream, cap_bump
-from .kernels import densities_per_transform, potential_rows
+from .kernels import (
+    FundamentalSolution,
+    densities_per_transform,
+    fundamental_solution,
+    potential_rows,
+)
 from .operators import (
     EllipticityReport,
     EllipticOperator,
@@ -48,7 +53,6 @@ from .operators import (
     combine,
     difference_rows,
     ellipticity_check,
-    freeze_leading,
     multi_indices,
     sobolev_norms,
 )
@@ -64,29 +68,33 @@ class FrozenPoint:
 
     ``L`` is the operator as configured, whatever the sign of its
     characteristic form at x0 (``ellipticity.sign_flipped`` records it);
-    ``L0`` is its leading part frozen at x0, the operator the kernel inverts.
+    ``L0`` is its leading part frozen at x0 and ``J`` the kernel inverting it.
     """
 
     L: EllipticOperator
     x0: np.ndarray
     L0: EllipticOperator
     ellipticity: EllipticityReport
+    J: FundamentalSolution
 
 
 def frozen_operator(L, x0):
-    """The one frozen point of L at x0, after its one ellipticity check.
+    """The one frozen point of L at x0: L0, its ellipticity check and its kernel J.
 
-    Every coefficient must be finite at x0, where the characteristic form
-    is evaluated; otherwise ConfigError names the first one that is not.
+    Each coefficient is evaluated at x0 once and must be finite there;
+    otherwise ConfigError names the first one that is not.
     """
     x0 = np.asarray(x0, dtype=float)
+    at_x0 = {}
     with np.errstate(all="ignore"):
         for p in sorted(L.coeffs):
-            if not math.isfinite(L.coeff_at(p, x0)):
+            at_x0[p] = L.coeff_at(p, x0)
+            if not math.isfinite(at_x0[p]):
                 at = ", ".join(f"{float(c):.6g}" for c in x0)
                 raise ConfigError(f"{coefficient_name(p)} is not finite at x0 = ({at})")
-    rep = ellipticity_check(L, [x0])
-    return FrozenPoint(L=L, x0=x0, L0=freeze_leading(L, x0), ellipticity=rep)
+    L0 = EllipticOperator(L.n, L.m, {p: at_x0[p] for p in L.leading_indices()})
+    rep = ellipticity_check(L0, [x0])
+    return FrozenPoint(L=L, x0=x0, L0=L0, ellipticity=rep, J=fundamental_solution(L0))
 
 
 PROBE_DEGREE = 3  # highest power per axis in a probe's random polynomial factor
@@ -134,9 +142,9 @@ def _random_polynomial(powers, shape, stream):
 class ParametrixOperator:
     """Frozen-kernel machinery for one ball B_r(x0) inside the padded cube.
 
-    ``point`` is the ``frozen_operator`` record of L at x0 and ``J`` the
-    fundamental solution of its L0; both are shared by every radius.  The
-    cube side is PAD*r so periodic images stay separated.
+    ``point`` is the ``frozen_operator`` record of L at x0, shared by every
+    radius with its kernel J.  The cube side is PAD*r so periodic images
+    stay separated.
 
     Two coefficient tables drive everything: ``remainder_coeffs`` of the
     (frozen - full) operator and ``operator_coeffs``, L's ``coefficients``
@@ -145,18 +153,17 @@ class ParametrixOperator:
     their density and gauges read the masked nodes.
     """
 
-    def __init__(self, point, J, r, N, M):
+    def __init__(self, point, r, N, M):
         self.L, x0 = point.L, point.x0
         self.M = M
-        self.J = J
+        self.J = point.J
         dom = GridDomain(self.L.n, N, PAD * r, center=x0)
         self.domain = dom.with_mask(dom.ball_mask(x0, r))
         self.d_omega = 2.0 * float(r)
         self.orders = multi_indices(self.L.n, self.L.m)
         self.operator_coeffs = self.L.coefficients(self.domain)
         self.remainder_coeffs = {
-            p: self.L.coeff_at(p, x0) - self.operator_coeffs[p]
-            for p in self.L.leading_indices()
+            p: a0 - self.operator_coeffs[p] for p, a0 in point.L0.coeffs.items()
         }
         self.remainder_coeffs.update(
             {p: -self.operator_coeffs[p] for p in self.L.lower_indices()}
@@ -188,9 +195,8 @@ class ParametrixOperator:
         drops below tol times the iterate norm; three consecutive step-norm
         increases raise DivergenceError carrying the partial report.
         Returns the solution u = S0 sigma as a grid function and the report,
-        which holds the final channel dictionary.
+        which holds the final channel dictionary.  Only f on the mask is read.
         """
-        f = f.restricted()
         J, dom, orders, M, d_omega = self.J, self.domain, self.orders, self.M, self.d_omega
         rows = []
         sigma = f.values[None]
@@ -274,7 +280,7 @@ class ContractionProfile:
     sigma_hat: list
 
 
-def contraction_profile(point, J, radii, probes, seed, N, M):
+def contraction_profile(point, radii, probes, seed, N, M):
     """Empirical norm profile of the correction operator along a radius ladder.
 
     For every radius the ratio of weighted-Sobolev norms correction(phi) to
@@ -305,7 +311,7 @@ def contraction_profile(point, J, radii, probes, seed, N, M):
     radii = list(radii)
     sigma = []
     for r in radii:
-        P = ParametrixOperator(point, J, r, N, M)
+        P = ParametrixOperator(point, r, N, M)
         dom = P.domain
         stream = SeededStream(seed)
         batch = densities_per_transform(dom, len(P.orders))
@@ -314,7 +320,7 @@ def contraction_profile(point, J, radii, probes, seed, N, M):
             differences = difference_rows(rows, dom, P.orders)
             norms = sobolev_norms(differences, M, P.d_omega, dom)
             remainders = combine(P.remainder_coeffs, differences)
-            potentials = potential_rows(J, remainders, dom, P.orders)
+            potentials = potential_rows(P.J, remainders, dom, P.orders)
             corrected = sobolev_norms(potentials, M, P.d_omega, dom)
             del potentials  # freed before the next batch's potentials are taken
             for norm, c in zip(norms, corrected):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError
-from .grid import GridFunction, SeededStream, convolve, kernel_convolve, mollifier_kernel, shift
+from .grid import GridFunction, SeededStream, convolve, mollifier_kernel, shift
 
 
 RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
@@ -327,8 +327,7 @@ def shift_modulus(f, M, shifts):
 
 def mollify(f, eps):
     """Smooth f by convolution with the unit-mass compact bump of width eps."""
-    ker = mollifier_kernel(f.domain, eps)
-    return kernel_convolve(ker, f)
+    return convolve(GridFunction(f.domain, mollifier_kernel(f.domain, eps)), f)
 
 
 @dataclass

@@ -24,8 +24,8 @@ from .errors import (
 INVERSE_RTOL = 1e-10  # relative bracket width of ``YoungFunction.inverse``
 INVERSE_MAX_STEPS = 200  # its most bisection steps
 DELTA2_SAMPLES = 240  # log-spaced points of the doubling trace of ``check_delta2``
-BOYD_X_WINDOW = (1e3, 1e9)  # x range of the limsup in ``boyd_indices``
-BOYD_X_SAMPLES = 25  # its log-spaced points
+BOYD_X_DECADES = (3, 9)  # decades of x, and of t x for t < 1, in ``boyd_indices``
+BOYD_X_SAMPLES = 25  # their log-spaced points
 BOYD_MONOTONE_TOL = 0.05  # largest relative rise of the dilation trace before it is unstable
 EMBEDDING_MARGIN = 0.05  # least distance of the Boyd indices from 0 and from 1
 
@@ -311,24 +311,27 @@ class Delta2Report:
 
     satisfied: bool
     k_hat: float
-    u0_used: float
+    u0: float
+    u_max: float
     worst_ratio_trace: np.ndarray  # columns (u, M(2u)/M(u))
 
 
-def check_delta2(M, u0=1.0, u_max=1e6):
+def check_delta2(M):
     """Classify doubling behaviour of M for large arguments.
 
     k_hat is the sampled sup of M(2u)/M(u) on log-spaced points of
-    [u0, u_max].  The verdict is "satisfied" when the trace is finite and
-    non-diverging: the sup over the last decade must stay within 10% of the
-    sup over the earlier samples.  (A diverging ratio always attains its sup
-    in the last decade, so comparing against the overall sup would be
-    vacuous.)
+    [u0, u_max] = [1, min(1e6, M.domain_cap / 2.0000001)], so that 2u stays
+    trusted; an empty window raises RangeError.  The verdict is "satisfied"
+    when the trace is finite and non-diverging: the sup over the last decade
+    must stay within 10% of the sup over the earlier samples.  (A diverging
+    ratio always attains its sup in the last decade, so comparing against
+    the overall sup would be vacuous.)
     """
-    if not (0 < u0 < u_max):
-        raise ValueError("need 0 < u0 < u_max")
-    if 2 * u_max > M.domain_cap:
-        raise ValueError("u_max exceeds half the trusted range of M")
+    u0, u_max = 1.0, min(1e6, M.domain_cap / 2.0000001)
+    if not u0 < u_max:
+        raise RangeError(
+            f"trusted range ends at {M.domain_cap:g}, too short for the Delta2 test from u0 = 1"
+        )
     us = np.logspace(math.log10(u0), math.log10(u_max), DELTA2_SAMPLES)
     m1 = M(us)
     if np.any(m1 == 0):
@@ -346,7 +349,7 @@ def check_delta2(M, u0=1.0, u_max=1e6):
         sup_last = float(np.max(ratios[last]))
         sup_early = float(np.max(ratios[~last]))
         satisfied = finite and sup_last <= 1.10 * sup_early
-    return Delta2Report(satisfied=satisfied, k_hat=k_hat, u0_used=u0, worst_ratio_trace=trace)
+    return Delta2Report(satisfied, k_hat, u0, u_max, trace)
 
 
 # -- Boyd indices --------------------------------------------------------------
@@ -365,20 +368,21 @@ class BoydIndices:
 def boyd_indices(M):
     """Estimate the Boyd indices of the Orlicz space generated by M.
 
-    h_hat(t) approximates limsup_x M^{-1}(x) / M^{-1}(t x) by a max over a
-    log-spaced x window; the indices are least-squares slopes of
+    h_hat(t) approximates limsup_x M^{-1}(x) / M^{-1}(t x) at infinity by a
+    max over log-spaced x in 1e3..1e9, times 1/t for t < 1, so that t x too
+    stays at infinity; the indices are least-squares slopes of
     log h_hat(t) against log t over fixed decades (t in 1e2..1e6 for the
     upper index, 1e-6..1e-2 for the lower one).  The fit residual is
     reported rather than asserting that the defining limits exist.
     """
-    xs = np.logspace(math.log10(BOYD_X_WINDOW[0]), math.log10(BOYD_X_WINDOW[1]), BOYD_X_SAMPLES)
-    inv_x = M.inverse(xs)
+    window = np.logspace(*BOYD_X_DECADES, BOYD_X_SAMPLES)
     t_upper = np.logspace(2, 6, 5)
     t_lower = np.logspace(-6, -2, 5)
     all_t = np.concatenate([t_lower, t_upper])
 
     def h_hat(t):
-        return float(np.max(inv_x / M.inverse(t * xs)))
+        xs = window / min(t, 1.0)
+        return float(np.max(M.inverse(xs) / M.inverse(t * xs)))
 
     hs = np.array([h_hat(t) for t in all_t])
     order = np.argsort(all_t)

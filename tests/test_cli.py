@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import orlipde
-from orlipde import cli
+from orlipde import cli, parametrix
 
 from conftest import assert_pinned_outputs, negated
 
@@ -236,7 +236,8 @@ class TestExitCodes:
     ])
     def test_count_below_one_exits_2(self, tmp_path, capsys, monkeypatch, command, key, value):
         # checked before any kernel is built
-        monkeypatch.setattr(cli, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
+        monkeypatch.setattr(
+            parametrix, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
         name = "indicator_norms.cfg" if command == "norms" else "perturbed_laplace.cfg"
         text = with_key((CONFIGS / name).read_text(), key, value)
         with warnings.catch_warnings(record=True) as caught:
@@ -277,7 +278,8 @@ class TestExitCodes:
             "coeff_negative"])
     def test_bad_solve_key_exits_2(self, tmp_path, capsys, monkeypatch, key, value, message):
         # checked before the run directory is made, so no kernel is built
-        monkeypatch.setattr(cli, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
+        monkeypatch.setattr(
+            parametrix, "fundamental_solution", lambda *args: pytest.fail("kernel built"))
         text = (CONFIGS / "perturbed_laplace.cfg").read_text()
         # a coefficient line joins the shipped ones; a key replaces its line
         text = text + f"coeff {value}\n" if key == "coeff" else with_key(text, key, value)
@@ -370,6 +372,21 @@ class TestSizeRange:
         assert code == 0 and not err, err
         (profile,) = (tmp_path / "runs").glob("*/sigma_profile.csv")
         assert len(profile.read_text().splitlines()) == 2
+
+    def test_tiny_cubes_keep_their_own_kernel_spectra(self, tmp_path):
+        # the kernel's cached spectra belong to one exact cube side, so the
+        # solve at r = 2e-14 does not depend on the ladder's other radii
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        text = with_key(with_key(text, "grid.N", "32"), "r", "2e-14")
+        tables = []
+        for label, radii in (("ladder", "2e-14,1e-14"), ("alone", "2e-14")):
+            cfg = tmp_path / f"{label}.cfg"
+            cfg.write_text(with_key(text, "radii", radii))
+            assert cli.run_config("solve", cfg, tmp_path / label) == 0
+            (run_dir,) = (tmp_path / label).iterdir()
+            tables.append([(run_dir / name).read_bytes()
+                           for name in ("iterations.csv", "summary.csv")])
+        assert tables[0] == tables[1]
 
 
 # the operator of the solve-biharmonic2d benchmark workload, at grid.N = 32

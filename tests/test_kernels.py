@@ -9,6 +9,7 @@ from orlipde import (
     FundamentalSolution,
     GridDomain,
     GridFunction,
+    convolve,
     fundamental_solution,
     luxemburg_norm,
     multi_indices,
@@ -18,8 +19,7 @@ from orlipde import (
     shift_modulus,
     verify_fundamental,
 )
-from orlipde.grid import kernel_convolve
-from orlipde.kernels import sphere_points
+from orlipde.operators import sphere_points
 
 from conftest import bilaplacian, cap_profile, laplacian, second_order
 
@@ -350,7 +350,7 @@ class TestSingularPotential:
     def test_pure_pv_annihilates_constants(self, square64):
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square64, lambda x, y: np.full_like(x, 4.0))
-        out = kernel_convolve(J.kernel_array(square64, (2, 0)), c)
+        out = convolve(GridFunction(square64, J.kernel_array(square64, (2, 0))), c)
         assert np.max(np.abs(out.values)) < 1e-10
 
     def test_zero_density(self, square32):
@@ -411,7 +411,7 @@ class TestSingularKernel:
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square32, lambda x, y: np.full_like(x, 3.0))
         for p in ((2, 0), (0, 2)):
-            out = kernel_convolve(J.kernel_array(square32, p), c)
+            out = convolve(GridFunction(square32, J.kernel_array(square32, p)), c)
             assert np.max(np.abs(out.values)) < 1e-12, p
 
     @pytest.mark.parametrize("name", ["laplace2d", "laplace3d", "biharmonic2d", "biharmonic3d"])
@@ -427,7 +427,7 @@ class TestSingularKernel:
         for p in multi_indices(J.n, J.m, J.m):
             if J.m == 2 or any(k % 2 for k in p):
                 K = J.kernel_array(dom, p)
-                out = kernel_convolve(K, c).values
+                out = convolve(GridFunction(dom, K), c).values
                 assert np.max(np.abs(out)) <= 1e-12 * 3.0 * dom.cell_volume * np.max(np.abs(K)), p
 
 

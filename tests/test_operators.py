@@ -14,12 +14,14 @@ from orlipde import (
     difference_rows,
     ellipticity_check,
     exp_young,
-    freeze_leading,
+    frozen_operator,
     luxemburg_norm,
     multi_indices,
     power,
     sobolev_norms,
 )
+
+from orlipde.operators import sphere_points
 
 from conftest import bilaplacian, diff, laplacian
 
@@ -110,7 +112,7 @@ class TestApply:
     def test_frozen_annihilates_low_degree_polynomials(self):
         # stencil exactness on the interior, away from the periodic seam
         dom = GridDomain(1, 64, 2.0)
-        L0 = freeze_leading(laplacian(1), [0.0])
+        L0 = frozen_operator(laplacian(1), [0.0]).L0
         u = GridFunction.from_callable(dom, lambda x: 0.7 + 0.3 * x)
         out = L0.apply(u).values
         x = dom.node_grids()[0]
@@ -152,10 +154,8 @@ class TestEllipticity:
             ellipticity_check(L, [[0.0, 0.0]])
 
     def test_direction_scale_invariance(self):
-        from orlipde.operators import unit_directions
-
         L = EllipticOperator(2, 2, {(2, 0): -2.0, (0, 2): -1.0, (1, 1): -0.5})
-        dirs = unit_directions(2, 64)
+        dirs = sphere_points(2)[0]
         r1 = ellipticity_check(L, [[0.0, 0.0]], dirs)
         r2 = ellipticity_check(L, [[0.0, 0.0]], 3.0 * dirs)
         assert r1.sign_flipped == r2.sign_flipped
@@ -163,38 +163,47 @@ class TestEllipticity:
 
     def test_matches_characteristic_form_per_direction(self):
         # one coefficient evaluation per point gives the per-direction
-        # report bit for bit
-        from orlipde.operators import unit_directions
-
+        # report bit for bit, over the default sphere nodes and over others
         variable = EllipticOperator(2, 4, {
             (4, 0): lambda x, y: 1 + 0.1 * x, (0, 4): lambda x, y: 1 + 0.1 * x,
             (2, 2): lambda x, y: 2 + 0.2 * x + 0.3 * y, (3, 1): 0.1, (0, 0): 0.5})
         points = np.random.default_rng(0).uniform(-1.0, 1.0, (5, 3))
         for L in (variable, bilaplacian(3), laplacian(2, sign=+1.0)):
             x = points[:, :L.n]
-            for dirs in (unit_directions(L.n, max(64, 2 * L.n)), 3.0 * unit_directions(L.n, 17)):
+            nodes = sphere_points(L.n)[0]
+            for dirs, given in ((nodes, None), (3.0 * nodes[::15], 3.0 * nodes[::15])):
                 ref = np.array([(-1.0) ** L.half_order * characteristic_form(L, xi, eta)
                                 for xi in x for eta in dirs])
-                rep = ellipticity_check(L, x, dirs)
+                rep = ellipticity_check(L, x, given)
                 assert rep.sign_flipped == bool(np.all(ref < 0))
                 assert (rep.ratio, rep.min_abs, rep.max_abs) == (
                     float(np.abs(ref).min() / np.abs(ref).max()),
                     float(np.abs(ref).min()), float(np.abs(ref).max()))
+
+    def test_sign_change_between_coarse_directions_rejected(self):
+        # Q = (eta2 - s eta1)(eta2 - t eta1) is negative only for angles in
+        # (1, 3) degrees, between two of 64 evenly spaced directions; the
+        # sphere rule's 256 directions hold two inside
+        s, t = math.tan(math.radians(1.0)), math.tan(math.radians(3.0))
+        L = EllipticOperator(2, 2, {(2, 0): s * t, (1, 1): -(s + t), (0, 2): 1.0})
+        assert ellipticity_check(L, [[0.0, 0.0]], sphere_points(2)[0][::4]).passed
+        with pytest.raises(NotEllipticError):
+            ellipticity_check(L, [[0.0, 0.0]])
 
 
 class TestFreeze:
     def test_variable_coefficient_at_origin(self):
         c = lambda x, y: -(1.0 + 0.1 * (x**2 + y**2))
         L = EllipticOperator(2, 2, {(2, 0): c, (0, 2): c, (0, 0): -1.0})
-        F = freeze_leading(L, [0.0, 0.0])
+        F = frozen_operator(L, [0.0, 0.0]).L0
         assert F.is_constant()
         assert F.coeffs[MultiIndex((2, 0))] == pytest.approx(-1.0)
         assert MultiIndex((0, 0)) not in F.coeffs
 
     def test_idempotent(self):
         L = EllipticOperator(2, 2, {(2, 0): -2.0, (0, 2): -1.0})
-        F1 = freeze_leading(L, [0.3, 0.1])
-        F2 = freeze_leading(F1, [0.3, 0.1])
+        F1 = frozen_operator(L, [0.3, 0.1]).L0
+        F2 = frozen_operator(F1, [0.3, 0.1]).L0
         assert F1.coeffs == F2.coeffs
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from orlipde import (
     ContractionProfile,
+    EllipticOperator,
     GridDomain,
     GridFunction,
     ParametrixOperator,
@@ -23,7 +24,7 @@ from orlipde import (
     power,
     sobolev_norms,
 )
-from orlipde.grid import SeededStream, kernel_convolve
+from orlipde.grid import SeededStream, convolve
 
 from conftest import assert_pinned_outputs, bilaplacian, cap_profile, laplacian, negated
 
@@ -37,14 +38,12 @@ def read_table(path):
 
 def operator_at(L, x0, r, N, M):
     """The ParametrixOperator of L on B_r(x0), with its own frozen point and kernel."""
-    point = frozen_operator(L, x0)
-    return ParametrixOperator(point, fundamental_solution(point.L0), r, N, M)
+    return ParametrixOperator(frozen_operator(L, x0), r, N, M)
 
 
 def profile(L, x0, radii, probes, seed, N, M):
     """The contraction profile of L at x0, with its own frozen point and kernel."""
-    point = frozen_operator(L, x0)
-    return contraction_profile(point, fundamental_solution(point.L0), radii, probes, seed, N, M)
+    return contraction_profile(frozen_operator(L, x0), radii, probes, seed, N, M)
 
 
 class TestPotentialChannels:
@@ -63,7 +62,7 @@ class TestPotentialChannels:
         local = J.local_constants(dom).constants
         for p, (ch,) in channels.items():
             (single,) = potential_rows(J, psi.values[None], dom, [p])[p]
-            full = kernel_convolve(J.kernel_array(dom, p), psi.restricted())
+            full = convolve(GridFunction(dom, J.kernel_array(dom, p)), psi.restricted())
             if p.order == J.m:
                 full = full + psi.restricted() * local[p]
             scale = np.max(np.abs(ch))
@@ -183,9 +182,9 @@ def test_one_calibration_per_lattice(tmp_path, monkeypatch):
     # each radius's constants match a calibration on its own masked grid
     L = config.load_config(cfg, "solve").operator
     point = frozen_operator(L, [0.0, 0.0])
-    J = fundamental_solution(point.L0)
+    J = point.J
     for r in (0.4, 0.2, 0.1, 0.05):
-        P = ParametrixOperator(point, J, r, 32, power(2))
+        P = ParametrixOperator(point, r, 32, power(2))
         direct = real(J, P.domain).constants
         for p, c in J.local_constants(P.domain).constants.items():
             assert c == pytest.approx(direct[p], abs=1e-14), (r, p)
@@ -211,6 +210,36 @@ def test_one_ellipticity_check_per_solve(tmp_path, monkeypatch):
     L = config.parse_config(negated(text), "solve").operator
     point = frozen_operator(L, [0.0, 0.0])
     assert point.ellipticity.sign_flipped and point.L is L
+
+
+def test_one_evaluation_at_x0_per_frozen_point():
+    # frozen_operator evaluates each coefficient at x0 once; L0, its
+    # ellipticity check, its kernel and the remainder of every radius of the
+    # profile and of the solve read those values
+    x0 = (0.02, -0.01)
+    at_x0 = []
+
+    def coefficient(name, scale):
+        def a(x, y):
+            if np.ndim(x) == 0:
+                assert (x, y) == x0
+                at_x0.append(name)
+            return -(1.0 + scale * x)
+        return a
+
+    L = EllipticOperator(2, 2, {(2, 0): coefficient("a20", 0.2),
+                                (0, 2): coefficient("a02", 0.1),
+                                (0, 0): coefficient("a00", 0.5)})
+    point = frozen_operator(L, x0)
+    assert at_x0 == ["a00", "a02", "a20"]
+    assert point.L0.coeffs == {(0, 2): -1.002, (2, 0): -1.004}
+    M = power(2)
+    contraction_profile(point, [0.4, 0.2], 2, 0, 32, M)
+    P = ParametrixOperator(point, 0.2, 32, M)
+    f = GridFunction.from_callable(P.domain, lambda x, y: np.exp(-(x**2 + y**2) / 0.01))
+    _, rep = P.solve(f, 1e-6, 200)
+    assert rep.converged and P.J is point.J
+    assert at_x0 == ["a00", "a02", "a20"]
 
 
 def _reference_probe(domain, radius, center, degree=None, stream=None):
@@ -241,11 +270,11 @@ def _reference_probe(domain, radius, center, degree=None, stream=None):
 def _per_probe_profile(L, x0, radii, probes, seed, N, M):
     """Reference: every probe built, differenced and normed on its own."""
     point = frozen_operator(L, x0)
-    J = fundamental_solution(point.L0)
+    J = point.J
     sigma = []
     for r in radii:
         stream = SeededStream(seed)
-        P = ParametrixOperator(point, J, r, N, M)
+        P = ParametrixOperator(point, r, N, M)
         worst = 0.0
         for j in range(probes):
             if j == 0:
@@ -329,7 +358,7 @@ def _run(tmp_path, command, kernel, monkeypatch):
         calls.append(args)
         return real(*args, **kwargs)
 
-    for module in (kernels, cli):
+    for module in (kernels, parametrix):
         monkeypatch.setattr(module, "fundamental_solution", counting)
     text = (CONFIGS / "perturbed_laplace.cfg").read_text()
     assert "kernel = auto" in text
@@ -398,8 +427,8 @@ class TestShippedSolve:
     def test_one_kernel_for_auto(self, auto_run):
         _, calls, _ = auto_run
         assert calls == 1
-        # the solver takes its kernel from the caller and builds none
-        assert not hasattr(parametrix, "fundamental_solution")
+        # the frozen point builds the one kernel; the CLI builds none
+        assert not hasattr(cli, "fundamental_solution")
 
     @pytest.mark.parametrize(
         "kernel", ["laplace2d", "biharmonic2d", "aniso2:1,0,2", "laplace3d", "aniso2:x,0,1", "bogus"])

@@ -102,7 +102,7 @@ class TestModular:
     def test_constant(self, line64):
         x = line64.node_grids()[0]
         dom = line64.with_mask((x >= 0) & (x < 1))
-        u = GridFunction.from_callable(dom, lambda x: np.full_like(x, 3.0), restrict=True)
+        u = GridFunction.from_callable(dom, lambda x: np.full_like(x, 3.0)).restricted()
         assert modular(u, power(2)) == pytest.approx(9.0 * 1.0)
 
     def test_zero(self, line64):
@@ -115,7 +115,7 @@ class TestModular:
             dom = GridDomain(1, N, 2.0)
             x = dom.node_grids()[0]
             dom = dom.with_mask((x >= 0) & (x < 1))
-            u = GridFunction.from_callable(dom, lambda x: x, restrict=True)
+            u = GridFunction.from_callable(dom, lambda x: x).restricted()
             errs.append(abs(modular(u, power(2)) - 1.0 / 3.0))
         assert errs[0] < (2.0 / 32) ** 2
         assert errs[0] / errs[1] > 3.5

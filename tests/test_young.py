@@ -216,6 +216,11 @@ class TestBoyd:
             bi = boyd_indices(M)
             assert 0.0 <= bi.alpha <= bi.beta <= 1.0
 
+    def test_exponential_upper_index_at_infinity(self):
+        # both x and t x stay at infinity, where exp grows faster than every
+        # power; near 0 exp is quadratic, with index 1/2
+        assert boyd_indices(exp_young()).beta < 0.1
+
     def test_residual_reported(self):
         assert boyd_indices(power(2)).fit_residual < 1e-6
 
@@ -256,20 +261,21 @@ class TestEmbedding:
 class TestDelta2:
     def test_power_doubling_exact(self):
         for p in (1.5, 2.0, 3.0):
-            rep = check_delta2(power(p), 1.0, 1e6)
+            rep = check_delta2(power(p))
             assert isinstance(rep, Delta2Report)
             assert rep.satisfied
             assert rep.k_hat == pytest.approx(2.0**p, abs=1e-10)
+            assert (rep.u0, rep.u_max) == (1.0, 1e6)
 
     def test_exponential_fails(self):
-        rep = check_delta2(exp_young(), 1.0, 100.0)
+        rep = check_delta2(exp_young())
         assert not rep.satisfied
         # the doubling ratio at the trace point nearest u = 50
         trace = rep.worst_ratio_trace
         assert trace[np.argmin(np.abs(trace[:, 0] - 50.0)), 1] > 1e6
 
     def test_power_log_passes(self):
-        rep = check_delta2(power_log(2), 1.0, 1e6)
+        rep = check_delta2(power_log(2))
         assert rep.satisfied
         # the sampled sup approaches the doubling constant 4 from above
         assert 4.0 < rep.k_hat < 5.5
@@ -278,10 +284,10 @@ class TestDelta2:
         t = np.linspace(0, 10, 50)
         dead = from_density(t, np.where(t < 5, 0.0, t - 5))  # vanishes on [0, 5]
         with pytest.raises(InvalidYoungFunctionError):
-            check_delta2(dead, 1.0, 4.9)
+            check_delta2(dead)
 
     def test_window_validation(self):
-        with pytest.raises(ValueError):
-            check_delta2(power(2), 10.0, 1.0)
-        with pytest.raises(ValueError):
-            check_delta2(exp_young(), 1.0, 1e6)
+        # the window ends below half the trusted range, and an empty one is refused
+        assert check_delta2(exp_young()).u_max == 700.0 / 2.0000001
+        with pytest.raises(RangeError, match="too short for the Delta2 test"):
+            check_delta2(power(1e6))
