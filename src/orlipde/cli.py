@@ -11,13 +11,15 @@ for equal config and seed), and a manifest with checksums and timings.
 Exit codes (each failure prints one line to stderr):
 
     0  success
-    2  config error (``ConfigError``); no run directory is created or
-       left behind
+    2  config error (``ConfigError``), or ``--jobs`` below 1
     3  numerical divergence (``DivergenceError``, or a solve that did not
        converge with a certificate within 2*tol)
     4  capability error (``CapabilityError``)
     5  any other library error (``OrlipdeError``: ``RangeError``,
        ``NotEllipticError``, ``CalibrationError``, ...)
+
+Exits 2, 4 and 5 create no run directory or leave none behind, so a rerun
+without ``--force`` meets the same fault again.
 """
 
 from __future__ import annotations
@@ -265,18 +267,18 @@ def run_config(command, config_path, out_root, seed=None, force=False):
         (out / "resolved.cfg").write_text(cfg.render())
         handler = _HANDLERS[command]
         code = handler(cfg, out) or 0
-    except ConfigError as exc:
-        if made is not None:  # a fault only the sampled data or coefficients show
-            shutil.rmtree(made)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except CapabilityError as exc:
-        print(f"capability error: {exc}", file=sys.stderr)
-        return 4
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3
     except OrlipdeError as exc:
+        if made is not None:  # a fault only the run shows: the directory goes with it
+            shutil.rmtree(made)
+        if isinstance(exc, ConfigError):
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        if isinstance(exc, CapabilityError):
+            print(f"capability error: {exc}", file=sys.stderr)
+            return 4
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 5
     outputs = {p.name: _sha256(p) for p in sorted(out.iterdir()) if p.name != "manifest.json"}
@@ -303,11 +305,15 @@ def main(argv=None):
     parser.add_argument("--force", action="store_true", help="allow overwriting a run directory")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers across config files")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        print(f"config error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
 
-    if args.jobs > 1 and len(args.config) > 1:
+    workers = min(args.jobs, len(args.config))
+    if workers > 1:
         import concurrent.futures  # here only: it also imports logging
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             codes = list(
                 pool.map(
                     _run_star,

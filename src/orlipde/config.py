@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import young as young_mod
-from .errors import ConfigError, InvalidYoungFunctionError
+from .errors import ConfigError, InvalidYoungFunctionError, ResolutionError
 from .expressions import compile_expression
 from .grid import GridFunction, read_grid_function
 from .operators import EllipticOperator, coefficient_name
@@ -310,7 +310,9 @@ def build_field(spec, domain, operator=None):
     Returns (field, manufactured_reference): for the manufactured form, the
     reference solution is the sampled expression and the field is the
     operator applied to it.  A non-finite sample of either on the mask
-    raises ConfigError naming the first such node.
+    raises ConfigError naming the first such node; a reference that is 0 on
+    every node of the mask (a bump that underflows there) raises
+    ResolutionError, since no error can be measured relative to it.
     """
     spec = spec.strip()
     what = f"data {spec!r}"
@@ -327,6 +329,8 @@ def build_field(spec, domain, operator=None):
             raise ConfigError("manufactured data requires an operator")
         fn = compile_expression(spec[len("manufactured:"):], domain.n, what)
         reference = GridFunction.from_callable(domain, fn).restricted().require_finite(what)
+        if not np.any(reference.masked_values()):
+            raise ResolutionError(f"{what} is 0 on every node of the ball")
         f = operator.apply(reference).restricted()
         return f.require_finite(f"the operator applied to {spec!r}"), reference
     raise ConfigError(f"cannot parse data spec {spec!r}")

@@ -181,7 +181,7 @@ class ParametrixOperator:
         diffs = {p: channels[p] - refs[p] for p in self.orders}
         (error,) = sobolev_norms(diffs, self.M, self.d_omega, dom)
         (ref_norm,) = sobolev_norms(refs, self.M, self.d_omega, dom)
-        return error / ref_norm if ref_norm > 0 else error
+        return error / ref_norm
 
     def solve(self, f, tol, k_max):
         """Fixed-point iteration on source densities.

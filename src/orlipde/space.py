@@ -7,9 +7,10 @@ together, evaluating M once per pass on the stack of their values
 row otherwise.  ``luxemburg_norm`` is its one-row call.  The dual (Orlicz)
 norm is the Amemiya infimum, in closed form for a homogeneous M and at the
 root of its optimality condition otherwise, found by a secant solve.  Both
-solves step in log scale inside one safeguarded bracket, ``_Bracket``, which
-holds the close, the push past the root, the jump of a conjugate's range and
-the doubling and bisection fallbacks once for both norms.  A witness search
+solves step in log scale inside ``young.Bracket``, the safeguarded bracket
+that M^{-1} also searches in, which holds the close, the push past the root,
+the jump of a conjugate's range, the pass cap and the doubling and bisection
+fallbacks once for every scalar root.  A witness search
 provides certified lower bounds for the dual norm.  The seeded draws (the
 random witnesses and the shifts of the triangle check) come from
 ``grid.SeededStream``, a SplitMix64 stream in numpy integer arithmetic.  All
@@ -29,11 +30,10 @@ import numpy as np
 
 from .errors import BracketError
 from .grid import GridFunction, SeededStream, convolve, mollifier_kernel, shift
+from .young import MAX_PASSES, Bracket
 
 
 RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
-GAUGE_MAX_PASSES = 400  # most modular passes of one gauge solve
-AMEMIYA_MAX_PASSES = 200  # most modular passes of one Amemiya root solve
 MINKOWSKI_TERMS = 6  # shifted copies of f in the triangle check of ``inequality_suite``
 INEQUALITY_SLACK = 1e-6  # relative slack before an inequality row counts as violated
 
@@ -106,9 +106,9 @@ def gauges(rows, M, domain):
 
     Otherwise each row takes Newton steps on log rho(e^t |u|) = 0 in
     t = -log(lam), whose slope is int |u| p(|u|) / int M(|u|) at e^t u, in its
-    own ``_Bracket``, and ends at exp(-(a + b) / 2) once b - a <= RTOL (a
+    own ``Bracket``, and ends at exp(-(a + b) / 2) once b - a <= RTOL (a
     power gauge then meets the discrete p-norm to ~1e-12 relative).  A row
-    open after GAUGE_MAX_PASSES passes ends the same way, or at 0 while b is
+    open after MAX_PASSES passes ends the same way, or at 0 while b is
     open (only u = 0 does that).  No row's result depends on the others.
     """
     rows = np.asarray(rows, dtype=float)
@@ -130,10 +130,8 @@ def gauges(rows, M, domain):
         return out
     measure = domain.measure()
     ts = {i: _start(M, measure, float(sups[i])) for i in live}
-    brackets = {i: _Bracket(M, float(sups[i])) for i in live}
-    for _ in range(GAUGE_MAX_PASSES):
-        if not ts:
-            break
+    brackets = {i: Bracket(RTOL) for i in live}
+    while ts:
         open_rows = list(ts)
         scales = np.array([math.exp(ts[i]) for i in open_rows])
         rhos, drhos = modulars(rows[open_rows] * scales[:, None], M, cell_volume, slope=True)
@@ -141,7 +139,8 @@ def gauges(rows, M, domain):
             step = None
             if 0.0 < rho < math.inf and 0.0 < drho < math.inf:
                 step = -math.log(rho) * rho / drho
-            ts[i] = brackets[i].next(ts[i], rho <= 1.0, step, rho == math.inf)
+            jump = math.log(M.domain_cap / float(sups[i])) if rho == math.inf else None
+            ts[i] = brackets[i].next(ts[i], rho <= 1.0, step, jump)
             if ts[i] is None:
                 del ts[i]
     for i, bracket in brackets.items():
@@ -156,52 +155,11 @@ def _start(M, measure, sup):
     return math.log(M.inverse(1.0 / measure) / sup)
 
 
-class _Bracket:
-    """[a, b] around a root in log scale t: the condition holds at a, fails at b.
-
-    ``next`` takes one pass at t: whether the condition held, the solver's
-    step (or None) and whether M overflowed.  It returns the next t, or None
-    once b - a <= RTOL.  A step below RTOL is pushed RTOL/4 past the root,
-    so the next pass closes the bracket; a step that leaves [a, b] falls
-    back to t_jump after an overflow, to doubling while a side is open, and
-    then to bisection.  t_jump sits RTOL/4 inside the jump to +inf of M's
-    range (the conjugate of a bounded density), e^t sup = M.domain_cap,
-    where the root may sit; if the condition holds there, the next pass goes
-    RTOL/4 past it, which closes the bracket.
-    """
-
-    def __init__(self, M, sup):
-        self.a, self.b = -math.inf, math.inf
-        self.t_jump = math.log(M.domain_cap / sup) - 0.25 * RTOL
-
-    def next(self, t, holds, step, overflow):
-        if holds:
-            self.a = t
-        else:
-            self.b = t
-        a, b = self.a, self.b
-        if b - a <= RTOL:
-            return None
-        if step is not None and abs(step) < 0.5 * RTOL:
-            step += 0.25 * RTOL if holds else -0.25 * RTOL
-        if a == self.t_jump:
-            return a + 0.5 * RTOL
-        if step is not None and a <= t + step <= b:
-            return t + step
-        if overflow and a < self.t_jump < b:
-            return self.t_jump
-        if math.isinf(a):
-            return b - math.log(2.0)
-        if math.isinf(b):
-            return a + math.log(2.0)
-        return 0.5 * (a + b)
-
-
 def luxemburg_norm(u, M):
     """Gauge norm inf{ lam > 0 : modular(u/lam) <= 1 }: the one-row ``gauges``.
 
     One pass in closed form when M is homogeneous (``M.degree``), otherwise
-    a Newton solve in t = -log(lam) inside a ``_Bracket``; see ``gauges``.
+    a Newton solve in t = -log(lam) inside a ``Bracket``; see ``gauges``.
     """
     return gauges(np.abs(u.masked_values())[None, :], M, u.domain)[0]
 
@@ -217,7 +175,7 @@ def orlicz_norm(u, M):
     ``drho - rho`` of one slope pass.  g is nondecreasing (it is the
     complementary modular of p(k|u|)), so the infimum sits at the root of
     g = 1, found by secant steps for log g in s = log k inside a
-    ``_Bracket``, as the gauge's Newton steps are (Krasnosel'skii &
+    ``Bracket``, as the gauge's Newton steps are (Krasnosel'skii &
     Rutickii, Sec. 10; Hudzik & Maligranda 2000).  The
     norm is (1 + rho(k u)) / k at the root.  Two cases have no root:
     - a density bounded by B whose g stays <= 1: the objective falls toward
@@ -242,11 +200,11 @@ def orlicz_norm(u, M):
         support = float(np.count_nonzero(vals)) * cell_volume
         if support * M.complementary()(bound) <= 1.0:
             return bound * _csum(vals) * cell_volume
-    s = _start(M, u.domain.measure(), sup)
-    bracket = _Bracket(M, sup)
+    s, jump = _start(M, u.domain.measure(), sup), math.log(M.domain_cap / sup)
+    bracket = Bracket(RTOL)
     value = math.inf
     last = None  # (s, log g) of the previous finite pass
-    for _ in range(AMEMIYA_MAX_PASSES):
+    while s is not None:
         k = math.exp(s)
         rhos, drhos = modulars((vals * k)[None, :], M, cell_volume, slope=True)
         rho, drho = rhos[0], drhos[0]
@@ -263,10 +221,10 @@ def orlicz_norm(u, M):
             if slope > 0.0:
                 step = -log_g / slope
             last = (s, log_g)
-        s = bracket.next(s, g <= 1.0, step, g == math.inf)
-        if s is None:
-            return value
-    raise BracketError(f"Amemiya root not bracketed within {AMEMIYA_MAX_PASSES} passes")
+        s = bracket.next(s, g <= 1.0, step, jump if g == math.inf else None)
+    if not bracket.closed:
+        raise BracketError(f"Amemiya root not bracketed within {MAX_PASSES} passes")
+    return value
 
 
 def characteristic_norm_value(M, measure):

@@ -4,7 +4,10 @@ An N-function is an even, continuous, convex function M with
 M(u)/u -> 0 as u -> 0 and M(u)/u -> oo as u -> oo.  This module provides
 the closed-form families used throughout the library, tabulated densities,
 complementary functions as exact Legendre pairs, doubling (Delta-2)
-classification, inversion, and Boyd index estimation.
+classification, inversion, and Boyd index estimation.  ``Bracket`` is the
+package's one scalar root search: M^{-1} here, and the Luxemburg gauges and
+the Amemiya root in ``space``, take safeguarded Newton steps in log scale
+inside it.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import (
     UnstableEstimateError,
 )
 
-INVERSE_RTOL = 1e-10  # relative bracket width of ``YoungFunction.inverse``
-INVERSE_MAX_STEPS = 200  # its most bisection steps
+MAX_PASSES = 200  # most passes of one ``Bracket`` search
+ULP_WIDTH = 4.0 * 2.0**-52  # width 0 of a ``Bracket`` closes within this times max(1, |t|)
 DELTA2_SAMPLES = 240  # log-spaced points of the doubling trace of ``check_delta2``
 BOYD_X_DECADES = (3, 9)  # decades of x, and of t x for t < 1, in ``boyd_indices``
 BOYD_X_SAMPLES = 25  # their log-spaced points
@@ -56,12 +59,7 @@ class YoungFunction:
 
     def __call__(self, u):
         """Evaluate M(u); accepts scalars or arrays, even in u."""
-        x = np.abs(np.asarray(u, dtype=float))
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = self._evaluate(x)
-        if np.isscalar(u) or np.ndim(u) == 0:
-            return float(out)
-        return out
+        return _apply(self._evaluate, np.abs(np.asarray(u, dtype=float)))
 
     def density(self, t):
         """Right-continuous density p(t) on t >= 0."""
@@ -77,50 +75,41 @@ class YoungFunction:
     # -- inversion ---------------------------------------------------------
 
     def inverse(self, y):
-        """Inverse of M on the positive half line, by bracketing + bisection.
+        """Inverse of M on the positive half line: Newton steps in a ``Bracket``.
 
-        Vectorized over y; scalar results are memoized per y, since gauges
-        ask for M^{-1}(1/mes) again and again.
-        Raises RangeError when y exceeds M(domain_cap).
+        Solves log M(e^t) = log y, of slope x p(x) / M(x) at x = e^t, from
+        t = min(0, log domain_cap) until the bracket closes within a few ulp
+        of t, and returns e^t at its midpoint (0 at y = 0).  Elementwise over
+        arrays, memoized per y, since gauges ask for M^{-1}(1/mes) again and
+        again.  Raises RangeError for y < 0 or y beyond M(domain_cap).
         """
-        scalar = np.ndim(y) == 0
-        if scalar:
-            key = float(y)
-            if key in self._inverse_memo:
-                return self._inverse_memo[key]
-        ya = np.atleast_1d(np.asarray(y, dtype=float))
-        if np.any(ya < 0):
+        if np.ndim(y) > 0:
+            return np.vectorize(self.inverse, otypes=[float])(y)
+        y = float(y)
+        if y in self._inverse_memo:
+            return self._inverse_memo[y]
+        if y < 0:
             raise RangeError("inverse requested at a negative value")
         cap_val = self(self.domain_cap)
-        if np.any(ya > cap_val):
-            raise RangeError(
-                f"y={float(np.max(ya)):g} exceeds M(domain_cap)={cap_val:g}"
-            )
-        out = np.zeros_like(ya)
-        pos = ya > 0
-        if pos.any():
-            target = ya[pos]
-            hi = np.ones_like(target)
-            # expand until M(hi) >= y, capped by the trusted range
-            for _ in range(1200):
-                vals = self(hi)
-                need = vals < target
-                if not need.any():
-                    break
-                hi[need] = np.minimum(hi[need] * 2.0, self.domain_cap)
-            lo = np.zeros_like(target)
-            for _ in range(INVERSE_MAX_STEPS):
-                mid = 0.5 * (lo + hi)
-                below = self(mid) < target
-                lo[below] = mid[below]
-                hi[~below] = mid[~below]
-                if np.all(hi - lo <= INVERSE_RTOL * np.maximum(hi, 1e-300)):
-                    break
-            out[pos] = 0.5 * (lo + hi)
-        if scalar:
-            self._inverse_memo[key] = float(out[0])
-            return self._inverse_memo[key]
-        return out
+        if y > cap_val:
+            raise RangeError(f"y={y:g} exceeds M(domain_cap)={cap_val:g}")
+        if y == 0.0:
+            return 0.0
+        log_y, t_jump = math.log(y), math.log(self.domain_cap)
+        bracket = Bracket(0.0)
+        t = min(0.0, t_jump)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            while t is not None:
+                x = np.exp(t)
+                m = float(self._evaluate(x))
+                step = None
+                if 0.0 < m < math.inf:
+                    slope = float(x * self._density(x)) / m
+                    if 0.0 < slope < math.inf:
+                        step = -(math.log(m) - log_y) / slope
+                t = bracket.next(t, m <= y, step, t_jump if m == math.inf else None)
+        self._inverse_memo[y] = math.exp(0.5 * (bracket.a + bracket.b))
+        return self._inverse_memo[y]
 
     def complementary(self):
         """Conjugate N-function, cached; see :func:`complementary`."""
@@ -129,8 +118,62 @@ class YoungFunction:
         return self._conjugate
 
 
+class Bracket:
+    """[a, b] around a scalar root in log scale t: the condition holds at a, fails at b.
+
+    ``next`` takes a pass at t: whether the condition held, the solver's step
+    (or None) and, if M overflowed, the t where M's range jumps to +inf (the
+    conjugate of a bounded density).  It returns the next t, or None once
+    b - a <= width (0: ULP_WIDTH max(1, |t|)) or after MAX_PASSES passes;
+    ``closed`` says which.  A step below width/2 is pushed width/4 past the
+    root, to close the bracket next pass; another is taken inside [a, b]
+    unless both ends are finite and it is not below half the previous move
+    (rtsafe, Numerical Recipes 9.4).  Then come t_jump, width/4 inside the
+    jump, after an overflow (width/2 past a once a >= t_jump), doubling, and
+    bisection.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self.a, self.b = -math.inf, math.inf
+        self.t_jump = None
+        self.closed = False
+        self.passes = 0
+        self._last = math.inf  # t of the previous pass
+
+    def next(self, t, holds, step, jump=None):
+        if holds:
+            self.a = t
+        else:
+            self.b = t
+        a, b = self.a, self.b
+        width = max(self.width, ULP_WIDTH * max(1.0, abs(t)))
+        if jump is not None:
+            self.t_jump = jump - 0.25 * width
+        move, self._last = abs(t - self._last), t
+        self.passes += 1
+        self.closed = b - a <= width
+        if self.closed or self.passes >= MAX_PASSES:
+            return None
+        if step is not None and abs(step) < 0.5 * width:
+            step += 0.25 * width if holds else -0.25 * width
+        elif step is not None and math.isfinite(b - a) and abs(step) >= 0.5 * move:
+            step = None
+        if self.t_jump is not None and a >= self.t_jump:
+            return a + 0.5 * width
+        if step is not None and a <= t + step <= b:
+            return t + step
+        if jump is not None and a < self.t_jump < b:
+            return self.t_jump
+        if math.isinf(a):
+            return b - math.log(2.0)
+        if math.isinf(b):
+            return a + math.log(2.0)
+        return 0.5 * (a + b)
+
+
 def _apply(fn, x):
-    # evaluate a density-like function on scalars or arrays
+    # evaluate M or a density-like function on scalars or arrays
     x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out = fn(x)
@@ -385,14 +428,12 @@ def boyd_indices(M):
         return float(np.max(M.inverse(xs) / M.inverse(t * xs)))
 
     hs = np.array([h_hat(t) for t in all_t])
-    order = np.argsort(all_t)
-    h_sorted = hs[order]
-    # h is nonincreasing in t; reject noisy traces
-    rel_increase = np.diff(h_sorted) / h_sorted[:-1]
+    # h is nonincreasing in t (all_t ascends); reject noisy traces
+    rel_increase = np.diff(hs) / hs[:-1]
     if np.any(rel_increase > BOYD_MONOTONE_TOL):
         raise UnstableEstimateError(
             "unstable limsup estimate: non-monotone dilation trace",
-            trace=np.column_stack([all_t[order], h_sorted]),
+            trace=np.column_stack([all_t, hs]),
         )
 
     def fit(ts):

@@ -90,6 +90,67 @@ class TestExitCodes:
         code, err = run(tmp_path, "norms", text.replace("log(x1)", "x1"), capsys)
         assert code == 0, err
 
+    @pytest.mark.parametrize("old, new, code, message", [
+        ("coeff p=(2,0) expr=-(1+0.2*x1)", "coeff p=(2,0) expr=(1+0.2*x1)", 5,
+         "error: NotEllipticError: characteristic form changes sign"),
+        ("coeff p=(2,0) expr=-(1+0.2*x1)\ncoeff p=(0,2) expr=-(1+0.2*x1)\n",
+         "coeff p=(4,0) expr=1\ncoeff p=(0,4) expr=2\ncoeff p=(2,2) expr=1\n", 4,
+         "capability error: fourth-order support is limited to the squared Laplacian"),
+        # the Gaussian of the manufactured solution underflows on the whole
+        # ball: no error can be measured against it, so no score is written
+        ("r = 0.2\n", "r = 1e30\n", 5,
+         "error: ResolutionError: data 'manufactured:exp(-(x1^2+x2^2)/0.00245)' "
+         "is 0 on every node of the ball"),
+    ], ids=["not_elliptic", "capability", "zero_reference"])
+    def test_run_fault_leaves_no_directory(self, tmp_path, capsys, old, new, code, message):
+        # exits 4 and 5 take their directory with them, as exit 2 does, so a
+        # rerun without --force meets the same fault, not the directory
+        text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+        assert old in text
+        for _ in range(2):
+            got, err = run(tmp_path, "solve", text.replace(old, new), capsys)
+            assert got == code
+            assert len(err) == 1 and err[0].startswith(message), err
+            assert not list((tmp_path / "runs").iterdir())
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
+        out = tmp_path / "runs"
+        args = ["young", "--config", str(CONFIGS / "power2_young.cfg"), "--out", str(out)]
+        assert cli.main(args + ["--jobs", jobs]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"config error: --jobs must be at least 1, got {jobs}"]
+        assert not out.exists()
+
+    def test_jobs_capped_at_config_count(self, tmp_path, monkeypatch):
+        # a recording stand-in for the pool: it starts no worker process
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        configs = [str(CONFIGS / "exp_young.cfg"), str(CONFIGS / "power2_young.cfg")]
+        for count, want in ((2, [2]), (1, [])):
+            sizes.clear()
+            out = tmp_path / str(count)
+            args = ["young", "--config", *configs[:count], "--out", str(out), "--jobs", "8"]
+            assert cli.main(args) == 0
+            assert sizes == want
+            assert len(list(out.iterdir())) == count
+
     @pytest.mark.parametrize("command, text, message", [
         ("shift", "n = 1\nf = expr:x1+\n", "data 'expr:x1+': unexpected end of expression"),
         ("shift", "n = 1\nf = expr:sin(x1\n",

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlipde import young
 from orlipde import (
     BoydIndices,
     Delta2Report,
@@ -191,6 +192,42 @@ class TestInverse:
     def test_negative_rejected(self):
         with pytest.raises(RangeError):
             power(2).inverse(-1.0)
+
+    def test_newton_search_closes_within_a_few_ulp(self, monkeypatch):
+        # exact powers and their conjugates meet the closed form to 1e-14
+        # relative; every other family solves M(x) = y to 1e-14 in log x
+        # (M's own round-off dominates below y = 1e-3); each solve is one
+        # closed Bracket of at most 64 passes
+        brackets = []
+
+        class Recording(young.Bracket):
+            def __init__(self, width):
+                super().__init__(width)
+                brackets.append(self)
+
+        monkeypatch.setattr(young, "Bracket", Recording)
+        ys = np.logspace(-15, 15, 61)
+        exact = [(power(3, coeff=1 / 3), lambda y: (3 * y) ** (1 / 3))]
+        for p in (1.5, 2.0, 3.0):
+            q = p / (p - 1)
+            exact.append((power(p), lambda y, p=p: y ** (1 / p)))
+            exact.append((power(p).complementary(),
+                          lambda y, p=p, q=q: (y / ((p - 1) * p ** -q)) ** (1 / q)))
+        t = np.linspace(0.0, 2.0, 21)
+        others = [exp_young(), power_log(3), from_density(t, t**2),
+                  from_density([0.0, 1.0, 3.0], [0.0, 2.0, 2.0])]
+        cases = exact + [(M, None) for M in others + [M.complementary() for M in others]]
+        for M, ref in cases:
+            for y in ys[ys <= M(M.domain_cap)]:
+                brackets.clear()
+                x = M.inverse(float(y))
+                (bracket,) = brackets
+                assert bracket.closed and bracket.passes <= 64, (M, y, bracket.passes)
+                if ref is not None:
+                    assert abs(x / ref(y) - 1.0) <= 1e-14, (M, y)
+                elif y >= 1e-3:
+                    m = M(x)
+                    assert abs(m / y - 1.0) / (x * M.density(x) / m) <= 1e-14, (M, y)
 
 
 class TestBoyd:
