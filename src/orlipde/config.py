@@ -310,27 +310,31 @@ def build_field(spec, domain, operator=None):
     Returns (field, manufactured_reference): for the manufactured form, the
     reference solution is the sampled expression and the field is the
     operator applied to it.  A non-finite sample of either on the mask
-    raises ConfigError naming the first such node; a reference that is 0 on
-    every node of the mask (a bump that underflows there) raises
-    ResolutionError, since no error can be measured relative to it.
+    raises ConfigError naming the first such node.  A reference or a
+    solve's data (an ``operator`` is given) that is 0 on every node of the
+    mask (a bump that underflows there) raises ResolutionError: no error can
+    be measured relative to it, and the solve would read as exact.
     """
     spec = spec.strip()
     what = f"data {spec!r}"
     if spec.startswith("expr:"):
         fn = compile_expression(spec[5:], domain.n, what)
-        return GridFunction.from_callable(domain, fn).restricted().require_finite(what), None
-    if spec.startswith("file:"):
+        f, reference = GridFunction.from_callable(domain, fn).restricted().require_finite(what), None
+    elif spec.startswith("file:"):
         g = read_grid_function(spec[5:])
         if g.domain.N != domain.N or g.domain.n != domain.n:
             raise ConfigError("grid file geometry does not match the configured grid")
-        return GridFunction(domain, g.values).restricted().require_finite(what), None
-    if spec.startswith("manufactured:"):
+        f, reference = GridFunction(domain, g.values).restricted().require_finite(what), None
+    elif spec.startswith("manufactured:"):
         if operator is None:
             raise ConfigError("manufactured data requires an operator")
         fn = compile_expression(spec[len("manufactured:"):], domain.n, what)
         reference = GridFunction.from_callable(domain, fn).restricted().require_finite(what)
         if not np.any(reference.masked_values()):
             raise ResolutionError(f"{what} is 0 on every node of the ball")
-        f = operator.apply(reference).restricted()
-        return f.require_finite(f"the operator applied to {spec!r}"), reference
-    raise ConfigError(f"cannot parse data spec {spec!r}")
+        f = operator.apply(reference).restricted().require_finite(f"the operator applied to {spec!r}")
+    else:
+        raise ConfigError(f"cannot parse data spec {spec!r}")
+    if operator is not None and not np.any(f.masked_values()):
+        raise ResolutionError(f"{what} is 0 on every node of the ball")
+    return f, reference

@@ -16,9 +16,12 @@ FFT convolutions of their principal-value samples.
 Since q(t y) = t^2 q(y) and 2a = m - n, the lattice of spacing t is the unit
 lattice scaled: d^p J(t y) = t^(m-n-|p|) (d^p J(y) + 2 log t V_p(y)), where
 V_p = c d^p(q^a) is the coefficient of log q (zero on the power branch).  So
-a kernel samples each channel, and calibrates its local constants, once per
-lattice size N on the unit lattice, and every grid of that size (a whole
-radius ladder) takes its spectra by that scaling.  ``potential_rows``
+a kernel samples once per lattice size N, on the unit lattice: one stacked
+pass evaluates every channel |p| <= m and every V_p from one set of node
+factors (q, 1/q, q^a, log q, the coordinate powers along their own axes)
+and one radial factor per order k of g^(k).  It calibrates its local
+constants once per N as well, and every grid of that size (a whole radius
+ladder) takes its spectra by that scaling.  ``potential_rows``
 evaluates every derivative channel of a stack of densities, one density per
 row (a single density is a stack of one), from one forward transform of the
 stack and batched inverse transforms.
@@ -27,6 +30,7 @@ stack and batched inverse transforms.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +38,8 @@ import numpy as np
 
 from .errors import CalibrationError, CapabilityError
 from .grid import GridDomain, cap_bump
-from .operators import MultiIndex, combine, difference_rows, multi_indices, sphere_points
+from .operators import (MultiIndex, combine, difference_rows, gauss_legendre, multi_indices,
+                        sphere_points)
 
 
 # -- closed-form families -----------------------------------------------------
@@ -51,6 +56,9 @@ _FAMILIES = {
     (4, 3): (0.5, 0, -1.0 / (8 * math.pi), np.sqrt),
 }
 
+# what every d^p J at one set of points shares (``FundamentalSolution._factors``)
+_Factors = collections.namedtuple("_Factors", "shape powers values log_parts")
+
 
 class FundamentalSolution:
     """Closed-form kernel J = c * g(q), g(q) = q^a (log q)^b, q = x^T A x.
@@ -61,12 +69,12 @@ class FundamentalSolution:
     coefficient}, derived once from the cached table of p - e_last (e_last
     the last axis with a nonzero entry) by d_i[g^(k) P] = g^(k+1) 2(Ax)_i P +
     g^(k) d_i P.  One instance serves every grid.  It keeps one spectra
-    store: the half spectra of d^p J and of its log-q coefficient, sampled
-    once per (p, N) on the unit lattice (h = 1), from which
-    ``channel_spectra`` scales the stack of a grid, keeping only the last
-    stack it scaled.  The local constants are calibrated once per (N, mask)
-    there.  So one frozen operator shares one kernel across all radii and
-    iterates.
+    store: the half spectra of every d^p J, |p| <= m, and of their log-q
+    coefficients, from one stacked ``kernel_array`` sampling per lattice
+    size N on the unit lattice (h = 1), from which ``channel_spectra``
+    scales the stack of a grid, keeping only the last stack it scaled.  The
+    local constants are calibrated once per (N, mask) there.  So one frozen
+    operator shares one kernel across all radii and iterates.
     """
 
     def __init__(self, operator, A, c, name):
@@ -82,7 +90,7 @@ class FundamentalSolution:
         self._spectra = {}
         self._scaled = None  # (key, stack) of the last channel_spectra call
         self._cell_means = {}
-        self._ball = None  # ``_ball_nodes`` of one h while channel_spectra samples
+        self._ball = None  # ``_ball_nodes`` of one h while kernel_array samples
         self._local_cache = {}
 
     def _table(self, p):
@@ -111,52 +119,52 @@ class FundamentalSolution:
             math.prod(self.a - j for j in range(k)) for k in self._table(MultiIndex(p))
         )
 
-    def derivative(self, p, coords, log_coefficient):
+    def derivative(self, p, points, log_coefficient):
         """d^p J at nonzero points, or with ``log_coefficient`` its log-q coefficient.
 
-        ``coords`` holds one array per axis; the result is vectorized over
-        them.  g^(k)(q) = q^(a-k) (alpha_k log q + beta_k), alpha_(k+1) =
-        (a-k) alpha_k, beta_(k+1) = (a-k) beta_k + alpha_k.  Every factor is
-        a product of q^a, 1/q, log q and powers of the coordinates, each
-        computed once per set of points (``_node_factors``).  The log-q
-        coefficient c d^p(q^a) is the same term table with alpha_k as the
-        radial factor.
+        ``points`` is one coordinate array per axis, the result vectorized
+        over their broadcast, or their ``_factors``, which all rows of
+        ``kernel_array`` and ``cell_average`` share.  The result is the sum
+        over k of W_k P_{p,k}, each monomial taken as (v x_1^d_1) x_2^d_2 ...
         """
-        return self._derivative(p, self._node_factors(coords), log_coefficient)
+        if not isinstance(points, _Factors):
+            points = self._factors(points, MultiIndex(p).order, log_coefficient)
+        radial = points.log_parts if log_coefficient else points.values
+        out = np.zeros(points.shape)
+        with np.errstate(invalid="ignore", over="ignore"):
+            for k, P in self._table(MultiIndex(p)).items():
+                if radial[k] is not None:
+                    out += radial[k] * sum(
+                        math.prod((points.powers[i][d] for i, d in enumerate(e) if d), start=v)
+                        for e, v in P.items()
+                    )
+        return float(out) if out.shape == () else out
 
-    def _node_factors(self, coords):
-        """q, 1/q, q^a, log q and the coordinate powers, shared by every d^p J at coords."""
-        xs = np.broadcast_arrays(*[np.asarray(c, dtype=float) for c in coords])
-        A, axes = self.A, range(self.n)
+    def _factors(self, coords, k_max, logs):
+        """The shape, powers x_i^d and radial factors W_k of every d^p J, |p| <= k_max, at coords.
+
+        g^(k)(q) = q^(a-k) (alpha_k log q + beta_k), alpha_(k+1) = (a-k)
+        alpha_k, beta_(k+1) = (a-k) beta_k + alpha_k, so d^p J has W_k =
+        q^(a-k) (c beta_k + c alpha_k log q) and its log-q coefficient
+        c d^p(q^a) has c alpha_k q^(a-k) (None where 0 or without ``logs``).
+        A power of a coordinate keeps its shape, so axis-shaped ones broadcast.
+        """
+        xs = [np.asarray(x, dtype=float) for x in coords]
+        A, axes, c = self.A, range(self.n), self.c
+        values, log_parts = [], []
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             q = sum(A[i, j] * xs[i] * xs[j] for i in axes for j in axes if A[i, j])
+            inv_q, q_pow = 1.0 / q, self._q_pow(q)
             log_q = np.log(q) if self.b else None
-            return q, 1.0 / q, self._q_pow(q), log_q, [[None, x] for x in xs]
-
-    def _derivative(self, p, factors, log_coefficient):
-        table = self._table(MultiIndex(p))
-        q, inv_q, q_pow, log_q, powers = factors
-        for i, row in enumerate(powers):
-            for _ in range(len(row), max(e[i] for P in table.values() for e in P) + 1):
-                row.append(row[-1] * row[1])
-        out = np.zeros(q.shape)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             alpha, beta = (1.0, 0.0) if self.b else (0.0, 1.0)
-            for k in range(max(table) + 1):
+            for k in range(k_max + 1):
                 if k:
                     alpha, beta = (self.a - k + 1) * alpha, (self.a - k + 1) * beta + alpha
                     q_pow = q_pow * inv_q
-                if k in table and (alpha or not log_coefficient):
-                    poly = sum(
-                        math.prod((powers[i][d] for i, d in enumerate(e) if d), start=v)
-                        for e, v in table[k].items()
-                    )
-                    if log_coefficient:
-                        radial = self.c * alpha
-                    else:
-                        radial = self.c * beta + (self.c * alpha * log_q if alpha else 0.0)
-                    out += q_pow * radial * poly
-        return float(out) if out.shape == () else out
+                values.append(q_pow * (c * beta + (c * alpha * log_q if alpha else 0.0)))
+                log_parts.append(q_pow * (c * alpha) if logs and alpha else None)
+            powers = [[None, *itertools.accumulate([x] * k_max, np.multiply)] for x in xs]
+        return _Factors(np.shape(q), powers, values, log_parts)
 
     def cell_average(self, p, h, log_coefficient=False):
         """Mean of d^p J, or of its log-q coefficient, over the singular cell's inscribed ball.
@@ -172,87 +180,91 @@ class FundamentalSolution:
             if self._ball is None or self._ball[0] != h:
                 self._ball = self._ball_nodes(h)
             _, s, w_s, w_th, factors = self._ball
-            vals = self._derivative(p, factors, log_coefficient) @ w_th
+            vals = self.derivative(p, factors, log_coefficient) @ w_th
             total = sum(wi * si ** (self.n - 1) * float(ti) for si, wi, ti in zip(s, w_s, vals))
             self._cell_means[key] = total / h**self.n
         return self._cell_means[key]
 
     def _ball_nodes(self, h):
-        """(h, radii, radial weights, sphere weights, node factors) of the inscribed-ball rule."""
+        """(h, radii, radial weights, sphere weights, factors) of the inscribed-ball rule."""
         rho = h / 2.0
-        nodes, w_r = np.polynomial.legendre.leggauss(48)
+        nodes, w_r = gauss_legendre(48)
         s = 0.5 * rho * (nodes + 1.0)
         pts, w_th = sphere_points(self.n)
         coords = [np.multiply.outer(s, pts[:, a]) for a in range(self.n)]
-        return h, s, 0.5 * rho * w_r, w_th, self._node_factors(coords)
+        return h, s, 0.5 * rho * w_r, w_th, self._factors(coords, self.m - 1, bool(self.b))
 
-    def kernel_array(self, domain, p, log_coefficient=False):
-        """Offset-lattice samples of d^p J with the singular cell handled.
+    def kernel_array(self, domain, orders):
+        """Offset-lattice samples {(p, False): d^p J, (p, True): its log-q coefficient}.
 
+        Rows for every p in orders and the log-q parts they carry
+        (``_carries_log``), one stack evaluated from one ``_factors`` of the
+        lattice: each node and radial factor is computed once per call.
         For |p| < m (weakly singular) the zero-offset entry is replaced by
         the inscribed-ball average; for |p| = m (principal value) it is
-        zeroed (symmetric exclusion).  With ``log_coefficient`` the samples
-        are those of the log-q coefficient.
+        zeroed (symmetric exclusion).
         On an even lattice the seam offset -d/2 is also +d/2, so a sample
         with seam coordinates is the mean of d^p J over its +-d/2 images
         along those axes: for A = I a kernel odd in an axis then sums to
         zero over the lattice, and an even kernel is unchanged.
         Sampled afresh on every call; ``channel_spectra`` holds the cache.
         """
-        p = MultiIndex(p)
+        rows = [(MultiIndex(p), False) for p in orders]
+        rows += [(p, True) for p, _ in rows if self._carries_log(p)]
         n, N = domain.n, domain.N
         line = domain.offset_lattice()[0].reshape(N, -1)[:, 0]  # the offsets of one axis
         seam = N % 2 == 0
         if seam:
             line = np.append(line, -line[N // 2])
-        vals = self.derivative(p, np.meshgrid(*[line] * n, indexing="ij"), log_coefficient)
+        coords = [line.reshape([-1 if a == axis else 1 for a in range(n)]) for axis in range(n)]
+        factors = self._factors(coords, max(p.order for p, _ in rows), len(rows) > len(orders))
+        vals = np.empty((len(rows), *factors.shape))
+        for r, (p, log_coefficient) in enumerate(rows):
+            vals[r] = self.derivative(p, factors, log_coefficient)
         if seam:
-            for axis in range(n):
+            for axis in range(1, n + 1):
                 lo = (slice(None),) * axis + (N // 2,)
                 hi = (slice(None),) * axis + (N,)
                 vals[lo] = 0.5 * (vals[lo] + vals[hi])
-            vals = vals[(slice(0, N),) * n]
-        origin = (0,) * n
-        if p.order == self.m:
-            vals[origin] = 0.0
-        else:
-            vals[origin] = self.cell_average(p, domain.h, log_coefficient)
+            vals = vals[(slice(None),) + (slice(0, N),) * n]
+        for row, (p, log_coefficient) in zip(vals, rows):
+            weak = p.order < self.m
+            row[(0,) * n] = self.cell_average(p, domain.h, log_coefficient) if weak else 0.0
+        self._ball = None  # its cell averages are memoized
         if not np.all(np.isfinite(vals)):
             raise CapabilityError("kernel samples are not finite off the origin")
-        return vals
+        return dict(zip(rows, vals))
 
     def _unit_domain(self, N, mask=None):
         """The N^n lattice of spacing 1 centred at 0."""
         return GridDomain(self.n, N, float(N), mask=mask)
 
     def channel_spectra(self, domain, orders):
-        """Stacked half spectra of ``kernel_array(domain, p)`` for p in orders.
+        """Stacked half spectra of the ``kernel_array`` rows of orders on domain.
 
         Order-m channels take the principal-value kernel, lower ones the
         weakly singular kernel.  Row p is t^(m-n-|p|) (U + 2 log t V) with
         t = domain.h, where U and V are the half spectra of d^p J and of its
-        log-q coefficient on the unit lattice, sampled once per (p, N).  The
-        stack is read-only and kept until a call with other (orders, N, d).
+        log-q coefficient on the unit lattice: the first call at a lattice
+        size N samples every channel |p| <= m in one ``kernel_array`` call
+        and keeps the spectra of its rows.  The stack is read-only and kept
+        until a call with other (orders, N, d).
         """
         key = (tuple(orders), domain.N, domain.d)
         if self._scaled is None or self._scaled[0] != key:
-            t = domain.h
-            rows = []
-            for p in orders:
-                if (p, domain.N) not in self._spectra:
-                    unit = self._unit_domain(domain.N)
-                    U = np.fft.rfftn(self.kernel_array(unit, p))
-                    V = None
-                    if self._carries_log(p):
-                        V = np.fft.rfftn(self.kernel_array(unit, p, log_coefficient=True))
-                    self._spectra[p, domain.N] = U, V
-                U, V = self._spectra[p, domain.N]
+            if domain.N not in self._spectra:  # the samples are dropped once transformed
+                unit, everything = self._unit_domain(domain.N), multi_indices(self.n, self.m)
+                self._spectra[domain.N] = {
+                    row: np.fft.rfftn(v) for row, v in self.kernel_array(unit, everything).items()
+                }
+            spectra, t = self._spectra[domain.N], domain.h
+            stack = np.empty((len(orders), *spectra[orders[0], False].shape), dtype=complex)
+            for row, p in zip(stack, orders):
+                U, V = spectra[p, False], spectra.get((p, True))
                 scale = t ** (self.m - self.n - p.order)
-                rows.append(scale * U if V is None else scale * (U + 2.0 * math.log(t) * V))
-            stack = np.stack(rows)
+                row[...] = scale * U if V is None else scale * (U + 2.0 * math.log(t) * V)
             stack.flags.writeable = False
             self._scaled = key, stack
-            self._ball = None  # its cell averages are memoized
         return self._scaled[1]
 
     def local_constants(self, domain):
@@ -361,24 +373,25 @@ def _convolve_channels(J, psi_hats, domain, orders):
     """Convolutions of the stacked kernels of orders with stacked half spectra.
 
     ``psi_hats`` holds one half spectrum per density along its leading
-    axis; the result lists one array per channel, of shape (densities,
+    axis; the result stacks one array per channel, of shape (densities,
     *domain.shape).  Batched inverse transforms of up to ``_BATCH_NODES``
     nodes each: the whole dictionaries of ``densities_per_transform``
-    densities where they fit, else chunks of one density's channels.  Each
-    entry equals, bit for bit, the inverse transform of its kernel spectrum
-    times its density's half spectrum, taken alone.
+    densities where they fit, else chunks of one density's channels, each
+    batch written into the result at once.  Each entry equals, bit for
+    bit, the inverse transform of its kernel spectrum times its density's
+    half spectrum, taken alone.
     """
     stack = J.channel_spectra(domain, orders)
     per_density = densities_per_transform(domain, len(stack))
     per_channel = max(1, _BATCH_NODES // domain.N**domain.n)
     axes = tuple(range(-domain.n, 0))
-    out = [np.empty((len(psi_hats), *domain.shape)) for _ in stack]
+    out = np.empty((len(stack), len(psi_hats), *domain.shape))
     for i in range(0, len(psi_hats), per_density):
         for j in range(0, len(stack), per_channel):
             prod = stack[j : j + per_channel] * psi_hats[i : i + per_density, None]
             vals = np.fft.irfftn(prod, s=domain.shape, axes=axes)
-            for k in range(vals.shape[1]):
-                out[j + k][i : i + per_density] = vals[:, k] * domain.cell_volume
+            block = out[j : j + per_channel, i : i + per_density]
+            np.multiply(vals.swapaxes(0, 1), domain.cell_volume, out=block)
     return out
 
 

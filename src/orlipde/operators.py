@@ -8,7 +8,8 @@ multi-index p to such a stack, shape (count, *domain.shape), one function
 per row; a single function is a stack of one.  Every operator application
 is ``combine`` of a coefficient table (``EllipticOperator.coefficients``)
 over a channel dictionary.  The module also provides the characteristic
-form, the one sphere rule (``sphere_points``), ellipticity and
+form, the one Gauss-Legendre rule and the one sphere rule
+(``gauss_legendre``, ``sphere_points``), ellipticity and
 coefficient-regularity checks, and the weighted Orlicz-Sobolev norms of
 channel dictionaries (``sobolev_norms``).
 """
@@ -213,6 +214,26 @@ def characteristic_form(L, x, eta):
     return total
 
 
+def gauss_legendre(k):
+    """Nodes (ascending) and weights of the k-point Gauss-Legendre rule on [-1, 1].
+
+    Newton steps on P_k from the Chebyshev nodes, all nodes at once, until
+    none moves by more than 2^-52, with P_k' = k (P_(k-1) - x P_k) / (1 - x^2);
+    the weights are 2 / ((1 - x^2) P_k'^2).
+    """
+    x = np.cos(math.pi * (np.arange(k, 0, -1) - 0.5) / k)
+    for _ in range(100):
+        p_prev, p = np.ones(k), x
+        for j in range(2, k + 1):
+            p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        dp = k * (p_prev - x * p) / ((1.0 - x) * (1.0 + x))
+        step = p / dp
+        x = x - step
+        if np.all(np.abs(step) <= np.spacing(1.0)):
+            break
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+
+
 def sphere_points(n):
     """Quadrature nodes and weights integrating over the unit sphere.
 
@@ -229,7 +250,7 @@ def sphere_points(n):
         return pts, np.full(k, 2 * math.pi / k)
     k_mu = 32
     k_phi = 64
-    mu, w_mu = np.polynomial.legendre.leggauss(k_mu)
+    mu, w_mu = gauss_legendre(k_mu)
     phi = np.linspace(0.0, 2 * math.pi, k_phi, endpoint=False)
     MU, PHI = np.meshgrid(mu, phi, indexing="ij")
     s = np.sqrt(1 - MU**2)
@@ -360,11 +381,12 @@ def sobolev_norms(channels, M, d_omega, domain):
     i; the result lists the count norms, each summed over the dictionary in
     its order.  d_omega is the diameter of the working domain.  The gauges
     of all rows of all channels are one ``gauges`` call, one evaluation of
-    M per pass, and each reads only the masked nodes, so the channels need
-    no restriction.
+    M per pass, and each reads only the masked nodes (one gather of their
+    flat indices per channel), so the channels need no restriction.
     """
-    orders = list(channels)
-    stack = np.abs(np.stack([channels[p][:, domain.mask] for p in orders], axis=1))
+    orders, nodes = list(channels), np.flatnonzero(domain.mask)
+    rows = [channels[p].reshape(-1, domain.mask.size).take(nodes, axis=1) for p in orders]
+    stack = np.abs(np.stack(rows, axis=1))
     count, width = stack.shape[:2]
     norms = gauges(stack.reshape(count * width, -1), M, domain)
     weights = [d_omega ** MultiIndex(p).order for p in orders]

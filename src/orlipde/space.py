@@ -124,9 +124,10 @@ def gauges(rows, M, domain):
         return out
     cell_volume = domain.cell_volume
     if M.degree is not None:
-        rhos = modulars(rows[live] / sups[live, None], M, cell_volume)
-        for i, rho in zip(live, rhos):
-            out[i] = float(sups[i]) * rho ** (1.0 / M.degree)
+        rows, sups = (rows, sups) if len(live) == len(rows) else (rows[live], sups[live])
+        rhos = modulars(rows / sups[:, None], M, cell_volume)
+        for i, sup, rho in zip(live, sups.tolist(), rhos):
+            out[i] = sup * rho ** (1.0 / M.degree)
         return out
     measure = domain.measure()
     ts = {i: _start(M, measure, float(sups[i])) for i in live}

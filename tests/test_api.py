@@ -100,6 +100,16 @@ def test_no_module_mentions_numpy_random():
     assert not mentions, f"modules mentioning numpy.random: {mentions}"
 
 
+def test_no_module_mentions_numpy_polynomial():
+    # the quadratures take operators.gauss_legendre, so no cold run pays for
+    # importing numpy.polynomial
+    mentions = [
+        p.name for p in sorted(PACKAGE.glob("*.py"))
+        if re.search(r"\b(np|numpy)\.polynomial\b", p.read_text())
+    ]
+    assert not mentions, f"modules mentioning numpy.polynomial: {mentions}"
+
+
 def test_cli_raises_only_the_directory_clash():
     # every rule about a config value lives in the config schema, so the
     # handlers take checked values and raise no config error of their own

@@ -113,6 +113,20 @@ class TestExitCodes:
             assert len(err) == 1 and err[0].startswith(message), err
             assert not list((tmp_path / "runs").iterdir())
 
+    @pytest.mark.parametrize("r, f", [
+        ("1e30", "expr:exp(-(x1^2+x2^2))"),
+        ("0.2", "expr:0*x1"),
+    ], ids=["underflow", "zero"])
+    def test_zero_data_exits_5(self, tmp_path, capsys, r, f):
+        # data that is 0 on every node of the ball solves to 0 with a
+        # certificate of 0, which would read as a perfect solve
+        text = with_key(with_key((CONFIGS / "perturbed_laplace.cfg").read_text(), "r", r), "f", f)
+        for _ in range(2):
+            code, err = run(tmp_path, "solve", text, capsys)
+            assert code == 5
+            assert err == [f"error: ResolutionError: data {f!r} is 0 on every node of the ball"]
+            assert not list((tmp_path / "runs").iterdir())
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
         out = tmp_path / "runs"
@@ -551,7 +565,7 @@ def outputs(root):
     return tree
 
 
-COLD_MODULES = ("sympy", "numpy.ma", "concurrent.futures", "numpy.random")
+COLD_MODULES = ("sympy", "numpy.ma", "concurrent.futures", "numpy.random", "numpy.polynomial")
 
 
 def cold_run_modules(tmp_path, command, text):
@@ -592,13 +606,29 @@ coeff p=(0,2) expr=-(1+0.2*x1)
 """
 
 
-@pytest.mark.parametrize("command, table", [
-    ("solve", "solution.grid"),
-    ("contraction", "sigma_profile.csv"),
+TINY_SOLVE_3D = """\
+n = 3
+grid.N = 8
+r = 0.2
+radii = 0.2
+probes = 2
+f = manufactured:exp(-(x1^2+x2^2+x3^2)/0.00245)
+coeff p=(2,0,0) expr=-(1+0.2*x1)
+coeff p=(0,2,0) expr=-(1+0.2*x1)
+coeff p=(0,0,2) expr=-(1+0.2*x1)
+"""
+
+
+@pytest.mark.parametrize("command, text, table", [
+    pytest.param("solve", TINY_SOLVE, "solution.grid", id="solve-solution.grid"),
+    pytest.param("contraction", TINY_SOLVE, "sigma_profile.csv", id="contraction-sigma_profile.csv"),
+    pytest.param("solve", TINY_SOLVE_3D, "solution.grid", id="solve3d-solution.grid"),
 ])
-def test_solve_import_leaves_numpy_random_out(tmp_path, command, table):
-    # the probes come from grid.SeededStream, so no cold solve imports numpy.random
-    assert cold_run_modules(tmp_path, command, TINY_SOLVE) == []
+def test_solve_import_leaves_numpy_random_out(tmp_path, command, text, table):
+    # the probes come from grid.SeededStream, so no cold solve imports
+    # numpy.random; the radial and polar quadratures come from
+    # operators.gauss_legendre, so none imports numpy.polynomial either
+    assert cold_run_modules(tmp_path, command, text) == []
     assert len(list((tmp_path / "runs").glob(f"*/{table}"))) == 1
 
 

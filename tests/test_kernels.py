@@ -19,7 +19,7 @@ from orlipde import (
     shift_modulus,
     verify_fundamental,
 )
-from orlipde.operators import sphere_points
+from orlipde.operators import gauss_legendre, sphere_points
 
 from conftest import bilaplacian, cap_profile, laplacian, second_order
 
@@ -70,6 +70,11 @@ def random_points(rng, n, count):
 def derivative(J, p, *x):
     """d^p J at the points x, one coordinate array per axis."""
     return J.derivative(p, x, log_coefficient=False)
+
+
+def kernel_samples(J, dom, p):
+    """The offset-lattice samples of the one channel d^p J."""
+    return J.kernel_array(dom, [p])[p, False]
 
 
 def value(J, *x):
@@ -202,7 +207,7 @@ class TestDerivatives:
         # the mean of |d^p J|
         J = fundamental_solution(FAMILIES[name]())
         h = 0.03
-        nodes, w_r = np.polynomial.legendre.leggauss(48)
+        nodes, w_r = gauss_legendre(48)
         s = 0.25 * h * (nodes + 1.0)
         w_s = 0.25 * h * w_r
         pts, w_th = sphere_points(J.n)
@@ -215,6 +220,39 @@ class TestDerivatives:
                 size += wi * si ** (J.n - 1) * float(np.dot(w_th, np.abs(vals)))
             got = J.cell_average(p, h)
             assert abs(got - total / h**J.n) <= 1e-12 * size / h**J.n, p
+
+
+def one_channel_samples(J, dom, p, log_coefficient):
+    """One channel alone: ``derivative`` on the offset lattice, the seam mean, ``cell_average``."""
+    n, N = dom.n, dom.N
+    line = dom.offset_lattice()[0].reshape(N, -1)[:, 0]
+    if N % 2 == 0:
+        line = np.append(line, -line[N // 2])
+    vals = J.derivative(p, np.meshgrid(*[line] * n, indexing="ij"), log_coefficient)
+    if N % 2 == 0:
+        for axis in range(n):
+            lo = (slice(None),) * axis + (N // 2,)
+            hi = (slice(None),) * axis + (N,)
+            vals[lo] = 0.5 * (vals[lo] + vals[hi])
+        vals = vals[(slice(0, N),) * n]
+    vals[(0,) * n] = 0.0 if p.order == J.m else J.cell_average(p, dom.h, log_coefficient)
+    return vals
+
+
+class TestSampling:
+    @pytest.mark.parametrize("name", sorted(FAMILIES))
+    def test_stacked_rows_match_one_channel_sampling(self, name):
+        # one kernel_array call shares its node and radial factors among all
+        # rows, which changes no sample by a bit
+        J = fundamental_solution(FAMILIES[name]())
+        orders = multi_indices(J.n, J.m)
+        rows = [(p, False) for p in orders] + [(p, True) for p in orders if J._carries_log(p)]
+        for N in (8, 9) if J.n == 3 else (15, 16):
+            dom = GridDomain(J.n, N, 0.7)
+            samples = J.kernel_array(dom, orders)
+            assert list(samples) == rows
+            for (p, log_coefficient), row in samples.items():
+                assert np.array_equal(row, one_channel_samples(J, dom, p, log_coefficient)), (N, p)
 
 
 class TestScaledSpectra:
@@ -231,7 +269,8 @@ class TestScaledSpectra:
                 dom = GridDomain(J.n, N, d)
                 orders = multi_indices(J.n, J.m)
                 scaled = J.channel_spectra(dom, orders)
-                direct = [np.fft.rfftn(J.kernel_array(dom, p)) for p in orders]
+                samples = J.kernel_array(dom, orders)
+                direct = [np.fft.rfftn(samples[p, False]) for p in orders]
                 scale = max(np.max(np.abs(v)) for v in direct)
                 for p, row, ref in zip(orders, scaled, direct):
                     assert np.max(np.abs(row - ref)) <= 1e-13 * scale, (N, d, p)
@@ -255,12 +294,15 @@ class TestScaledSpectra:
         real = J.kernel_array
         monkeypatch.setattr(J, "kernel_array", lambda *a, **k: calls.append(a) or real(*a, **k))
         orders = multi_indices(2, 4)
-        for d in (1.6, 0.8, 0.4, 0.2):
-            J.channel_spectra(GridDomain(2, 32, d), orders)
-        # 15 channels, 5 of which carry a log part
-        assert len(calls) == 15 + 5
-        assert {dom.h for dom, *_ in calls} == {1.0}
-        # of the four radii's stacks, the kernel holds only the last
+        for N, d in ((32, 1.6), (32, 0.8), (16, 0.8), (32, 0.4), (16, 0.2), (32, 0.2)):
+            J.channel_spectra(GridDomain(2, N, d), multi_indices(2, 4, 4))  # order m alone
+            J.channel_spectra(GridDomain(2, N, d), orders)
+        # one stacked sampling per lattice size, on the unit lattice, of
+        # every channel (and with them the 5 log parts)
+        assert [(dom.N, dom.h, list(ps)) for dom, ps in calls] == [
+            (32, 1.0, orders), (16, 1.0, orders)
+        ]
+        # of the ladder's stacks, the kernel holds only the last
         stacks = [a for a in held_arrays(J) if a.shape == (15, 32, 17)]
         assert len(stacks) == 1
         assert stacks[0] is J.channel_spectra(GridDomain(2, 32, 0.2), orders)
@@ -350,7 +392,7 @@ class TestSingularPotential:
     def test_pure_pv_annihilates_constants(self, square64):
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square64, lambda x, y: np.full_like(x, 4.0))
-        out = convolve(GridFunction(square64, J.kernel_array(square64, (2, 0))), c)
+        out = convolve(GridFunction(square64, kernel_samples(J, square64, (2, 0))), c)
         assert np.max(np.abs(out.values)) < 1e-10
 
     def test_zero_density(self, square32):
@@ -411,7 +453,7 @@ class TestSingularKernel:
         J = fundamental_solution(laplacian(2))
         c = GridFunction.from_callable(square32, lambda x, y: np.full_like(x, 3.0))
         for p in ((2, 0), (0, 2)):
-            out = convolve(GridFunction(square32, J.kernel_array(square32, p)), c)
+            out = convolve(GridFunction(square32, kernel_samples(J, square32, p)), c)
             assert np.max(np.abs(out.values)) < 1e-12, p
 
     @pytest.mark.parametrize("name", ["laplace2d", "laplace3d", "biharmonic2d", "biharmonic3d"])
@@ -426,7 +468,7 @@ class TestSingularKernel:
         c = GridFunction(dom, np.full(dom.shape, 3.0))
         for p in multi_indices(J.n, J.m, J.m):
             if J.m == 2 or any(k % 2 for k in p):
-                K = J.kernel_array(dom, p)
+                K = kernel_samples(J, dom, p)
                 out = convolve(GridFunction(dom, K), c).values
                 assert np.max(np.abs(out)) <= 1e-12 * 3.0 * dom.cell_volume * np.max(np.abs(K)), p
 

@@ -21,7 +21,7 @@ from orlipde import (
     sobolev_norms,
 )
 
-from orlipde.operators import sphere_points
+from orlipde.operators import gauss_legendre, sphere_points
 
 from conftest import bilaplacian, diff, laplacian
 
@@ -136,6 +136,18 @@ class TestCharacteristicForm:
 
     def test_bilaplacian_axis_value(self):
         assert characteristic_form(bilaplacian(2), [0, 0], [1.0, 0.0]) == pytest.approx(1.0)
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("k", [32, 48])
+    def test_gauss_legendre_matches_numpy(self, k):
+        # the polar rule of the sphere (k = 32) and the radial rule of the
+        # inscribed ball (k = 48); numpy's own k = 48 weights are 1.3e-12
+        # from the exact ones
+        x, w = gauss_legendre(k)
+        ref_x, ref_w = np.polynomial.legendre.leggauss(k)
+        assert np.all(np.abs(x - ref_x) <= 2 * np.spacing(np.abs(ref_x)))
+        assert np.all(np.abs(w - ref_w) <= 1e-11 * ref_w)
 
 
 class TestEllipticity:
