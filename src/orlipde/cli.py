@@ -20,11 +20,17 @@ Exit codes (each failure prints one line to stderr):
 
 Exits 2, 4 and 5 create no run directory or leave none behind, so a rerun
 without ``--force`` meets the same fault again.
+
+A run loads only what its command runs.  ``run_config`` parses no
+arguments: ``argparse`` is imported by ``main`` alone.  ``young``, ``norms``,
+``shift`` and ``mollify`` load the Orlicz calculus (``young``, ``grid``,
+``space``, ``expressions``).  ``solve`` and ``contraction`` also load the
+solver stack (``operators``, ``kernels``, ``parametrix``), which
+``load_config`` imports to build the operator.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import shutil
@@ -38,7 +44,6 @@ from . import __version__
 from .config import build_field, load_config
 from .errors import CapabilityError, ConfigError, DivergenceError, OrlipdeError, RangeError
 from .grid import GridDomain, write_grid_function
-from .parametrix import PROFILE_N, ParametrixOperator, contraction_profile, frozen_operator
 from .space import (
     characteristic_norm_value,
     dual_norm_lower_bound,
@@ -166,6 +171,8 @@ def _cmd_norms(cfg, out):
 
 
 def _cmd_solve(cfg, out, contraction_only=False):
+    from .parametrix import PROFILE_N, ParametrixOperator, contraction_profile, frozen_operator
+
     M, L = cfg["young"], cfg.operator
     seed, radii, probes = cfg["seed"], cfg["radii"], cfg["probes"]
     # one frozen point at x0, with the one kernel of its frozen operator,
@@ -295,6 +302,8 @@ def run_config(command, config_path, out_root, seed=None, force=False):
 
 
 def main(argv=None):
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="orlipde", description="Orlicz-space calculus and local elliptic solves"
     )

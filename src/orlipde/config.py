@@ -17,7 +17,6 @@ import hashlib
 import math
 import re
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from . import young as young_mod
 from .errors import ConfigError, InvalidYoungFunctionError, ResolutionError
 from .expressions import compile_expression
 from .grid import GridFunction, read_grid_function
-from .operators import EllipticOperator, coefficient_name
-from .parametrix import PAD, PROFILE_N
 
 # sizes (cube sides, radii, widths) and |coordinates| stay within these, so
 # that their squares and products neither overflow nor underflow
@@ -121,7 +118,6 @@ _SCHEMAS = {
 _COEFF_LINE = re.compile(r"coeff\s+p=\(([^)]*)\)\s+expr=(.+)")
 
 
-@dataclass
 class ExperimentConfig:
     """A checked config.
 
@@ -129,11 +125,12 @@ class ExperimentConfig:
     ``render`` and ``hash`` read; ``operator`` is None but for solve and contraction.
     """
 
-    command: str
-    values: dict
-    coeff_lines: list
-    parsed: dict
-    operator: EllipticOperator | None
+    def __init__(self, command, values, coeff_lines, parsed, operator):
+        self.command = command
+        self.values = values
+        self.coeff_lines = coeff_lines
+        self.parsed = parsed
+        self.operator = operator
 
     def __getitem__(self, key):
         return self.parsed[key]
@@ -191,6 +188,9 @@ def parse_config(text, command, overrides=None):
     parsed = {key: kind(key, values[key]) for key, (_, kind) in schema.items()}
     operator = None
     if schema is _SOLVE:  # solve and contraction
+        # here only, so that the other commands never load the solver stack
+        from .parametrix import PAD, PROFILE_N
+
         n, N = parsed["n"], parsed["grid.N"]
         operator = build_operator(n, coeff_lines)
         if command == "solve" and N < 4 * operator.m:
@@ -280,6 +280,8 @@ def build_operator(n, coeff_lines):
     An index that is not n integers >= 0 raises ConfigError naming the
     coefficient as written.
     """
+    from .operators import EllipticOperator, coefficient_name
+
     if not coeff_lines:
         raise ConfigError("no coefficient lines; the operator is undefined")
     coeffs = {}

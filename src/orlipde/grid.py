@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ConfigError, ResolutionError
 
-WRITE_CHUNK = 1 << 16  # values per write of ``write_grid_function``
+WRITE_CHUNK = 1 << 12  # values per write of ``write_grid_function``
 
 
 class GridDomain:

@@ -32,7 +32,7 @@ from __future__ import annotations
 import collections
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -423,8 +423,7 @@ def potential_rows(J, rows, domain, orders):
     return channels
 
 
-@dataclass
-class LocalConstants:
+class LocalConstants(NamedTuple):
     constants: dict
     residual: float
     gamma: float
@@ -492,15 +491,13 @@ def _calibrate_local_constants(J, domain):
     return LocalConstants(constants=constants, residual=residual, gamma=gamma)
 
 
-@dataclass
-class ReproductionRow:
+class ReproductionRow(NamedTuple):
     label: str
     error: float
     trivial: bool = False
 
 
-@dataclass
-class ReproductionReport:
+class ReproductionReport(NamedTuple):
     rows: list
     threshold: float
 

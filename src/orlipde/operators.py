@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -259,8 +259,7 @@ def sphere_points(n):
     return pts, W.ravel().copy()
 
 
-@dataclass
-class EllipticityReport:
+class EllipticityReport(NamedTuple):
     passed: bool
     sign_flipped: bool
     ratio: float
@@ -313,15 +312,13 @@ def _ball_points(n, count, seed):
     return pts * radii[:, None]
 
 
-@dataclass
-class RegularityRow:
+class RegularityRow(NamedTuple):
     radius: float
     sup_bound: float
     oscillation: float
 
 
-@dataclass
-class RegularityReport:
+class RegularityReport(NamedTuple):
     rows: list
     passed: bool
     note: str = ""

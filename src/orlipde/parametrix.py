@@ -34,7 +34,7 @@ the same routines, so both take the same arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +62,7 @@ PAD = 4.0  # cube side over ball radius, so that periodic images stay separated
 PROFILE_N = 32  # points per axis of every contraction-profile grid, whatever grid.N
 
 
-@dataclass(frozen=True)
-class FrozenPoint:
+class FrozenPoint(NamedTuple):
     """An operator frozen at x0: what every radius of a solve at x0 shares.
 
     ``L`` is the operator as configured, whatever the sign of its
@@ -230,7 +229,6 @@ class ParametrixOperator:
                 converged = True
                 break
             prev_step = step
-        report = self._report(rows, converged)
         # fixed-point certificate: one more half-step of the density map,
         # normed through the channels of the density defect itself, since
         # the difference of two channel dictionaries cancels here
@@ -238,11 +236,11 @@ class ParametrixOperator:
         defects = potential_rows(J, sigma_next - sigma, dom, orders)
         (defect,) = sobolev_norms(defects, M, d_omega, dom)
         (norm,) = sobolev_norms(channels, M, d_omega, dom)
-        report.certificate = defect / norm if norm > 0 else defect
-        report.channels = channels
+        certificate = defect / norm if norm > 0 else defect
+        report = self._report(rows, converged, certificate=certificate, channels=channels)
         return GridFunction(dom, channels[(0,) * self.L.n][0]), report
 
-    def _report(self, rows, converged):
+    def _report(self, rows, converged, **final):
         ratios = [b.step / a.step for a, b in zip(rows, rows[1:]) if a.step > 0]
         tail = ratios[-3:] if ratios else []
         emp = float(np.exp(np.mean(np.log(tail)))) if tail else 0.0
@@ -251,19 +249,18 @@ class ParametrixOperator:
             converged=converged,
             empirical_ratio=emp,
             final_residual=rows[-1].residual if rows else math.nan,
+            **final,
         )
 
 
-@dataclass
-class IterationRow:
+class IterationRow(NamedTuple):
     k: int
     norm: float
     step: float
     residual: float
 
 
-@dataclass
-class SolveReport:
+class SolveReport(NamedTuple):
     iterations: list
     converged: bool
     empirical_ratio: float
@@ -274,8 +271,7 @@ class SolveReport:
     channels: dict = None
 
 
-@dataclass
-class ContractionProfile:
+class ContractionProfile(NamedTuple):
     radii: list
     sigma_hat: list
 

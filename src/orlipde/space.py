@@ -24,7 +24,7 @@ bounded-density Amemiya limit keep the compensated ``math.fsum``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -289,17 +289,16 @@ def mollify(f, eps):
     return convolve(GridFunction(f.domain, mollifier_kernel(f.domain, eps)), f)
 
 
-@dataclass
-class InequalityRow:
+class InequalityRow(NamedTuple):
     name: str
     lhs: float
     rhs: float
     violated: bool
 
 
-@dataclass
 class InequalityReport:
-    rows: list = field(default_factory=list)
+    def __init__(self):
+        self.rows = []
 
     def add(self, name, lhs, rhs):
         violated = lhs > rhs + INEQUALITY_SLACK * (1.0 + rhs)

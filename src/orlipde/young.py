@@ -13,7 +13,7 @@ inside it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -348,8 +348,7 @@ def complementary(M):
 # -- Delta-2 classification ----------------------------------------------------
 
 
-@dataclass
-class Delta2Report:
+class Delta2Report(NamedTuple):
     """Outcome of the doubling check M(2u) <= k M(u) on [u0, u_max]."""
 
     satisfied: bool
@@ -398,8 +397,7 @@ def check_delta2(M):
 # -- Boyd indices --------------------------------------------------------------
 
 
-@dataclass
-class BoydIndices:
+class BoydIndices(NamedTuple):
     """Estimated Boyd indices with the sampled dilation trace and fit residual."""
 
     alpha: float

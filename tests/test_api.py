@@ -11,14 +11,8 @@ TESTS = Path(__file__).resolve().parent
 
 
 def exported_names():
-    """Names ``orlipde/__init__.py`` re-exports from its modules."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return [
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    """Names ``orlipde/__init__.py`` re-exports lazily from its modules."""
+    return [name for names in orlipde._EXPORTS.values() for name in names]
 
 
 def test_every_export_has_a_caller():
@@ -31,6 +25,12 @@ def test_every_export_has_a_caller():
     uncalled = [name for name in names if not re.search(rf"\b{re.escape(name)}\b", text)]
     assert not uncalled, f"exported without a caller: {uncalled}"
     assert all(hasattr(orlipde, name) for name in names)
+
+
+def test_dir_lists_every_export():
+    # the exports are lazy, so dir() reads them from the table, not the namespace
+    assert orlipde.__all__ == exported_names()
+    assert set(exported_names()) <= set(orlipde.__dir__())
 
 
 # the stand-alone checks of the paper's hypotheses and their report types;

@@ -391,14 +391,13 @@ class TestExitCodes:
 
     def test_loose_certificate_exits_3_with_one_line(self, tmp_path, capsys, monkeypatch):
         # a converged solve whose certificate exceeds 2*tol names both
-        real = cli.ParametrixOperator.solve
+        real = parametrix.ParametrixOperator.solve
 
         def loose(self, f, tol, k_max):
             u, rep = real(self, f, tol=tol, k_max=k_max)
-            rep.certificate = 3 * tol
-            return u, rep
+            return u, rep._replace(certificate=3 * tol)
 
-        monkeypatch.setattr(cli.ParametrixOperator, "solve", loose)
+        monkeypatch.setattr(parametrix.ParametrixOperator, "solve", loose)
         code, err = run(tmp_path, "solve", (CONFIGS / "perturbed_laplace.cfg").read_text(), capsys)
         assert code == 3
         assert err == ["divergence: certificate 3e-06 exceeds 2*tol = 2e-06"], err
@@ -416,16 +415,16 @@ class TestExitCodes:
 # constant-coefficient operators and tiny problems at the ends of the size range
 LAPLACE2 = "coeff p=(2,0) expr=-1\ncoeff p=(0,2) expr=-1\n"
 BILAPLACE2 = "coeff p=(4,0) expr=1\ncoeff p=(0,4) expr=1\ncoeff p=(2,2) expr=2\n"
-TINY_SOLVE = "n = 2\ngrid.N = 16\nr = {s}\nradii = {s}\nprobes = 2\nf = expr:1\n"
+SIZE_SOLVE = "n = 2\ngrid.N = 16\nr = {s}\nradii = {s}\nprobes = 2\nf = expr:1\n"
 TINY_NORMS = "n = 3\ngrid.N = 8\nd = {s}\nf = expr:x1\n"
 
 
 class TestSizeRange:
     @pytest.mark.parametrize("command, text", [
-        ("solve", TINY_SOLVE.format(s="1e-30") + LAPLACE2),
-        ("solve", TINY_SOLVE.format(s="1e30") + LAPLACE2),
-        ("solve", TINY_SOLVE.format(s="1e-30") + BILAPLACE2),
-        ("solve", TINY_SOLVE.format(s="1e30") + BILAPLACE2),
+        ("solve", SIZE_SOLVE.format(s="1e-30") + LAPLACE2),
+        ("solve", SIZE_SOLVE.format(s="1e30") + LAPLACE2),
+        ("solve", SIZE_SOLVE.format(s="1e-30") + BILAPLACE2),
+        ("solve", SIZE_SOLVE.format(s="1e30") + BILAPLACE2),
         ("norms", TINY_NORMS.format(s="1e-30")),
         ("norms", TINY_NORMS.format(s="1e30")),
         # eps at the bottom of the range, and d at its top
@@ -566,22 +565,30 @@ def outputs(root):
 
 
 COLD_MODULES = ("sympy", "numpy.ma", "concurrent.futures", "numpy.random", "numpy.polynomial")
+# what only main() (argparse) or nothing (dataclasses) needs
+PARSER_MODULES = ("argparse", "dataclasses")
+SOLVER_MODULES = ("orlipde.operators", "orlipde.kernels", "orlipde.parametrix")
 
 
-def cold_run_modules(tmp_path, command, text):
-    """Which of COLD_MODULES one run of the config text loads in a fresh interpreter."""
+def fresh_python(code):
+    """Run code in a fresh interpreter that imports this checkout; returns its stdout lines."""
     paths = [str(Path(orlipde.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def cold_run_modules(tmp_path, command, text, modules=COLD_MODULES):
+    """Which of ``modules`` one run of the config text loads in a fresh interpreter."""
     cfg = tmp_path / f"{command}.cfg"
     cfg.write_text(text)
     code = (
         "import sys, orlipde.cli\n"
         f"assert orlipde.cli.run_config({command!r}, {str(cfg)!r}, {str(tmp_path / 'runs')!r}) == 0\n"
-        f"print(*(m for m in {COLD_MODULES!r} if m in sys.modules))"
+        f"print(*(m for m in {tuple(modules)!r} if m in sys.modules))"
     )
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert done.returncode == 0, done.stderr
-    return done.stdout.splitlines()[-1].split()
+    return fresh_python(code)[-1].split()
 
 
 def test_import_leaves_sympy_out(tmp_path):
@@ -592,6 +599,42 @@ def test_import_leaves_sympy_out(tmp_path):
     text = "n = 1\ngrid.N = 16\nf = expr:(1+x1/abs(x1))/2\n"
     assert cold_run_modules(tmp_path, "norms", text) == []
     assert len(list((tmp_path / "runs").glob("*/norms.csv"))) == 1
+
+
+@pytest.mark.parametrize("command, text, table", [
+    pytest.param("young", "young = exp\n", "delta2.csv", id="young"),
+    pytest.param("norms", "n = 1\ngrid.N = 16\nf = expr:(1+x1/abs(x1))/2\n", "norms.csv",
+                 id="norms"),
+    pytest.param("shift", "n = 2\ngrid.N = 16\nf = expr:x1*x2\n", "shift_modulus.csv",
+                 id="shift"),
+    pytest.param("mollify", "n = 2\ngrid.N = 32\neps = 0.3\nf = expr:x1*x2\n", "mollified.grid",
+                 id="mollify"),
+])
+def test_orlicz_commands_leave_the_solver_out(tmp_path, command, text, table):
+    # only an operator config loads the solver stack, and only main() parses
+    # arguments; no record is a dataclass
+    modules = COLD_MODULES + SOLVER_MODULES + PARSER_MODULES
+    assert cold_run_modules(tmp_path, command, text, modules) == []
+    assert len(list((tmp_path / "runs").glob(f"*/{table}"))) == 1
+
+
+def test_import_loads_no_module():
+    # the exports are lazy: importing the package runs none of its modules
+    code = "import sys, orlipde\nprint(*(m for m in sys.modules if m.startswith('orlipde.')))"
+    assert fresh_python(code) == [""]
+
+
+def test_help_parses_in_a_fresh_interpreter():
+    lines = fresh_python(
+        "import sys, orlipde.cli\n"
+        "sys.argv = ['orlipde', '--help']\n"
+        "try:\n"
+        "    orlipde.cli.main()\n"
+        "except SystemExit as exc:\n"
+        "    assert exc.code == 0\n"
+    )
+    assert lines[0].startswith("usage: orlipde ")
+    assert any("--config" in line for line in lines)
 
 
 TINY_SOLVE = """\
@@ -627,8 +670,9 @@ coeff p=(0,0,2) expr=-(1+0.2*x1)
 def test_solve_import_leaves_numpy_random_out(tmp_path, command, text, table):
     # the probes come from grid.SeededStream, so no cold solve imports
     # numpy.random; the radial and polar quadratures come from
-    # operators.gauss_legendre, so none imports numpy.polynomial either
-    assert cold_run_modules(tmp_path, command, text) == []
+    # operators.gauss_legendre, so none imports numpy.polynomial either;
+    # nor argparse or dataclasses
+    assert cold_run_modules(tmp_path, command, text, COLD_MODULES + PARSER_MODULES) == []
     assert len(list((tmp_path / "runs").glob(f"*/{table}"))) == 1
 
 

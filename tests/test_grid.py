@@ -168,6 +168,21 @@ class TestFileFormat:
         assert (tmp_path / "g.grid").read_text() == "\n".join(lines) + "\n"
         assert np.array_equal(read_grid_function(tmp_path / "g.grid").values, vals)
 
+    def test_write_holds_one_chunk_of_text(self, tmp_path):
+        # a 3-d N = 32 solution: 32^3 values of full-length reprs, about 3.5 MB
+        # of floats and text at once if formatted as one chunk
+        import tracemalloc
+
+        f = GridFunction(GridDomain(3, 32, 1.0), np.sin(np.arange(32.0**3)).reshape((32,) * 3))
+        tracemalloc.start()
+        try:
+            write_grid_function(f, tmp_path / "g.grid")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
+        assert np.array_equal(read_grid_function(tmp_path / "g.grid").values, f.values)
+
 
 class TestSeededStream:
     def test_published_splitmix64_values(self):
