@@ -21,10 +21,12 @@ pass evaluates every channel |p| <= m and every V_p from one set of node
 factors (q, 1/q, q^a, log q, the coordinate powers along their own axes)
 and one radial factor per order k of g^(k).  It calibrates its local
 constants once per N as well, and every grid of that size (a whole radius
-ladder) takes its spectra by that scaling.  ``potential_rows``
-evaluates every derivative channel of a stack of densities, one density per
-row (a single density is a stack of one), from one forward transform of the
-stack and batched inverse transforms.
+ladder) takes its spectra by that scaling.  ``potential_rows`` evaluates
+every derivative channel of a stack of densities, one density per row (a
+single density is a stack of one), from one forward transform of the stack
+and batched inverse transforms, in the kernel's grow-only scratch (at most
+one batch of products), not for concurrent use.  Channels are views of the
+caller's ``out`` stack or of a fresh one, never of the scratch.
 """
 
 from __future__ import annotations
@@ -92,6 +94,14 @@ class FundamentalSolution:
         self._cell_means = {}
         self._ball = None  # ``_ball_nodes`` of one h while kernel_array samples
         self._local_cache = {}
+        self._buffers = {}  # the scratch: slot -> grow-only flat buffer
+
+    def _scratch(self, slot, shape, dtype=float):
+        """A view of shape in the grow-only scratch ``slot``, valid until the slot is next used."""
+        size = math.prod(shape)
+        if slot not in self._buffers or self._buffers[slot].size < size:
+            self._buffers[slot] = np.empty(size, dtype)
+        return self._buffers[slot][:size].reshape(shape)
 
     def _table(self, p):
         """Term table {k: P_{p,k}} of d^p J, derived from the table of p - e_last."""
@@ -369,40 +379,48 @@ def densities_per_transform(domain, channels):
     return max(1, _BATCH_NODES // (channels * domain.N**domain.n))
 
 
-def _convolve_channels(J, psi_hats, domain, orders):
+def _convolve_channels(J, psi_hats, domain, orders, out=None):
     """Convolutions of the stacked kernels of orders with stacked half spectra.
 
     ``psi_hats`` holds one half spectrum per density along its leading
-    axis; the result stacks one array per channel, of shape (densities,
-    *domain.shape).  Batched inverse transforms of up to ``_BATCH_NODES``
-    nodes each: the whole dictionaries of ``densities_per_transform``
-    densities where they fit, else chunks of one density's channels, each
-    batch written into the result at once.  Each entry equals, bit for
-    bit, the inverse transform of its kernel spectrum times its density's
-    half spectrum, taken alone.
+    axis; the result, ``out`` if given, stacks one array per channel, of
+    shape (densities, *domain.shape).  Batched inverse transforms of up to
+    ``_BATCH_NODES`` nodes each: the whole dictionaries of
+    ``densities_per_transform`` densities where they fit, else chunks of one
+    density's channels.  A batch takes the 1-d passes of ``np.fft.irfftn``,
+    in its order, in place in J's "product" scratch, the last into the
+    result.  So each entry equals, bit for bit, the inverse transform of its
+    kernel spectrum times its density's half spectrum, taken alone.
     """
     stack = J.channel_spectra(domain, orders)
     per_density = densities_per_transform(domain, len(stack))
     per_channel = max(1, _BATCH_NODES // domain.N**domain.n)
-    axes = tuple(range(-domain.n, 0))
-    out = np.empty((len(stack), len(psi_hats), *domain.shape))
+    out = np.empty((len(stack), len(psi_hats), *domain.shape)) if out is None else out
     for i in range(0, len(psi_hats), per_density):
         for j in range(0, len(stack), per_channel):
-            prod = stack[j : j + per_channel] * psi_hats[i : i + per_density, None]
-            vals = np.fft.irfftn(prod, s=domain.shape, axes=axes)
+            kernels, hats = stack[j : j + per_channel], psi_hats[i : i + per_density]
+            prod = J._scratch("product", (len(hats), len(kernels), *stack.shape[1:]), complex)
+            for hat, row in zip(hats, prod):  # pair by pair: broadcasting would buffer
+                for kernel, entry in zip(kernels, row):
+                    np.multiply(kernel, hat, out=entry)
+            for axis in range(-domain.n, -1):
+                np.fft.ifft(prod, axis=axis, out=prod)
             block = out[j : j + per_channel, i : i + per_density]
-            np.multiply(vals.swapaxes(0, 1), domain.cell_volume, out=block)
+            np.fft.irfft(prod, domain.N, axis=-1, out=block.swapaxes(0, 1))
+            block *= domain.cell_volume
     return out
 
 
-def potential_rows(J, rows, domain, orders):
+def potential_rows(J, rows, domain, orders, out=None):
     """Derivative channels d^p of the potentials of stacked densities, keyed by p.
 
     ``rows`` holds one density on ``domain`` per row, shape (count,
-    *domain.shape), and each channel is a stack of the same shape.  The
-    densities are restricted to the domain mask and transformed once, all
-    together; all channels then come from batched inverse transforms
-    against the stacked kernel spectra of ``J.channel_spectra``.
+    *domain.shape), and each channel is a stack of the same shape, a view
+    of the caller's ``out``, shape (len(orders), count, *domain.shape), or
+    of a fresh stack.  The densities are restricted to the domain mask and
+    transformed once, all together, in J's scratch; all channels then come
+    from batched inverse transforms against the stacked kernel spectra of
+    ``J.channel_spectra`` (``_convolve_channels``).
     Channels with |p| < m use the weakly singular kernel, whose singular
     cell holds the inscribed-ball average.  Order-m channels are the
     principal value plus the local multiple of the restricted density, with
@@ -414,12 +432,17 @@ def potential_rows(J, rows, domain, orders):
     for p in orders:
         if p.order > J.m:
             raise ValueError(f"channel {p} exceeds the kernel order {J.m}")
-    psi = np.where(domain.mask, rows, 0.0)
-    psi_hats = np.fft.rfftn(psi, axes=tuple(range(-domain.n, 0)))
-    channels = dict(zip(orders, _convolve_channels(J, psi_hats, domain, orders)))
+    # a calibration takes potentials of its own, so it runs before the scratch fills
+    local = J.local_constants(domain).constants if any(p.order == J.m for p in orders) else {}
+    hats = J._scratch("spectrum", (*np.shape(rows)[:-1], domain.N // 2 + 1), complex)
+    psi, term = J._scratch("density", (2, *np.shape(rows)))
+    psi[...] = 0.0
+    np.copyto(psi, rows, where=domain.mask)
+    np.fft.rfftn(psi, axes=tuple(range(-domain.n, 0)), out=hats)
+    channels = dict(zip(orders, _convolve_channels(J, hats, domain, orders, out)))
     for p, ch in channels.items():
-        if p.order == J.m:
-            ch += psi * J.local_constants(domain).constants[p]
+        if p in local:
+            ch += np.multiply(psi, local[p], out=term)
     return channels
 
 

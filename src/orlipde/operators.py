@@ -370,7 +370,7 @@ def coefficient_continuity_check(L, x0, radii):
     return RegularityReport(rows=rows, passed=passed, note=note)
 
 
-def sobolev_norms(channels, M, d_omega, domain):
+def sobolev_norms(channels, M, d_omega, domain, minus=None):
     """Weighted Orlicz-Sobolev norms sum_p d_omega^|p| ||channels[p][i]||_M of stacked rows.
 
     ``channels`` maps each multi-index p to a stack of grid arrays on
@@ -379,10 +379,14 @@ def sobolev_norms(channels, M, d_omega, domain):
     its order.  d_omega is the diameter of the working domain.  The gauges
     of all rows of all channels are one ``gauges`` call, one evaluation of
     M per pass, and each reads only the masked nodes (one gather of their
-    flat indices per channel), so the channels need no restriction.
+    flat indices per channel), so the channels need no restriction.  With
+    ``minus``, a dictionary of the same stacks, they are the norms of
+    channels - minus, differenced at the gathered nodes only.
     """
-    orders, nodes = list(channels), np.flatnonzero(domain.mask)
-    rows = [channels[p].reshape(-1, domain.mask.size).take(nodes, axis=1) for p in orders]
+    orders, nodes, size = list(channels), np.flatnonzero(domain.mask), domain.mask.size
+    rows = [channels[p].reshape(-1, size).take(nodes, axis=1) for p in orders]
+    if minus is not None:
+        rows = [r - minus[p].reshape(-1, size).take(nodes, axis=1) for r, p in zip(rows, orders)]
     stack = np.abs(np.stack(rows, axis=1))
     count, width = stack.shape[:2]
     norms = gauges(stack.reshape(count * width, -1), M, domain)

@@ -188,27 +188,29 @@ class ParametrixOperator:
         The iterate is the potential of sigma_k with sigma_{k+1} =
         remainder(S0 sigma_k) + f, where sigma and the channels of its
         potential are stacks of one row.  Each iterate's channels are
-        computed once and serve its correction density, its norm and its
-        residual; the step norm is that of the difference of consecutive
-        channel dictionaries.  Stops when the weighted-Sobolev step norm
-        drops below tol times the iterate norm; three consecutive step-norm
-        increases raise DivergenceError carrying the partial report.
-        Returns the solution u = S0 sigma as a grid function and the report,
-        which holds the final channel dictionary.  Only f on the mask is read.
+        computed once, into whichever of two stacks the last iterate does
+        not hold, and serve its correction density, its norm and its
+        residual; the step norm is that of their difference from the last
+        iterate's, taken at the gathered masked nodes only.  Stops when the
+        weighted-Sobolev step norm drops below tol times the iterate norm;
+        three consecutive step-norm increases raise DivergenceError
+        carrying the partial report.  Returns the solution u = S0 sigma as a
+        grid function and the report, which holds the final channel
+        dictionary.  Only f on the mask is read.
         """
         J, dom, orders, M, d_omega = self.J, self.domain, self.orders, self.M, self.d_omega
         rows = []
         sigma = f.values[None]
-        channels = potential_rows(J, sigma, dom, orders)
+        stack, spare = (np.empty((len(orders), 1, *dom.shape)) for _ in range(2))
+        channels = potential_rows(J, sigma, dom, orders, stack)
         prev_step = math.inf
         increases = 0
         converged = False
         den_f = luxemburg_norm(f, M)
         for k in range(1, k_max + 1):
             sigma_next = combine(self.remainder_coeffs, channels) + f.values
-            channels_next = potential_rows(J, sigma_next, dom, orders)
-            steps = {p: channels_next[p] - channels[p] for p in orders}
-            (step,) = sobolev_norms(steps, M, d_omega, dom)
+            channels_next = potential_rows(J, sigma_next, dom, orders, spare)
+            (step,) = sobolev_norms(channels_next, M, d_omega, dom, minus=channels)
             (u_norm,) = sobolev_norms(channels, M, d_omega, dom)
             # L u - f with L applied through the kernel channels
             Lu = combine(self.operator_coeffs, channels)[0]
@@ -224,7 +226,7 @@ class ParametrixOperator:
                     )
             else:
                 increases = 0
-            sigma, channels = sigma_next, channels_next
+            sigma, channels, stack, spare = sigma_next, channels_next, spare, stack
             if step <= tol * max(u_norm, 1e-300):
                 converged = True
                 break
@@ -233,7 +235,7 @@ class ParametrixOperator:
         # normed through the channels of the density defect itself, since
         # the difference of two channel dictionaries cancels here
         sigma_next = combine(self.remainder_coeffs, channels) + f.values
-        defects = potential_rows(J, sigma_next - sigma, dom, orders)
+        defects = potential_rows(J, sigma_next - sigma, dom, orders, spare)
         (defect,) = sobolev_norms(defects, M, d_omega, dom)
         (norm,) = sobolev_norms(channels, M, d_omega, dom)
         certificate = defect / norm if norm > 0 else defect
@@ -297,8 +299,8 @@ def contraction_profile(point, radii, probes, seed, N, M):
     differenced once (``difference_rows``), which gives both the probes'
     norms and the remainder applied to them; the norms of all probes and
     channels are one ``gauges`` call, and the potentials of all remainders
-    one ``potential_rows`` call.  Every ratio equals that of the probe run
-    alone, bit for bit.
+    one ``potential_rows`` call into the stack every batch reuses.  Every
+    ratio equals that of the probe run alone, bit for bit.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
@@ -311,14 +313,15 @@ def contraction_profile(point, radii, probes, seed, N, M):
         dom = P.domain
         stream = SeededStream(seed)
         batch = densities_per_transform(dom, len(P.orders))
+        if not sigma:  # one potentials stack serves every radius's batches
+            stack = np.empty((len(P.orders), batch, *dom.shape))
         worst = 0.0
         for rows in probe_family(dom, 0.75 * r, point.x0, probes, stream, batch):
             differences = difference_rows(rows, dom, P.orders)
             norms = sobolev_norms(differences, M, P.d_omega, dom)
             remainders = combine(P.remainder_coeffs, differences)
-            potentials = potential_rows(P.J, remainders, dom, P.orders)
+            potentials = potential_rows(P.J, remainders, dom, P.orders, stack[:, : len(rows)])
             corrected = sobolev_norms(potentials, M, P.d_omega, dom)
-            del potentials  # freed before the next batch's potentials are taken
             for norm, c in zip(norms, corrected):
                 if norm != 0.0:
                     worst = max(worst, c / norm)

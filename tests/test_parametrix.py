@@ -101,6 +101,60 @@ class TestPotentialChannels:
         with pytest.raises(ValueError):
             potential_rows(J, cap_profile(square32, 0.2).values[None], square32, [(2, 1)])
 
+    @pytest.mark.parametrize("count", [1, 4])
+    @pytest.mark.parametrize("operator, sizes", [
+        (bilaplacian(2), (32, 64, 32)),
+        (laplacian(3), (16, 32, 16)),
+    ], ids=["biharmonic2d", "laplace3d"])
+    def test_out_stack_holds_the_channels(self, operator, sizes, count):
+        # with out=, every channel is a view of the caller's stack and equals
+        # the allocating call bit for bit; one kernel runs at N, 2N, then N
+        # again, and every earlier result is unchanged afterwards, so none is
+        # a view of the kernel's scratch
+        J = fundamental_solution(operator)
+        n, orders = operator.n, multi_indices(operator.n, operator.m)
+        rng = np.random.default_rng(5)
+        results = []
+        for N in sizes:
+            dom = GridDomain(n, N, 1.0)
+            dom = dom.with_mask(dom.ball_mask([0.0] * n, 0.3))
+            rows = rng.standard_normal((count, *dom.shape))
+            fresh = potential_rows(J, rows, dom, orders)
+            buf = np.full((len(orders), count, *dom.shape), np.nan)
+            into = potential_rows(J, rows, dom, orders, out=buf)
+            assert list(into) == orders
+            for k, p in enumerate(orders):
+                assert np.shares_memory(into[p], buf[k]), p
+                assert into[p].tobytes() == fresh[p].tobytes(), (N, p)
+            results += [(r, {p: ch.tobytes() for p, ch in r.items()}) for r in (fresh, into)]
+        for channels, saved in results:
+            assert all(channels[p].tobytes() == saved[p] for p in orders)
+
+    @pytest.mark.parametrize("operator, N, count", [
+        (bilaplacian(2), 32, 4),
+        (laplacian(3), 16, 1),
+    ], ids=["biharmonic2d", "laplace3d"])
+    def test_out_stack_call_allocates_under_a_tenth_of_it(self, operator, N, count):
+        # after one warm-up call, a same-shape call into the caller's stack
+        # takes its densities, spectra and transform products from the
+        # kernel's scratch: its peak allocation is under 10% of the stack
+        import tracemalloc
+
+        J = fundamental_solution(operator)
+        n, orders = operator.n, multi_indices(operator.n, operator.m)
+        dom = GridDomain(n, N, 1.0)
+        dom = dom.with_mask(dom.ball_mask([0.0] * n, 0.3))
+        rows = np.random.default_rng(6).standard_normal((count, *dom.shape))
+        buf = np.empty((len(orders), count, *dom.shape))
+        potential_rows(J, rows, dom, orders, out=buf)
+        tracemalloc.start()
+        try:
+            potential_rows(J, rows, dom, orders, out=buf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * buf.nbytes, (peak, buf.nbytes)
+
 
 def identity_defect(P, phi):
     """Relative sup defect of phi = correction(phi) + potential(L phi) over the ball.
@@ -142,6 +196,23 @@ class TestSolve:
         # the report holds the final channel dictionary, channel 0 the solution
         assert list(rep.channels) == P.orders
         assert np.array_equal(rep.channels[(0, 0)][0], u.values)
+
+    def test_results_outlive_later_potentials(self):
+        # the solution and the report's channels live in the solve's own
+        # stacks: later potentials and a profile on the same frozen point
+        # leave them as they were, bit for bit
+        L = config.load_config(CONFIGS / "perturbed_laplace.cfg", "solve").operator
+        point = frozen_operator(L, [0.0, 0.0])
+        P = ParametrixOperator(point, 0.2, 32, power(2))
+        u, rep = P.solve(cap_profile(P.domain, 0.15), tol=1e-6, k_max=200)
+        saved = {p: ch.tobytes() for p, ch in rep.channels.items()}
+        solution = u.values.tobytes()
+        rows = np.random.default_rng(3).standard_normal((2, *P.domain.shape))
+        potential_rows(point.J, rows, P.domain, P.orders)
+        contraction_profile(point, [0.2, 0.1], 4, 0, 32, power(2))
+        P.solve(cap_profile(P.domain, 0.1), tol=1e-6, k_max=200)
+        assert all(rep.channels[p].tobytes() == saved[p] for p in P.orders)
+        assert u.values.tobytes() == solution
 
 
 # the variable-coefficient squared Laplacian of the benchmark's biharmonic solve
