@@ -19,7 +19,9 @@ Exit codes (each failure prints one line to stderr):
        ``NotEllipticError``, ``CalibrationError``, ...)
 
 Exits 2, 4 and 5 create no run directory or leave none behind, so a rerun
-without ``--force`` meets the same fault again.
+without ``--force`` meets the same fault again.  Without ``--force``, a
+second run of one resolved config, concurrent or not, exits 2 and leaves
+the first run's directory alone.
 
 A run loads only what its command runs.  ``run_config`` parses no
 arguments: ``argparse`` is imported by ``main`` alone.  ``young``, ``norms``,
@@ -265,9 +267,10 @@ def run_config(command, config_path, out_root, seed=None, force=False):
         cfg = load_config(config_path, command, overrides)
         digest = cfg.hash()
         out = Path(out_root) / digest[:12]
-        if out.exists() and not force:
+        try:  # one atomic claim: without --force, two runs never share a directory
+            out.mkdir(parents=True, exist_ok=force)
+        except FileExistsError:
             raise ConfigError(f"output directory {out} exists; rerun with --force")
-        out.mkdir(parents=True, exist_ok=True)
         made = out
         for stale in out.iterdir():
             stale.unlink()

@@ -228,8 +228,10 @@ def load_config(path, command, overrides=None):
 def build_young(spec):
     """young = power:p=3 | power-log:p=2 | exp | table:<path>.
 
-    A table file that cannot be read as two columns t,p(t) and a parameter
-    the family rejects raise ConfigError naming the spec.
+    ``power`` and ``power-log`` take a finite p > 1; a table file, finite rows
+    t,p(t) with t increasing from >= 0 and p nonnegative, nondecreasing and 0
+    at t = 0.  A file that is not two such columns raises ConfigError naming
+    the spec, as does a parameter the family rejects.
     """
     spec = spec.strip()
     try:

@@ -57,7 +57,6 @@ class ConfigError(OrlipdeError):
     """An experiment configuration could not be parsed or validated."""
 
     def __init__(self, message, line=None):
-        self.line = line
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

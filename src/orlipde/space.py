@@ -7,18 +7,16 @@ together, evaluating M once per pass on the stack of their values
 row otherwise.  ``luxemburg_norm`` is its one-row call.  The dual (Orlicz)
 norm is the Amemiya infimum, in closed form for a homogeneous M and at the
 root of its optimality condition otherwise, found by a secant solve.  Both
-solves step in log scale inside ``young.Bracket``, the safeguarded bracket
-that M^{-1} also searches in, which holds the close, the push past the root,
-the jump of a conjugate's range, the pass cap and the doubling and bisection
-fallbacks once for every scalar root.  A witness search
-provides certified lower bounds for the dual norm.  The seeded draws (the
-random witnesses and the shifts of the triangle check) come from
-``grid.SeededStream``, a SplitMix64 stream in numpy integer arithmetic.  All
-integrals are midpoint-rule sums over the domain mask.  Modular integrals
-(every gauge and Amemiya pass) sum nonnegative terms, so numpy's pairwise
-row sum is accurate to O(log n) 2^-53 relative (Higham 1993), far below
-RTOL; the signed sum of ``pairing`` and the sums of ``l1_norm`` and the
-bounded-density Amemiya limit keep the compensated ``math.fsum``.
+solves step in log scale inside ``young.Bracket``, the one scalar root
+search, which M^{-1} also uses, and close at its one width of a few ulp.  A
+witness search provides certified lower bounds for the dual norm.  The
+seeded draws (the random witnesses and the shifts of the triangle check)
+come from ``grid.SeededStream``, a SplitMix64 stream in numpy integer
+arithmetic.  All integrals are midpoint-rule sums over the domain mask.
+Modular integrals (every gauge and Amemiya pass) sum nonnegative terms, so
+numpy's pairwise row sum errs by O(log n) 2^-53 relative (Higham 1993),
+about that width; ``pairing``, ``l1_norm`` and the bounded-density Amemiya
+limit keep the compensated ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from .grid import GridFunction, SeededStream, convolve, mollifier_kernel, shift
 from .young import MAX_PASSES, Bracket
 
 
-RTOL = 1e-12  # relative width at which a gauge or Amemiya root bracket closes
 MINKOWSKI_TERMS = 6  # shifted copies of f in the triangle check of ``inequality_suite``
 INEQUALITY_SLACK = 1e-6  # relative slack before an inequality row counts as violated
 
@@ -54,8 +51,8 @@ def modulars(rows, M, cell_volume, slope=False):
 
     Each row is one numpy pairwise sum along its contiguous axis, not a
     compensated ``math.fsum``: the terms are nonnegative, so the relative
-    error is O(log n) 2^-53, far below RTOL, and a row sums alike alone
-    or in a stack, so a batched gauge equals its one-row call bit for bit.
+    error is O(log n) 2^-53, and a row sums alike alone or in a stack, so a
+    batched gauge equals its one-row call bit for bit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         mv = M(rows)
@@ -106,10 +103,10 @@ def gauges(rows, M, domain):
 
     Otherwise each row takes Newton steps on log rho(e^t |u|) = 0 in
     t = -log(lam), whose slope is int |u| p(|u|) / int M(|u|) at e^t u, in its
-    own ``Bracket``, and ends at exp(-(a + b) / 2) once b - a <= RTOL (a
-    power gauge then meets the discrete p-norm to ~1e-12 relative).  A row
-    open after MAX_PASSES passes ends the same way, or at 0 while b is
-    open (only u = 0 does that).  No row's result depends on the others.
+    own ``Bracket``, and ends at exp(-(a + b) / 2) once b - a is within
+    ULP_WIDTH max(1, |t|), so its start moves it by a few ulp.  A row open
+    after MAX_PASSES passes ends the same way, or at 0 while b is open
+    (only u = 0 does that).  No row's result depends on the others.
     """
     rows = np.asarray(rows, dtype=float)
     sups = rows.max(axis=1)
@@ -131,7 +128,7 @@ def gauges(rows, M, domain):
         return out
     measure = domain.measure()
     ts = {i: _start(M, measure, float(sups[i])) for i in live}
-    brackets = {i: Bracket(RTOL) for i in live}
+    brackets = {i: Bracket() for i in live}
     while ts:
         open_rows = list(ts)
         scales = np.array([math.exp(ts[i]) for i in open_rows])
@@ -202,7 +199,7 @@ def orlicz_norm(u, M):
         if support * M.complementary()(bound) <= 1.0:
             return bound * _csum(vals) * cell_volume
     s, jump = _start(M, u.domain.measure(), sup), math.log(M.domain_cap / sup)
-    bracket = Bracket(RTOL)
+    bracket = Bracket()
     value = math.inf
     last = None  # (s, log g) of the previous finite pass
     while s is not None:

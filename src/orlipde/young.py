@@ -7,7 +7,7 @@ complementary functions as exact Legendre pairs, doubling (Delta-2)
 classification, inversion, and Boyd index estimation.  ``Bracket`` is the
 package's one scalar root search: M^{-1} here, and the Luxemburg gauges and
 the Amemiya root in ``space``, take safeguarded Newton steps in log scale
-inside it.
+inside it, and each closes within ULP_WIDTH max(1, |t|) of its root in t.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
 )
 
 MAX_PASSES = 200  # most passes of one ``Bracket`` search
-ULP_WIDTH = 4.0 * 2.0**-52  # width 0 of a ``Bracket`` closes within this times max(1, |t|)
+ULP_WIDTH = 4.0 * 2.0**-52  # a ``Bracket`` closes within this times max(1, |t|)
 DELTA2_SAMPLES = 240  # log-spaced points of the doubling trace of ``check_delta2``
 BOYD_X_DECADES = (3, 9)  # decades of x, and of t x for t < 1, in ``boyd_indices``
 BOYD_X_SAMPLES = 25  # their log-spaced points
@@ -96,7 +96,7 @@ class YoungFunction:
         if y == 0.0:
             return 0.0
         log_y, t_jump = math.log(y), math.log(self.domain_cap)
-        bracket = Bracket(0.0)
+        bracket = Bracket()
         t = min(0.0, t_jump)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             while t is not None:
@@ -124,17 +124,16 @@ class Bracket:
     ``next`` takes a pass at t: whether the condition held, the solver's step
     (or None) and, if M overflowed, the t where M's range jumps to +inf (the
     conjugate of a bounded density).  It returns the next t, or None once
-    b - a <= width (0: ULP_WIDTH max(1, |t|)) or after MAX_PASSES passes;
-    ``closed`` says which.  A step below width/2 is pushed width/4 past the
-    root, to close the bracket next pass; another is taken inside [a, b]
-    unless both ends are finite and it is not below half the previous move
-    (rtsafe, Numerical Recipes 9.4).  Then come t_jump, width/4 inside the
-    jump, after an overflow (width/2 past a once a >= t_jump), doubling, and
-    bisection.
+    b - a <= width = ULP_WIDTH max(1, |t|), the one close of every search,
+    or after MAX_PASSES passes; ``closed`` says which.  A step below width/2
+    is pushed width/4 past the root, to close the bracket next pass; another
+    is taken inside [a, b] unless both ends are finite and it is not below
+    half the previous move (rtsafe, Numerical Recipes 9.4).  Then come
+    t_jump, width/4 inside the jump, after an overflow (width/2 past a once
+    a >= t_jump), doubling, and bisection.
     """
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self.a, self.b = -math.inf, math.inf
         self.t_jump = None
         self.closed = False
@@ -147,7 +146,7 @@ class Bracket:
         else:
             self.b = t
         a, b = self.a, self.b
-        width = max(self.width, ULP_WIDTH * max(1.0, abs(t)))
+        width = ULP_WIDTH * max(1.0, abs(t))
         if jump is not None:
             self.t_jump = jump - 0.25 * width
         move, self._last = abs(t - self._last), t
@@ -186,9 +185,9 @@ def _apply(fn, x):
 
 
 def power(p, coeff=1.0):
-    """M(u) = coeff * |u|**p with p > 1."""
-    if p <= 1.0:
-        raise InvalidYoungFunctionError("power family requires p > 1")
+    """M(u) = coeff * |u|**p with finite p > 1."""
+    if not 1.0 < p < math.inf:
+        raise InvalidYoungFunctionError("power family requires p > 1 and finite")
     cap = (1e300 / coeff) ** (1.0 / p)
     return YoungFunction(
         evaluate=lambda u: coeff * u**p,
@@ -201,9 +200,9 @@ def power(p, coeff=1.0):
 
 
 def power_log(p):
-    """M(u) = |u|**p * log(e + |u|) with p > 1."""
-    if p <= 1.0:
-        raise InvalidYoungFunctionError("power-log family requires p > 1")
+    """M(u) = |u|**p * log(e + |u|) with finite p > 1."""
+    if not 1.0 < p < math.inf:
+        raise InvalidYoungFunctionError("power-log family requires p > 1 and finite")
     e = math.e
 
     def evaluate(u):
@@ -259,8 +258,8 @@ def from_density(ts, ps, name="table"):
     """
     ts = np.asarray(ts, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    if ts.ndim != 1 or ts.shape != ps.shape or ts.size < 2:
-        raise InvalidYoungFunctionError("density table needs matching 1-d samples")
+    if ts.ndim != 1 or ts.shape != ps.shape or ts.size < 2 or not np.isfinite([ts, ps]).all():
+        raise InvalidYoungFunctionError("density table needs matching, finite 1-d samples")
     if np.any(np.diff(ts) <= 0) or ts[0] < 0:
         raise InvalidYoungFunctionError("density sample points must increase from >= 0")
     if np.any(ps < 0) or np.any(np.diff(ps) < -1e-12 * max(1.0, ps.max())):

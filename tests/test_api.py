@@ -115,3 +115,34 @@ def test_cli_raises_only_the_directory_clash():
     # handlers take checked values and raise no config error of their own
     raises = re.findall(r"raise ConfigError\(.*", (PACKAGE / "cli.py").read_text())
     assert raises == ['raise ConfigError(f"output directory {out} exists; rerun with --force")']
+
+
+def module_constants(tree):
+    """(name, assignment node) of every ALL-CAPS name a module assigns at its top level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for target in targets:
+            if isinstance(target, ast.Name) and re.fullmatch(r"_*[A-Z][A-Z0-9_]*", target.id):
+                yield target.id, node
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a knob that nothing reads any more (a close width, a cap) goes with its reader
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    reads = [
+        (module, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)) or isinstance(node, ast.Attribute)
+    ]
+    constants = [(m, name, node) for m, tree in trees.items() for name, node in module_constants(tree)]
+    assert len(constants) > 40
+    unread = [
+        f"{module}:{name}"
+        for module, name, node in constants
+        if not any(
+            read == name and not (m == module and node.lineno <= line <= node.end_lineno)
+            for m, line, read in reads
+        )
+    ]
+    assert not unread, f"module constants that nothing reads: {unread}"

@@ -228,9 +228,15 @@ class TestExitCodes:
         ("table:{rising}", "density must vanish at t = 0"),
         ("power:p=0.5", "power family requires p > 1"),
         ("power-log:p=1", "power-log family requires p > 1"),
-    ], ids=["missing", "empty", "value", "invalid", "power", "power_log"])
+        ("power:p=nan", "power family requires p > 1 and finite"),
+        ("power:p=inf", "power family requires p > 1 and finite"),
+        ("power-log:p=nan", "power-log family requires p > 1 and finite"),
+        ("table:{nan}", "density table needs matching, finite 1-d samples"),
+    ], ids=["missing", "empty", "value", "invalid", "power", "power_log",
+            "power_nan", "power_inf", "power_log_nan", "table_nan"])
     def test_bad_young_spec_exits_2(self, tmp_path, capsys, spec, fault):
-        files = {"empty": "", "bad": "0,0\n1,abc\n", "rising": "0,1\n1,2\n"}
+        files = {"empty": "", "bad": "0,0\n1,abc\n", "rising": "0,1\n1,2\n",
+                 "nan": "0,0\n1,nan\n2,2\n"}
         for name, text in files.items():
             (tmp_path / f"{name}.csv").write_text(text)
         spec = spec.format(**{name: tmp_path / f"{name}.csv" for name in files})
@@ -241,6 +247,20 @@ class TestExitCodes:
         assert len(err) == 1 and err[0].startswith(f"config error: young function spec {spec!r}"), err
         assert fault in err[0], err
         assert not caught, [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("spec", ["power:p=nan", "power-log:p=nan", "power:p=inf"])
+    def test_non_finite_exponent_norms_exit_2_without_directory(self, tmp_path, capsys, spec):
+        # NaN fails every comparison, so only a finiteness check keeps a
+        # nan gauge out of norms.csv
+        text = with_key((CONFIGS / "indicator_norms.cfg").read_text(), "young", spec)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, err = run(tmp_path, "norms", text, capsys)
+        assert code == 2
+        assert err == [f"config error: young function spec {spec!r}: "
+                       f"{spec.split(':')[0]} family requires p > 1 and finite"], err
+        assert not caught, [str(w.message) for w in caught]
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("text, fault", [
         ("n = 1\ngrid.N = 2\nf = expr:x1\n", "config error: grid: need at least 4 points per axis"),
@@ -529,6 +549,19 @@ class TestReruns:
         assert len(trees[0]) == 2 * 7  # six tables and a manifest per config
         assert trees[1] == trees[0]
         assert trees[2] == trees[0]
+
+    def test_same_config_twice_under_jobs_claims_one_directory(self, tmp_path):
+        # both workers resolve one hash; the one that claims the directory
+        # first writes it, the other exits 2 and leaves it whole
+        config = str(CONFIGS / "power2_young.cfg")
+        for attempt in range(4):
+            out = tmp_path / str(attempt)
+            args = ["young", "--config", config, config, "--out", str(out), "--jobs", "2"]
+            assert cli.main(args) == 2
+            (run_dir,) = out.iterdir()
+            manifest = json.loads((run_dir / "manifest.json").read_text())
+            written = {p.name: cli._sha256(p) for p in run_dir.iterdir() if p.name != "manifest.json"}
+            assert written == manifest["outputs"] and len(written) == 6, sorted(written)
 
     def test_solve_and_contraction_keep_separate_directories(self, tmp_path, capsys):
         text = (CONFIGS / "perturbed_laplace.cfg").read_text()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from orlipde import space
+from orlipde.young import ULP_WIDTH
 from orlipde import (
     BracketError,
     GridDomain,
@@ -256,6 +257,24 @@ class TestGaugeSolver:
             vals[5] = bad
             with pytest.raises(BracketError):
                 luxemburg_norm(GridFunction(line64, vals), power(2))
+
+    @pytest.mark.parametrize("shift_t", [-1e-3, 1e-3])
+    def test_start_moves_no_norm_past_the_close(self, line64, square32, monkeypatch, shift_t):
+        # every root bracket closes within ULP_WIDTH max(1, |t|), so moving
+        # the search's start in log scale moves each gauge and Amemiya norm
+        # lam by at most ULP_WIDTH max(1, |log lam|) lam
+        table = from_density(*self.KINKED)
+        others = [power_log(3), exp_young(), table]
+        fields = self.fields(line64, square32)
+        cases = [power_log(2)] + others + [M.complementary() for M in others]
+        cold = [[(luxemburg_norm(u, M), orlicz_norm(u, M)) for u in fields] for M in cases]
+        start = space._start
+        monkeypatch.setattr(space, "_start", lambda *args: start(*args) + shift_t)
+        for M, norms in zip(cases, cold):
+            for u, (lux, orl) in zip(fields, norms):
+                for lam, moved in ((lux, luxemburg_norm(u, M)), (orl, orlicz_norm(u, M))):
+                    bound = ULP_WIDTH * max(1.0, abs(math.log(lam))) * lam
+                    assert abs(moved - lam) <= bound, (M, u, lam, moved)
 
 
 class TestOrlicz:

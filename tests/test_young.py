@@ -68,6 +68,20 @@ class TestFamilies:
         with pytest.raises(InvalidYoungFunctionError):
             from_density([0.0, 1.0, 2.0], [0.0, 2.0, 1.0])
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_families_require_a_finite_exponent(self, p):
+        for family in (power, power_log):
+            with pytest.raises(InvalidYoungFunctionError, match="finite"):
+                family(p)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_density_table_requires_finite_samples(self, bad):
+        # NaN compares false, so the order checks alone would let it through
+        for ts, ps in (([0.0, bad, 2.0], [0.0, 1.0, 2.0]), ([0.0, 1.0, 2.0], [0.0, bad, 2.0]),
+                       ([0.0, 1.0, 2.0], [0.0, 1.0, bad])):
+            with pytest.raises(InvalidYoungFunctionError, match="finite"):
+                from_density(ts, ps)
+
 
 class TestComplementary:
     def test_quadratic_self_conjugate(self):
@@ -201,8 +215,8 @@ class TestInverse:
         brackets = []
 
         class Recording(young.Bracket):
-            def __init__(self, width):
-                super().__init__(width)
+            def __init__(self):
+                super().__init__()
                 brackets.append(self)
 
         monkeypatch.setattr(young, "Bracket", Recording)
