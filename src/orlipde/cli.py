@@ -214,7 +214,7 @@ def _cmd_solve(cfg, out, contraction_only=False):
         summary.append(("manufactured_error", P.solution_error(rep.channels, reference)))
     _write_csv(out / "summary.csv", ["name", "value"], summary)
     if u is not None:
-        write_grid_function(u, out / "solution.grid")
+        write_grid_function(u.restricted(), out / "solution.grid")  # the solution on the ball
     if failure is None and not rep.converged:
         failure = f"no convergence within k_max = {k_max} iterations"
     elif failure is None and not rep.certificate <= 2 * tol:

@@ -108,9 +108,9 @@ _SCHEMAS = {
     "young": _COMMON,
     # deltas (norms, shift): shifts along the first axis, in whole cells of width d / grid.N
     "norms": {**_GRID, "g": ("", _TEXT), "deltas": ("8,4,2,1", _CELLS), "trials": ("8", _COUNT)},
-    # contraction reads the solve schema, and renders and hashes as itself
+    # contraction reads the solve schema but never f, and renders and hashes as itself
     "solve": _SOLVE,
-    "contraction": _SOLVE,
+    "contraction": {**_SOLVE, "f": ("", _TEXT)},
     "mollify": {**_GRID, "eps": ("0.2", _SIZE)},
     "shift": {**_GRID, "deltas": ("8,4,2,1", _CELLS)},
 }
@@ -187,7 +187,7 @@ def parse_config(text, command, overrides=None):
             values[key] = default
     parsed = {key: kind(key, values[key]) for key, (_, kind) in schema.items()}
     operator = None
-    if schema is _SOLVE:  # solve and contraction
+    if command in ("solve", "contraction"):
         # here only, so that the other commands never load the solver stack
         from .parametrix import PAD, PROFILE_N
 

@@ -187,9 +187,10 @@ def convolve(f, g):
     if not domain.same_geometry(g.domain):
         raise ValueError("convolution requires identical grid geometry")
     axes = tuple(range(domain.n))
-    F = np.fft.rfftn(f.values, axes=axes)
-    G = np.fft.rfftn(g.values, axes=axes)
-    vals = np.fft.irfftn(0.5 * (F * G + G * F), s=domain.shape, axes=axes)
+    with np.errstate(over="ignore", invalid="ignore"):  # the gauges reject what overflows
+        F = np.fft.rfftn(f.values, axes=axes)
+        G = np.fft.rfftn(g.values, axes=axes)
+        vals = np.fft.irfftn(0.5 * (F * G + G * F), s=domain.shape, axes=axes)
     return GridFunction(domain, vals * domain.cell_volume)
 
 
@@ -269,15 +270,19 @@ def mollifier_kernel(domain, eps):
 
 
 def write_grid_function(f, path):
-    """Write header 'n,N,d' then one value per line (its ``repr``) in lexicographic order.
+    """Write header 'n,N,d' then one value per line in lexicographic order.
 
-    The lines go out in writes of WRITE_CHUNK values, so the text held at once is bounded.
+    A node on the domain mask takes its value's ``repr``, any other "0.0",
+    so the file holds f restricted to the mask.  The lines go out in writes
+    of WRITE_CHUNK values, so the text held at once is bounded.
     """
-    flat = f.values.ravel(order="C")
+    flat, mask = f.values.ravel(order="C"), f.domain.mask.ravel(order="C")
     with open(path, "w") as fh:
         fh.write(f"{f.domain.n},{f.domain.N},{float(f.domain.d)!r}\n")
         for start in range(0, flat.size, WRITE_CHUNK):
-            fh.write("\n".join(map(repr, flat[start:start + WRITE_CHUNK].tolist())) + "\n")
+            chunk = slice(start, start + WRITE_CHUNK)
+            lines = zip(flat[chunk].tolist(), mask[chunk].tolist())
+            fh.write("\n".join(repr(v) if on else "0.0" for v, on in lines) + "\n")
 
 
 def read_grid_function(path):

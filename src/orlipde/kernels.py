@@ -354,7 +354,8 @@ def fundamental_solution(L0):
         elif not np.all(eig > 0):
             raise CapabilityError("second-order coefficient matrix is not definite")
         Binv = np.linalg.inv(B)
-        c = sign * c0 / math.sqrt(float(np.linalg.det(B)))
+        with np.errstate(over="ignore"):  # ``kernel_array`` rejects samples that are not finite
+            c = sign * c0 / math.sqrt(float(np.linalg.det(B)))
         name = f"laplace{n}d" if np.allclose(B, B[0, 0] * np.eye(n)) else f"aniso{n}d"
         return FundamentalSolution(L0, (Binv + Binv.T) / 2.0, c, name)
     return FundamentalSolution(L0, np.eye(n), c0 / _bilaplacian_scale(L0), f"biharmonic{n}d")
@@ -364,14 +365,17 @@ def fundamental_solution(L0):
 
 
 # most grid nodes per batched inverse transform: batching saves the per-call
-# overhead of small grids (15 channels at N = 32 in 2-d run 2.8x faster as
-# one batch than one by one), while one large batch loses cache locality
-# (35 channels at N = 32 in 3-d run 1.5x slower as one batch).  The leading
-# axes of a transform are densities (the probes of a contraction profile)
-# times channels: as many whole dictionaries as fit, 4 probes of 15 channels
-# at N = 32 in 2-d, else one density's channels in chunks that fit (one
-# dictionary at 2-d N = 64, 2 channels at a time at 3-d N = 32).
-_BATCH_NODES = 2**16
+# overhead of small grids (8 densities of 15 channels at N = 32 in 2-d run
+# 3.1x faster in batches than one by one), while on larger grids its size
+# hardly matters (at N = 32 in 3-d, 10 channels take the same time one at a
+# time, 4 at a time or all at once, and 35 channels run 1.1x faster 4 at a
+# time than one by one or as one batch).  The leading axes of a transform are
+# densities (the probes of a contraction profile) times channels: as many
+# whole dictionaries as fit, all 8 probes of 15 channels at N = 32 in 2-d, so
+# that each radius of the profile takes one batch, else one density's
+# channels in chunks that fit (one dictionary at 2-d N = 64, 4 channels at a
+# time at 3-d N = 32).
+_BATCH_NODES = 2**17
 
 
 def densities_per_transform(domain, channels):

@@ -23,12 +23,16 @@ is negative, so is the fundamental solution of L0, and the local solution
 u = S0 sigma of (L, f) is that of (-L, -f).
 
 Every channel dictionary is stacked: each channel holds one function per row
-along a leading axis.  The contraction profile builds each radius's probes
-as one stack (``probe_family``) and runs them in batches of as many probes
-as fit one inverse transform of their channels: each batch is differenced,
-normed, combined and taken through its potentials as one stack.  The solve
-carries its density and its iterate's channels as stacks of one row through
-the same routines, so both take the same arithmetic.
+along a leading axis.  The contraction profile's probes are the same
+functions of (x - x0) / (0.75 r) at every radius, so it builds them once per
+ladder on the kernel's unit lattice (``probe_family``), in batches of as many
+probes as fit one inverse transform of their channels, and differences each
+batch once there.  Each radius takes channel p of a batch as that unit
+difference times h^-|p|, h = PAD r / N its spacing, as the kernel scales its
+spectra, and norms, combines and takes the batch through its potentials as
+one stack.  The solve carries its density and its iterate's channels as
+stacks of one row through the same routines, so both take the same
+arithmetic.
 """
 
 from __future__ import annotations
@@ -111,7 +115,10 @@ def probe_family(domain, radius, center, count, stream, batch):
     ``SeededStream`` ``stream``: first every exponent, term by term in the
     order k_1, ..., k_n, then the coefficients of its terms in order.  The
     bump and the powers are computed once for the whole family, the powers
-    along their axis only.
+    along their axis only.  ``contraction_profile`` builds one family per
+    ladder, on the kernel's unit lattice (h = 1, c = 0) with rho = 0.75 N /
+    PAD, 6 cells at N = 32: there the probes are those of every radius r as
+    functions of (x - x0) / (0.75 r).
     """
     c = np.asarray(center, dtype=float)
     bump = cap_bump(domain.node_grids(), c, radius)
@@ -160,7 +167,8 @@ class ParametrixOperator:
         self.domain = dom.with_mask(dom.ball_mask(x0, r))
         self.d_omega = 2.0 * float(r)
         self.orders = multi_indices(self.L.n, self.L.m)
-        self.operator_coeffs = self.L.coefficients(self.domain)
+        # sampled on dom, the same geometry, so that no node grids stay on self.domain
+        self.operator_coeffs = self.L.coefficients(dom)
         self.remainder_coeffs = {
             p: a0 - self.operator_coeffs[p] for p, a0 in point.L0.coeffs.items()
         }
@@ -287,43 +295,55 @@ def contraction_profile(point, radii, probes, seed, N, M):
     ball; ``probe_family``).  Deterministic for equal seeds; the estimate is
     a lower bound on the true operator norm.  Every radius shares the one
     frozen point and its one kernel J.  Every radius's grid is the same
-    N-lattice scaled by PAD*r/N, so J samples and calibrates once for the
-    whole ladder and each radius only rescales the spectra.  Every radius
-    draws its probes from a fresh ``SeededStream(seed)``, so a ladder of one
-    radius reproduces that radius's entry of a longer ladder.
+    N-lattice scaled by h = PAD*r/N, so J samples and calibrates once for the
+    whole ladder and each radius only rescales the spectra.  The probes scale
+    the same way: ``probe_family`` builds them once per ladder on J's unit
+    lattice (``_unit_domain(N)``), from one ``SeededStream(seed)``, and each
+    batch is differenced there once (``difference_rows``).  A radius takes
+    channel p of a batch as that unit difference times h^-|p|, one scalar
+    per order, so a ladder of one radius reproduces that radius's entry of a
+    longer ladder.
 
     The probes run as stacks with a leading probe axis, chunked so that one
     batch's potentials fit one inverse transform
-    (``densities_per_transform``: 4 probes of the 15 biharmonic channels at
-    N = 32 in 2-d, one probe at a time on a 3-d N = 32 ladder).  A batch is
-    differenced once (``difference_rows``), which gives both the probes'
-    norms and the remainder applied to them; the norms of all probes and
-    channels are one ``gauges`` call, and the potentials of all remainders
-    one ``potential_rows`` call into the stack every batch reuses.  Every
-    ratio equals that of the probe run alone, bit for bit.
+    (``densities_per_transform``: all 8 probes of the 15 biharmonic channels
+    at N = 32 in 2-d, one probe at a time on a 3-d N = 32 ladder).  The
+    batches run outside and the radii inside.  Each radius builds its
+    operator at the first batch, after the radii before it, and scales the
+    batch's differences into the one stack that its potentials then fill:
+    the scaled channels give both the probes' norms and the remainder
+    applied to them.  The norms of all probes and channels are one
+    ``gauges`` call, and the potentials of all remainders one
+    ``potential_rows`` call.  Every ratio equals that of the probe run
+    alone, bit for bit.
     """
     if probes < 1:
         raise ValueError("need at least one probe")
     if N < 4 * point.L.m:
         raise ValueError("grid too coarse for the difference stencils")
     radii = list(radii)
-    sigma = []
-    for r in radii:
-        P = ParametrixOperator(point, r, N, M)
-        dom = P.domain
-        stream = SeededStream(seed)
-        batch = densities_per_transform(dom, len(P.orders))
-        if not sigma:  # one potentials stack serves every radius's batches
-            stack = np.empty((len(P.orders), batch, *dom.shape))
-        worst = 0.0
-        for rows in probe_family(dom, 0.75 * r, point.x0, probes, stream, batch):
-            differences = difference_rows(rows, dom, P.orders)
-            norms = sobolev_norms(differences, M, P.d_omega, dom)
+    # each radius's operator is built in the first batch, so that the kernel
+    # samples before the other radii's coefficient tables exist
+    operators = [None] * len(radii)
+    unit, orders = point.J._unit_domain(N), multi_indices(point.L.n, point.L.m)
+    batch = densities_per_transform(unit, len(orders))
+    stack = np.empty((len(orders), min(batch, probes), *unit.shape))
+    worst = [0.0] * len(radii)
+    family = probe_family(unit, 0.75 * N / PAD, unit.center, probes, SeededStream(seed), batch)
+    for rows in family:
+        unit_differences = difference_rows(rows, unit, orders)
+        channels = stack[:, : len(rows)]
+        for i, r in enumerate(radii):
+            P = operators[i] = operators[i] or ParametrixOperator(point, r, N, M)
+            differences = {
+                p: np.multiply(unit_differences[p], P.domain.h ** -p.order, out=channel)
+                for p, channel in zip(orders, channels)
+            }
+            norms = sobolev_norms(differences, M, P.d_omega, P.domain)
             remainders = combine(P.remainder_coeffs, differences)
-            potentials = potential_rows(P.J, remainders, dom, P.orders, stack[:, : len(rows)])
-            corrected = sobolev_norms(potentials, M, P.d_omega, dom)
+            potentials = potential_rows(P.J, remainders, P.domain, orders, channels)
+            corrected = sobolev_norms(potentials, M, P.d_omega, P.domain)
             for norm, c in zip(norms, corrected):
                 if norm != 0.0:
-                    worst = max(worst, c / norm)
-        sigma.append(worst)
-    return ContractionProfile(radii=radii, sigma_hat=sigma)
+                    worst[i] = max(worst[i], c / norm)
+    return ContractionProfile(radii=radii, sigma_hat=worst)

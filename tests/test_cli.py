@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import orlipde
-from orlipde import cli, parametrix
+from orlipde import cli, config, parametrix
+from orlipde.grid import read_grid_function
 
 from conftest import assert_pinned_outputs, negated
 
@@ -101,7 +102,12 @@ class TestExitCodes:
         ("r = 0.2\n", "r = 1e30\n", 5,
          "error: ResolutionError: data 'manufactured:exp(-(x1^2+x2^2)/0.00245)' "
          "is 0 on every node of the ball"),
-    ], ids=["not_elliptic", "capability", "zero_reference"])
+        # the determinant of the frozen matrix overflows without a numpy
+        # warning, and the kernel samples it scales are not finite
+        ("coeff p=(2,0) expr=-(1+0.2*x1)\ncoeff p=(0,2) expr=-(1+0.2*x1)\n",
+         "coeff p=(2,0) expr=-1e300*(1+0.2*x1)\ncoeff p=(0,2) expr=-1e300*(1+0.2*x1)\n", 4,
+         "capability error: kernel samples are not finite off the origin"),
+    ], ids=["not_elliptic", "capability", "zero_reference", "overflowing_kernel"])
     def test_run_fault_leaves_no_directory(self, tmp_path, capsys, old, new, code, message):
         # exits 4 and 5 take their directory with them, as exit 2 does, so a
         # rerun without --force meets the same fault, not the directory
@@ -126,6 +132,19 @@ class TestExitCodes:
             assert code == 5
             assert err == [f"error: ResolutionError: data {f!r} is 0 on every node of the ball"]
             assert not list((tmp_path / "runs").iterdir())
+
+    @pytest.mark.parametrize("command, text", [
+        ("norms", "young = exp\nn = 2\ngrid.N = 8\nf = expr:1e300*x1\n"),
+        ("mollify", "n = 1\ngrid.N = 64\nf = expr:1e308*x1\n"),
+    ], ids=["norms", "mollify"])
+    def test_overflowing_convolution_exits_5(self, tmp_path, capsys, command, text):
+        # the convolution overflows without a numpy warning, and the gauge of
+        # its values that are not finite gives the one error line
+        code, err = run(tmp_path, command, text, capsys)
+        assert code == 5
+        assert err == [
+            "error: BracketError: no upper gauge bracket: function exceeds the trusted range"]
+        assert not list((tmp_path / "runs").iterdir())
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, tmp_path, capsys, jobs):
@@ -582,6 +601,46 @@ class TestReruns:
         assert {"iterations.csv", "solution.grid"} <= set(solved)
         assert (contraction_dir / "resolved.cfg").read_text().startswith("command = contraction\n")
         assert (contraction_dir / "sigma_profile.csv").read_bytes() == solved["sigma_profile.csv"]
+
+
+def test_solution_grid_holds_the_solution_on_the_ball(tmp_path, capsys):
+    # the ball's values are the solve's u bit for bit, every other node
+    # reads 0 (u there is the tail of a periodized potential), and the file
+    # loads back as file: data
+    path = CONFIGS / "perturbed_laplace.cfg"
+    assert cli.run_config("solve", path, tmp_path / "runs") == 0, capsys.readouterr().err
+    (grid_file,) = (tmp_path / "runs").glob("*/solution.grid")
+    written = read_grid_function(grid_file).values
+    cfg = config.load_config(path, "solve")
+    point = parametrix.frozen_operator(cfg.operator, cfg["x0"])
+    P = parametrix.ParametrixOperator(point, cfg["r"], cfg["grid.N"], cfg["young"])
+    f, _ = config.build_field(cfg["f"], P.domain, operator=cfg.operator)
+    u, _ = P.solve(f, cfg["tol"], cfg["k_max"])
+    ball = P.domain.mask
+    assert written[ball].tobytes() == u.values[ball].tobytes()
+    assert np.all(written[~ball] == 0.0) and np.any(u.values[~ball] != 0.0)
+    code, err = run(tmp_path, "norms", f"n = 2\ngrid.N = 64\nf = file:{grid_file}\n", capsys)
+    assert code == 0 and not err, err
+
+
+def test_contraction_takes_no_data(tmp_path, capsys):
+    # contraction never reads f: without it the profile is the same, and the
+    # shipped configs, which set f, keep their contraction hashes
+    text = (CONFIGS / "perturbed_laplace.cfg").read_text()
+    lines = text.splitlines(keepends=True)
+    without = "".join(line for line in lines if not line.startswith("f ="))
+    assert len(without.splitlines()) == len(lines) - 1
+    profiles = []
+    for name, t in (("with", text), ("without", without)):
+        (tmp_path / name).mkdir()
+        code, err = run(tmp_path / name, "contraction", t, capsys)
+        assert code == 0 and not err, err
+        (profile,) = (tmp_path / name / "runs").glob("*/sigma_profile.csv")
+        profiles.append(profile.read_bytes())
+    assert profiles[0] == profiles[1]
+    hashes = {name: config.load_config(CONFIGS / name, "contraction").hash()[:12]
+              for name in ("orlicz_laplace.cfg", "perturbed_laplace.cfg")}
+    assert hashes == {"orlicz_laplace.cfg": "42c3c01e644c", "perturbed_laplace.cfg": "7f6e510fa5ba"}
 
 
 def outputs(root):

@@ -340,9 +340,11 @@ def _reference_probe(domain, radius, center, degree=None, stream=None):
 
 
 def _per_probe_profile(L, x0, radii, probes, seed, N, M):
-    """Reference: every probe built, differenced and normed on its own."""
+    """Reference: every probe built and differenced alone on the unit lattice, scaled, normed."""
     point = frozen_operator(L, x0)
     J = point.J
+    unit = J._unit_domain(N)
+    rho = 0.75 * N / parametrix.PAD
     sigma = []
     for r in radii:
         stream = SeededStream(seed)
@@ -350,10 +352,11 @@ def _per_probe_profile(L, x0, radii, probes, seed, N, M):
         worst = 0.0
         for j in range(probes):
             if j == 0:
-                phi = _reference_probe(P.domain, 0.75 * r, x0)
+                phi = _reference_probe(unit, rho, unit.center)
             else:
-                phi = _reference_probe(P.domain, 0.75 * r, x0, degree=3, stream=stream)
-            differences = difference_rows(phi.values[None], P.domain, P.orders)
+                phi = _reference_probe(unit, rho, unit.center, degree=3, stream=stream)
+            units = difference_rows(phi.values[None], unit, P.orders)
+            differences = {p: units[p] * P.domain.h ** -p.order for p in P.orders}
             (norm,) = sobolev_norms(differences, M, P.d_omega, P.domain)
             if norm == 0.0:
                 continue
@@ -369,7 +372,7 @@ class TestBatchedProfile:
     @pytest.mark.parametrize("young", ["power:p=2", "exp", "power-log:p=3"])
     @pytest.mark.parametrize("family", ["laplace2d", "biharmonic2d"])
     def test_matches_per_probe_loop(self, family, young):
-        # 9 probes: one batch of 6 laplace2d channels, batches of 4, 4 and 1
+        # 9 probes: one batch of 6 laplace2d channels, batches of 8 and 1
         # for the 15 biharmonic2d channels
         if family == "laplace2d":
             text = (CONFIGS / "perturbed_laplace.cfg").read_text()
@@ -396,6 +399,48 @@ class TestBatchedProfile:
         prof = profile(L, [0.0, 0.0], [0.4, 0.2, 0.1, 0.05], 8, 0, 32, power(2))
         assert len(prof.radii) == 4
         assert len(calls) <= 2 * 4 and sum(calls) == 8 * 4, calls
+
+
+class TestUnitLatticeProbes:
+    @pytest.mark.parametrize("operator", [bilaplacian(2), laplacian(3)],
+                             ids=["biharmonic2d", "laplace3d"])
+    @pytest.mark.parametrize("radii, at", [
+        ((0.4, 0.2, 0.1, 0.05), ()),
+        ((0.15,), (0.3, -0.1)),
+    ], ids=["ladder", "off_ladder"])
+    def test_scaled_unit_differences_match_each_radius(self, operator, radii, at):
+        # the probes built and differenced once on the unit lattice, times
+        # h^-|p|, are those built and differenced on each radius's own grid
+        n, N, seed, count = operator.n, 32, 5, 3
+        x0 = np.zeros(n)
+        x0[: len(at)] = at
+        orders = multi_indices(n, operator.m)
+        unit = fundamental_solution(operator)._unit_domain(N)
+        (rows,) = parametrix.probe_family(
+            unit, 0.75 * N / parametrix.PAD, unit.center, count, SeededStream(seed), count)
+        units = difference_rows(rows, unit, orders)
+        for r in radii:
+            dom = GridDomain(n, N, parametrix.PAD * r, center=x0)
+            (own,) = parametrix.probe_family(dom, 0.75 * r, x0, count, SeededStream(seed), count)
+            for p, want in difference_rows(own, dom, orders).items():
+                got = units[p] * dom.h ** -p.order
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (r, p)
+
+    def test_one_difference_per_batch_per_ladder(self, monkeypatch):
+        # 9 probes of 15 channels on the N = 32 ladder: batches of 8 and 1,
+        # each differenced once for all four radii
+        calls = []
+        real = parametrix.difference_rows
+
+        def counting(rows, *args):
+            calls.append(len(rows))
+            return real(rows, *args)
+
+        monkeypatch.setattr(parametrix, "difference_rows", counting)
+        L = config.parse_config(BIHARMONIC, "solve").operator
+        prof = profile(L, [0.0, 0.0], [0.4, 0.2, 0.1, 0.05], 9, 0, 32, power(2))
+        assert len(prof.sigma_hat) == 4
+        assert calls == [8, 1], calls
 
 
 def test_manufactured_error_is_second_order():
